@@ -172,14 +172,14 @@ def _cmd_validate(args) -> int:
         if not report.optimal:
             return EXIT_VALIDATION
         cert = extract_certificate(instance, schedule, model)
-        decomp = decompose(instance)
+        rows, cols = decompose(instance).pairs()
         doc = {
             "beta": [float(b) for b in cert.beta],
             "gamma": [
-                {"packet": i + 1, "epoch": j + 1, "value": float(cert.gamma[i, j])}
-                for i in range(instance.n)
-                for j in range(decomp.m)
-                if (j + 1) in decomp.epoch_sets_per_packet[i]
+                {"packet": i + 1, "epoch": j + 1, "value": v}
+                for i, j, v in zip(
+                    rows.tolist(), cols.tolist(), cert.gamma[rows, cols].tolist()
+                )
             ],
             "lambda": [float(v) for v in cert.lam],
             "eta": [float(v) for v in cert.eta],
@@ -208,14 +208,11 @@ def _cmd_trace(args) -> int:
     model = _model_from_args(args, noise)
     schedule = solve(instance, model)
     decomp = decompose(instance)
+    rows, cols = decomp.pairs()
     lines = ["packet,epoch,start,end,tau"]
-    for i in range(instance.n):
-        for j in sorted(decomp.epoch_sets_per_packet[i]):
-            s, e = decomp.epochs[j - 1]
-            lines.append(
-                f"{i + 1},{j},{float(s)!r},{float(e)!r},"
-                f"{float(schedule.tau[i, j - 1])!r}"
-            )
+    for i, j, t in zip(rows.tolist(), cols.tolist(), schedule.tau[rows, cols].tolist()):
+        s, e = decomp.epochs[j]
+        lines.append(f"{i + 1},{j + 1},{float(s)!r},{float(e)!r},{t!r}")
     _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 

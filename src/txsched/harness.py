@@ -144,11 +144,8 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
             free = _intervals.subtract(free, usable)
     except (InternalIdle, InternalDeadlineMiss):
         tau = np.zeros((instance.n, decomp.m))
-        lengths = decomp.epoch_lengths()
-        for j in range(1, decomp.m + 1):
-            feas = sorted(decomp.packet_sets_per_epoch[j - 1])
-            for i in feas:
-                tau[i - 1, j - 1] = lengths[j - 1] / len(feas)
+        rows, cols = decomp.pairs()
+        tau[rows, cols] = decomp.epoch_lengths()[cols] / decomp.coverage()[cols]
         return schedule_from_allocation(instance, tau, model, certified=False)
 
     segments.sort(key=lambda s: (s.t_start, s.t_end))

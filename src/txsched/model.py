@@ -95,18 +95,24 @@ class Instance:
 
 @dataclass(frozen=True)
 class EpochDecomposition:
-    """The instant grid and the two containment set families.
+    """The instant grid and each packet's epoch range.
 
-    Epoch indices are 1-based throughout (epoch j covers
-    [instants[j-1], instants[j]]), matching packet ids, so
-    `epoch_sets_per_packet[i-1]` is the epoch set of packet i and
-    `packet_sets_per_epoch[j-1]` is the packet set of epoch j.
+    Epoch j (1-based, matching packet ids) covers
+    [instants[j-1], instants[j]] and is column j-1 of every per-epoch
+    array.  A packet's feasible epochs always form one contiguous run,
+    so packet i is stored as the half-open column range
+    [lo[i-1], hi[i-1]): lo is the grid index of its arrival and hi the
+    grid index of its deadline.  The ranges are tuples of ints, so two
+    decompositions compare equal exactly when their grids and ranges do.
+
+    `epoch_sets_per_packet` and `packet_sets_per_epoch` are the same
+    containment relation as 1-based frozensets, derived on demand.
     """
 
     instants: tuple[float, ...]
     epochs: tuple[tuple[float, float], ...]
-    epoch_sets_per_packet: tuple[frozenset[int], ...]
-    packet_sets_per_epoch: tuple[frozenset[int], ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -115,9 +121,38 @@ class EpochDecomposition:
     def epoch_lengths(self) -> np.ndarray:
         return np.diff(np.array(self.instants))
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every feasible (packet row, epoch column) pair, 0-based, in
+        packet order and ascending epoch order within a packet."""
+        lo = np.array(self.lo, dtype=np.intp)
+        counts = np.array(self.hi, dtype=np.intp) - lo
+        rows = np.repeat(np.arange(len(lo)), counts)
+        first = np.cumsum(counts) - counts  # position of each packet's first pair
+        cols = np.arange(counts.sum()) + np.repeat(lo - first, counts)
+        return rows, cols
+
+    def coverage(self) -> np.ndarray:
+        """Number of packets that can transmit in each epoch column."""
+        steps = np.bincount(self.lo, minlength=self.m + 1) - np.bincount(
+            self.hi, minlength=self.m + 1
+        )
+        return np.cumsum(steps)[: self.m]
+
+    @property
+    def epoch_sets_per_packet(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(range(a + 1, d + 1)) for a, d in zip(self.lo, self.hi))
+
+    @property
+    def packet_sets_per_epoch(self) -> tuple[frozenset[int], ...]:
+        sets: list[set[int]] = [set() for _ in range(self.m)]
+        for i, (a, d) in enumerate(zip(self.lo, self.hi), start=1):
+            for col in range(a, d):
+                sets[col].add(i)
+        return tuple(frozenset(s) for s in sets)
+
     def live_epochs(self) -> list[int]:
         """1-based indices of epochs some packet can transmit in."""
-        return [j for j in range(1, self.m + 1) if self.packet_sets_per_epoch[j - 1]]
+        return (np.flatnonzero(self.coverage()) + 1).tolist()
 
     def live_region(self) -> list[tuple[float, float]]:
         """Union of live epochs, merged into maximal intervals."""
@@ -142,12 +177,6 @@ def normalize_instance(raw_packets) -> Instance:
     if not packets:
         raise EmptyInstance("no packets")
     for p in packets:
-        if not p.bits > 0:
-            raise MalformedPacket(p.id, f"bits must be positive, got {p.bits}")
-        if not p.deadline > p.arrival:
-            raise MalformedPacket(
-                p.id, f"deadline {p.deadline} must exceed arrival {p.arrival}"
-            )
         if p.deadline - p.arrival < INSTANT_MERGE_TOL:
             raise MalformedPacket(
                 p.id,
@@ -166,37 +195,26 @@ def normalize_instance(raw_packets) -> Instance:
 
 
 def decompose(instance: Instance) -> EpochDecomposition:
-    """Build the instant grid, epochs, and the C/F set families."""
-    raw = np.sort(
-        np.concatenate([instance.arrivals(), instance.deadlines()])
-    )
+    """Build the instant grid, the epochs and each packet's epoch range."""
+    # Greedy clustering anchored on each cluster's first instant: an
+    # instant joins the current cluster while it lies within the merge
+    # tolerance of that representative, so a run of instants spaced
+    # just under the tolerance still splits once it drifts past it.
+    raw = np.unique(np.concatenate([instance.arrivals(), instance.deadlines()]))
     reps: list[float] = []
-    for v in raw:
+    for v in raw.tolist():
         if not reps or v - reps[-1] > INSTANT_MERGE_TOL:
-            reps.append(float(v))
+            reps.append(v)
+    # A raw instant's grid index is the representative at or just below
+    # it (its cluster start), which is within the merge tolerance.
     grid = np.array(reps)
-    epochs = tuple((reps[j], reps[j + 1]) for j in range(len(reps) - 1))
-    m = len(epochs)
-    n = instance.n
-
-    # Map a raw instant to its grid index: the grid point at or just
-    # below it (the cluster start), which is within the merge tolerance.
-    def gidx(v: float) -> int:
-        return int(np.searchsorted(grid, v, side="right")) - 1
-
-    c_sets: list[frozenset[int]] = []
-    f_lists: list[set[int]] = [set() for _ in range(m)]
-    for p in instance.packets:
-        a, d = gidx(p.arrival), gidx(p.deadline)
-        epochs_of_p = frozenset(range(a + 1, d + 1))  # 1-based epoch ids
-        c_sets.append(epochs_of_p)
-        for j in epochs_of_p:
-            f_lists[j - 1].add(p.id)
+    lo = np.searchsorted(grid, instance.arrivals(), side="right") - 1
+    hi = np.searchsorted(grid, instance.deadlines(), side="right") - 1
     return EpochDecomposition(
         instants=tuple(reps),
-        epochs=epochs,
-        epoch_sets_per_packet=tuple(c_sets),
-        packet_sets_per_epoch=tuple(frozenset(s) for s in f_lists),
+        epochs=tuple(zip(reps, reps[1:])),
+        lo=tuple(lo.tolist()),
+        hi=tuple(hi.tolist()),
     )
 
 

@@ -121,9 +121,7 @@ def solve_projected_gradient(
     bits = instance.bits()
     lengths = decomp.epoch_lengths()
     mask = np.zeros((n, m), dtype=bool)
-    for i in range(n):
-        for j in decomp.epoch_sets_per_packet[i]:
-            mask[i, j - 1] = True
+    mask[decomp.pairs()] = True
 
     live_cols = [j for j in range(m) if mask[:, j].any()]
     col_rows = [np.flatnonzero(mask[:, j]) for j in live_cols]
@@ -263,10 +261,11 @@ def solve_grid(instance: Instance, model: PowerModel, resolution: int) -> Oracle
     lengths = decomp.epoch_lengths()
 
     live = decomp.live_epochs()
-    per_epoch: list[tuple[int, list[int], np.ndarray]] = []
+    pair_rows, pair_cols = decomp.pairs()
+    per_epoch: list[tuple[int, np.ndarray, np.ndarray]] = []
     total_combos = 1
     for j in live:
-        rows = sorted(i - 1 for i in decomp.packet_sets_per_epoch[j - 1])
+        rows = pair_rows[pair_cols == j - 1]
         combos = _compositions(resolution, len(rows))
         total_combos *= len(combos)
         if total_combos > GRID_COMBO_CAP:

@@ -17,6 +17,8 @@ power model enters once at the end, to price the schedule.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -292,6 +294,9 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     lower id).  Idling inside a piece or an unfinished member signal an
     internal bug: the caller only passes windows whose rate makes both
     impossible.
+
+    Arrived members wait in a heap keyed on (deadline, id); an arrival
+    pointer moves members into it as time passes their arrival.
     """
     if not members:
         raise ValueError("no members to fill")
@@ -305,8 +310,13 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     need = {p.id: p.bits / rate for p in members}
     total_need = sum(need.values())
     need_tol = max(1e-12 * total_need, 1e-15)
-    by_id = {p.id: p for p in members}
     arrivals = sorted({p.arrival for p in members})
+    # Member positions by arrival; a position also breaks (deadline, id)
+    # ties.  Admission times never decrease: a piece ends its steps
+    # _PIECE_EPS before its end, and the next piece starts no earlier.
+    by_arrival = sorted(range(len(members)), key=lambda k: members[k].arrival)
+    heap: list[tuple[float, int, int]] = []
+    admitted = 0  # by_arrival[:admitted] have been pushed
 
     segments: list[Segment] = []
 
@@ -320,19 +330,27 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     for ps, pe in pieces:
         t = ps
         while pe - t > _PIECE_EPS:
-            for p in members:
-                if need[p.id] > need_tol and p.deadline < t - TIME_TOL:
-                    raise InternalDeadlineMiss(
-                        f"packet {p.id} unfinished at its deadline {p.deadline}"
-                    )
-            active = [
-                p
-                for p in members
-                if need[p.id] > need_tol and p.arrival <= t + TIME_TOL
-            ]
-            if not active:
+            while (
+                admitted < len(members)
+                and members[by_arrival[admitted]].arrival <= t + TIME_TOL
+            ):
+                p = members[by_arrival[admitted]]
+                if need[p.id] > need_tol:
+                    heapq.heappush(heap, (p.deadline, p.id, by_arrival[admitted]))
+                admitted += 1
+            if heap and heap[0][0] < t - TIME_TOL:
+                # A member past its deadline has arrived, so the heap holds
+                # every unfinished one; name the first in member order.
+                late = next(
+                    p for p in members
+                    if need[p.id] > need_tol and p.deadline < t - TIME_TOL
+                )
+                raise InternalDeadlineMiss(
+                    f"packet {late.id} unfinished at its deadline {late.deadline}"
+                )
+            if not heap:
                 raise InternalIdle(f"no transmittable packet at time {t}")
-            cur = min(active, key=lambda p: (p.deadline, p.id))
+            cur = members[heap[0][2]]
             dur = min(pe - t, need[cur.id])
             if cur.deadline - t < dur - TIME_TOL:
                 dur = max(cur.deadline - t, 0.0)
@@ -340,13 +358,14 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
                     raise InternalDeadlineMiss(
                         f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
                     )
-            i = np.searchsorted(arrivals, t + TIME_TOL, side="right")
+            i = bisect.bisect_right(arrivals, t + TIME_TOL)
             if i < len(arrivals) and arrivals[i] < t + dur - _PIECE_EPS:
                 dur = arrivals[i] - t
             emit(cur.id, t, t + dur)
             need[cur.id] -= dur
             if need[cur.id] <= need_tol:
                 need[cur.id] = 0.0
+                heapq.heappop(heap)
             t += dur
 
     leftovers = {pid: v for pid, v in need.items() if v > need_tol}

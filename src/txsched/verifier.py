@@ -68,20 +68,57 @@ class VerificationReport:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _positive_sets(
-    instance: Instance, decomp: EpochDecomposition, tau: np.ndarray, j: int
-):
-    feas = decomp.packet_sets_per_epoch[j - 1]
-    length = decomp.instants[j] - decomp.instants[j - 1]
-    thresh = POSITIVE_TIME_REL * length
-    pos = frozenset(i for i in feas if tau[i - 1, j - 1] > thresh)
-    return pos, frozenset(feas - pos)
+# Columns per block when summing tau column by column; bounds the
+# transposed copy to N x 256 floats.
+_COLUMN_BLOCK = 256
 
 
-def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
+def _column_sums(tau: np.ndarray) -> np.ndarray:
+    """tau[:, j].sum() for every column j, bit for bit.
+
+    numpy sums a single row or column pairwise, but `tau.sum(axis=0)`
+    adds whole rows in sequence and rounds differently, so each block
+    of columns is transposed into contiguous rows and summed along them.
+    """
+    out = np.empty(tau.shape[1])
+    for j0 in range(0, tau.shape[1], _COLUMN_BLOCK):
+        block = tau[:, j0 : j0 + _COLUMN_BLOCK]
+        out[j0 : j0 + block.shape[1]] = np.ascontiguousarray(block.T).sum(axis=1)
+    return out
+
+
+def _pairs_with_time(decomp: EpochDecomposition, tau: np.ndarray):
+    """Every feasible (row, column) pair, as `decomp.pairs()` orders
+    them, with a mask of the pairs whose time counts as positive."""
+    rows, cols = decomp.pairs()
+    positive = tau[rows, cols] > POSITIVE_TIME_REL * decomp.epoch_lengths()[cols]
+    return rows, cols, positive
+
+
+def _per_epoch(ufunc, fill: float, cols: np.ndarray, values: np.ndarray, m: int):
+    """ufunc-reduce `values` into their epoch columns; `fill` where none."""
+    out = np.full(m, fill)
+    ufunc.at(out, cols, values)
+    return out
+
+
+def _flagged(flags: np.ndarray) -> list[int]:
+    """Indices of the set flags, in order."""
+    return np.flatnonzero(flags).tolist()
+
+
+def check_feasible(
+    instance: Instance,
+    schedule: Schedule,
+    decomp: EpochDecomposition | None = None,
+) -> FeasibilityReport:
     """Causality, deadlines, non-overlap, bit conservation, and the
-    epoch-allocation constraints, with per-violation detail."""
-    decomp = decompose(instance)
+    epoch-allocation constraints, with per-violation detail.
+
+    `decomp` is the instance's decomposition, when the caller has it.
+    """
+    if decomp is None:
+        decomp = decompose(instance)
     n, m = instance.n, decomp.m
     if schedule.tau.shape != (n, m) or len(schedule.rates) != n:
         raise DimensionMismatch(
@@ -89,145 +126,183 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
             f"got {schedule.tau.shape} and {len(schedule.rates)}"
         )
     violations: list[str] = []
+    segments = schedule.segments
+    bits = instance.bits()
 
-    for seg in schedule.segments:
-        if not 1 <= seg.packet <= n:
+    seg_packet = np.array([s.packet for s in segments], dtype=np.int64)
+    seg_start = np.array([s.t_start for s in segments], dtype=float)
+    seg_end = np.array([s.t_end for s in segments], dtype=float)
+    seg_rate = np.array([s.rate for s in segments], dtype=float)
+    known = (seg_packet >= 1) & (seg_packet <= n)
+    row = np.where(known, seg_packet - 1, 0)
+    assigned = schedule.rates[row]
+    early = seg_start < instance.arrivals()[row] - TIME_TOL
+    late = seg_end > instance.deadlines()[row] + TIME_TOL
+    empty = ~(seg_end > seg_start)
+    off_rate = np.abs(seg_rate - assigned) > RATE_REL_TOL * np.maximum(
+        np.abs(assigned), 1.0
+    )
+    for k in _flagged(~known | early | late | empty | off_rate):
+        seg = segments[k]
+        if not known[k]:
             violations.append(f"segment references unknown packet {seg.packet}")
             continue
         p = instance.packets[seg.packet - 1]
-        if seg.t_start < p.arrival - TIME_TOL:
+        if early[k]:
             violations.append(
                 f"causality: packet {p.id} transmits at {seg.t_start} "
                 f"before its arrival {p.arrival}"
             )
-        if seg.t_end > p.deadline + TIME_TOL:
+        if late[k]:
             violations.append(
                 f"deadline: packet {p.id} transmits until {seg.t_end} "
                 f"past its deadline {p.deadline}"
             )
-        if not seg.t_end > seg.t_start:
+        if empty[k]:
             violations.append(f"segment of packet {p.id} has non-positive length")
-        rate = schedule.rates[seg.packet - 1]
-        if abs(seg.rate - rate) > RATE_REL_TOL * max(abs(rate), 1.0):
+        if off_rate[k]:
             violations.append(
                 f"segment of packet {p.id} runs at {seg.rate}, "
-                f"assigned rate is {rate}"
+                f"assigned rate is {assigned[k]}"
             )
 
-    ordered = sorted(schedule.segments, key=lambda s: (s.t_start, s.t_end))
-    for a, b in zip(ordered, ordered[1:]):
-        if b.t_start < a.t_end - TIME_TOL:
-            violations.append(
-                f"overlap: packets {a.packet} and {b.packet} both transmit "
-                f"in [{b.t_start}, {min(a.t_end, b.t_end)}]"
-            )
+    order = np.lexsort((seg_end, seg_start))
+    overlap = seg_start[order[1:]] < seg_end[order[:-1]] - TIME_TOL
+    for k in _flagged(overlap):
+        a, b = segments[order[k]], segments[order[k + 1]]
+        violations.append(
+            f"overlap: packets {a.packet} and {b.packet} both transmit "
+            f"in [{b.t_start}, {min(a.t_end, b.t_end)}]"
+        )
 
-    delivered = np.zeros(n)
-    for seg in schedule.segments:
-        if 1 <= seg.packet <= n:
-            delivered[seg.packet - 1] += seg.duration * seg.rate
-    bits = instance.bits()
-    for i in range(n):
-        if abs(delivered[i] - bits[i]) > BIT_REL_TOL * bits[i]:
-            violations.append(
-                f"bit conservation: packet {i + 1} delivers {delivered[i]} "
-                f"of {bits[i]} bits"
-            )
+    delivered = np.bincount(
+        seg_packet[known] - 1,
+        weights=(seg_end[known] - seg_start[known]) * seg_rate[known],
+        minlength=n,
+    )
+    for i in _flagged(np.abs(delivered - bits) > BIT_REL_TOL * bits):
+        violations.append(
+            f"bit conservation: packet {i + 1} delivers {delivered[i]} "
+            f"of {bits[i]} bits"
+        )
 
-    if np.any(schedule.tau < -1e-12):
+    # Only nonzero entries can be negative or lie outside a window.
+    tau = schedule.tau
+    nz_rows, nz_cols = np.nonzero(tau)
+    nz_vals = tau[nz_rows, nz_cols]
+    if np.any(nz_vals < -1e-12):
         violations.append("negative epoch allocation in tau")
-    for i in range(n):
-        c_i = decomp.epoch_sets_per_packet[i]
-        for j in range(1, m + 1):
-            if j not in c_i and abs(schedule.tau[i, j - 1]) > 1e-12:
-                violations.append(
-                    f"packet {i + 1} allocated time in epoch {j} outside its window"
-                )
-        total = schedule.tau[i].sum()
-        span = bits[i] / schedule.rates[i] if schedule.rates[i] > 0 else np.inf
-        if abs(total - span) > BIT_REL_TOL * max(span, 1.0):
+    lo, hi = np.array(decomp.lo), np.array(decomp.hi)
+    outside = (np.abs(nz_vals) > 1e-12) & (
+        (nz_cols < lo[nz_rows]) | (nz_cols >= hi[nz_rows])
+    )
+    totals = np.ascontiguousarray(tau).sum(axis=1)  # pairwise per row, as tau[i].sum()
+    rates = schedule.rates
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = np.where(rates > 0, bits / rates, np.inf)
+    mismatch = np.abs(totals - span) > BIT_REL_TOL * np.maximum(span, 1.0)
+    outside_by_row: dict[int, list[int]] = {}
+    for i, j in zip(nz_rows[outside].tolist(), nz_cols[outside].tolist()):
+        outside_by_row.setdefault(i, []).append(j)
+    for i in sorted(outside_by_row.keys() | set(_flagged(mismatch))):
+        for j in outside_by_row.get(i, ()):
             violations.append(
-                f"packet {i + 1} tau total {total} does not match bits/rate {span}"
+                f"packet {i + 1} allocated time in epoch {j + 1} outside its window"
+            )
+        if mismatch[i]:
+            violations.append(
+                f"packet {i + 1} tau total {totals[i]} does not match "
+                f"bits/rate {span[i]}"
             )
 
     lengths = decomp.epoch_lengths()
-    for j in range(1, m + 1):
-        used = schedule.tau[:, j - 1].sum()
-        if used > lengths[j - 1] + EPOCH_CAP_SLACK:
-            violations.append(
-                f"epoch {j} allocates {used} of its {lengths[j - 1]} seconds"
-            )
+    used = _column_sums(tau)
+    for j in _flagged(used > lengths + EPOCH_CAP_SLACK):
+        violations.append(
+            f"epoch {j + 1} allocates {used[j]} of its {lengths[j]} seconds"
+        )
 
     return FeasibilityReport(ok=not violations, violations=tuple(violations))
 
 
 def check_optimality(
-    instance: Instance, schedule: Schedule, model: PowerModel
+    instance: Instance,
+    schedule: Schedule,
+    model: PowerModel,
+    decomp: EpochDecomposition | None = None,
 ) -> VerificationReport:
     """The necessary-and-sufficient optimality conditions.
 
     Raises InfeasibleInput when the schedule is not feasible; otherwise
-    reports each condition and their conjunction.
+    reports each condition and their conjunction.  `decomp` is the
+    instance's decomposition, when the caller has it.
     """
-    feas = check_feasible(instance, schedule)
+    if decomp is None:
+        decomp = decompose(instance)
+    feas = check_feasible(instance, schedule, decomp)
     if not feas.ok:
         raise InfeasibleInput(
             "schedule is infeasible: " + "; ".join(feas.violations[:5])
         )
-    decomp = decompose(instance)
+    n, m = instance.n, decomp.m
     warnings: list[str] = []
 
     arrivals = instance.arrivals()
-    if len(np.unique(arrivals)) < instance.n:
+    if len(np.unique(arrivals)) < n:
         warnings.append(
             "instance has packets with equal arrival instants; the theory "
             "assumes strictly increasing arrivals but never uses strictness"
         )
 
-    per_packet: dict[int, list[float]] = {}
-    for seg in schedule.segments:
-        per_packet.setdefault(seg.packet, []).append(seg.rate)
-    constant_rate_ok = True
-    for pid, rs in per_packet.items():
-        if max(rs) - min(rs) > RATE_REL_TOL * max(rs):
-            constant_rate_ok = False
+    # Feasibility has checked that every segment names a known packet.
+    seg_row = np.array([s.packet - 1 for s in schedule.segments], dtype=np.int64)
+    seg_rate = np.array([s.rate for s in schedule.segments], dtype=float)
+    fastest = np.full(n, -np.inf)
+    slowest = np.full(n, np.inf)
+    np.maximum.at(fastest, seg_row, seg_rate)
+    np.minimum.at(slowest, seg_row, seg_rate)
+    # a packet without segments reads -inf - inf > -inf, which is False
+    constant_rate_ok = not np.any(fastest - slowest > RATE_REL_TOL * fastest)
 
     lengths = decomp.epoch_lengths()
-    non_idling: dict[int, bool] = {}
-    for j in range(1, decomp.m + 1):
-        if not decomp.packet_sets_per_epoch[j - 1]:
-            non_idling[j] = True  # no packet can transmit here
-            continue
-        used = schedule.tau[:, j - 1].sum()
-        non_idling[j] = abs(used - lengths[j - 1]) <= NON_IDLING_ABS_TOL
+    live = decomp.coverage() > 0
+    used = _column_sums(schedule.tau)
+    idle_ok = ~live | (np.abs(used - lengths) <= NON_IDLING_ABS_TOL)
+    non_idling = dict(enumerate(idle_ok.tolist(), start=1))
 
     rates = schedule.rates
     rmax = float(rates.max()) if len(rates) else 0.0
+    # The positive and the zero pairs, each grouped by epoch column.
+    rows, cols, positive = _pairs_with_time(decomp, schedule.tau)
+    by_epoch = np.argsort(cols, kind="stable")
+    pos = by_epoch[positive[by_epoch]]
+    zero = by_epoch[~positive[by_epoch]]
+    n_pos = np.bincount(cols[pos], minlength=m)
+    n_zero = np.bincount(cols[zero], minlength=m)
+    pos_max = _per_epoch(np.maximum, -np.inf, cols[pos], rates[rows[pos]], m)
+    pos_min = _per_epoch(np.minimum, np.inf, cols[pos], rates[rows[pos]], m)
+    zero_max = _per_epoch(np.maximum, -np.inf, cols[zero], rates[rows[zero]], m)
+    equal_ok = (n_pos == 0) | (pos_max - pos_min <= RATE_REL_TOL * pos_max)
+    dominance_ok = (n_pos == 0) | (n_zero == 0) | (
+        pos_min >= zero_max - RATE_REL_TOL * max(rmax, 1.0)
+    )
+
+    pos_ids = (rows[pos] + 1).tolist()
+    zero_ids = (rows[zero] + 1).tolist()
+    pos_end = np.cumsum(n_pos).tolist()
+    zero_end = np.cumsum(n_zero).tolist()
+    n_pos, n_zero = n_pos.tolist(), n_zero.tolist()
+    equal_ok, dominance_ok = equal_ok.tolist(), dominance_ok.tolist()
     conditions = []
-    for j in range(1, decomp.m + 1):
-        feas_set = decomp.packet_sets_per_epoch[j - 1]
-        if not feas_set:
-            continue
-        pos, zero = _positive_sets(instance, decomp, schedule.tau, j)
-        pos_rates = [rates[i - 1] for i in pos]
-        equal_ok = True
-        common = None
-        if pos_rates:
-            common = float(max(pos_rates))
-            equal_ok = max(pos_rates) - min(pos_rates) <= RATE_REL_TOL * max(pos_rates)
-        dominance_ok = True
-        if pos_rates and zero:
-            lo = min(pos_rates)
-            hi = max(rates[k - 1] for k in zero)
-            dominance_ok = lo >= hi - RATE_REL_TOL * max(rmax, 1.0)
+    for col in np.flatnonzero(live).tolist():
         conditions.append(
             EpochCondition(
-                epoch=j,
-                positive=pos,
-                zero=zero,
-                equal_rates_ok=equal_ok,
-                dominance_ok=dominance_ok,
-                common_rate=common,
+                epoch=col + 1,
+                positive=frozenset(pos_ids[pos_end[col] - n_pos[col] : pos_end[col]]),
+                zero=frozenset(zero_ids[zero_end[col] - n_zero[col] : zero_end[col]]),
+                equal_rates_ok=equal_ok[col],
+                dominance_ok=dominance_ok[col],
+                common_rate=float(pos_max[col]) if n_pos[col] else None,
             )
         )
 
@@ -239,11 +314,12 @@ def check_optimality(
             if b > a * (1.0 + RATE_REL_TOL):
                 monotone = False
 
-    recomputed = 0.0
+    # f is evaluated once per distinct rate; the terms add up in packet order.
     bits = instance.bits()
-    for i in range(instance.n):
-        if rates[i] > 0:
-            recomputed += bits[i] / rates[i] * model.power(rates[i])
+    power_of = {r: model.power(r) for r in set(rates[rates > 0].tolist())}
+    recomputed = 0.0
+    for i in np.flatnonzero(rates > 0).tolist():
+        recomputed += bits[i] / rates[i] * power_of[rates[i]]
     if abs(recomputed - schedule.energy) > 1e-9 * max(abs(recomputed), 1.0):
         warnings.append(
             f"stored energy {schedule.energy} differs from recomputed {recomputed}"
@@ -288,7 +364,8 @@ def extract_certificate(
     instance: Instance, schedule: Schedule, model: PowerModel
 ) -> KKTCertificate:
     """Construct and validate the multipliers of an optimal schedule."""
-    report = check_optimality(instance, schedule, model)
+    decomp = decompose(instance)
+    report = check_optimality(instance, schedule, model, decomp)
     if not report.optimal:
         failed = []
         if not report.constant_rate_ok:
@@ -305,24 +382,32 @@ def extract_certificate(
             failed.append("iteration-rate monotonicity")
         raise NotOptimal("schedule fails optimality conditions: " + ", ".join(failed))
 
-    decomp = decompose(instance)
     n, m = instance.n, decomp.m
     rates = schedule.rates
     if np.any(rates <= 0):
         raise NotOptimal("certificate requires strictly positive rates")
-    g_rates = np.array([model.g(r) for r in rates])
+    # Rates take one value per solver round, so g is evaluated per value.
+    common = {
+        c.epoch - 1: c.common_rate
+        for c in report.epoch_rate_conditions
+        if c.common_rate is not None
+    }
+    rate_list = rates.tolist()
+    g_of = {r: model.g(r) for r in set(rate_list) | set(common.values())}
+    g_rates = np.array([g_of[r] for r in rate_list])
 
+    # An epoch without transmission keeps beta 0: its cap is slack.
     beta = np.zeros(m)
+    for col, r in common.items():
+        beta[col] = g_of[r]
+    tau = schedule.tau
+    rows, cols, positive = _pairs_with_time(decomp, tau)
+    transmitting = np.bincount(cols[positive], minlength=m) > 0
+    waiting = ~positive & transmitting[cols]
     gamma = np.zeros((n, m))
-    by_epoch = {c.epoch: c for c in report.epoch_rate_conditions}
-    for j in range(1, m + 1):
-        cond = by_epoch.get(j)
-        if cond is None or cond.common_rate is None:
-            beta[j - 1] = 0.0  # epoch without transmission; its cap is slack
-            continue
-        beta[j - 1] = model.g(cond.common_rate)
-        for i in cond.zero:
-            gamma[i - 1, j - 1] = max(beta[j - 1] - g_rates[i - 1], 0.0)
+    gamma[rows[waiting], cols[waiting]] = np.maximum(
+        beta[cols[waiting]] - g_rates[rows[waiting]], 0.0
+    )
 
     lam = g_rates.copy()
     eta = np.zeros(n)
@@ -333,33 +418,35 @@ def extract_certificate(
     # evaluating the subtraction directly would lose the small g(rate)
     # under beta's float quantum whenever the epoch's common rate is
     # much faster, so the residual is measured additively at beta's
-    # scale instead.
+    # scale instead.  Pairs are checked in packet order, then epoch order.
     lengths = decomp.epoch_lengths()
-    for i in range(1, n + 1):
-        for j in decomp.epoch_sets_per_packet[i - 1]:
-            target = g_rates[i - 1]
-            residual = abs(beta[j - 1] - gamma[i - 1, j - 1] - target)
-            tol = max(
-                CERT_TOL * max(1.0, target),
-                2.0 * np.spacing(max(beta[j - 1], 1.0)),
+    target = g_rates[rows]
+    pair_beta = beta[cols]
+    pair_gamma = gamma[rows, cols]
+    residual = np.abs(pair_beta - pair_gamma - target)
+    tol = np.maximum(
+        CERT_TOL * np.maximum(1.0, target),
+        2.0 * np.spacing(np.maximum(pair_beta, 1.0)),
+    )
+    identity_bad = residual > tol
+    slack = pair_gamma * tau[rows, cols]
+    scale = np.maximum(pair_gamma, 1.0) * np.maximum(lengths[cols], 1.0)
+    slack_bad = np.abs(slack) > CERT_TOL * scale
+    bad = _flagged(identity_bad | slack_bad)
+    if bad:
+        k = bad[0]
+        i, j = int(rows[k]) + 1, int(cols[k]) + 1
+        if identity_bad[k]:
+            raise RuntimeError(
+                f"certificate identity failed for packet {i}, epoch {j}: "
+                f"beta - gamma = {beta[j - 1] - gamma[i - 1, j - 1]}, "
+                f"g(rate) = {target[k]}"
             )
-            if residual > tol:
-                raise RuntimeError(
-                    f"certificate identity failed for packet {i}, epoch {j}: "
-                    f"beta - gamma = {beta[j - 1] - gamma[i - 1, j - 1]}, "
-                    f"g(rate) = {target}"
-                )
-            slack = gamma[i - 1, j - 1] * schedule.tau[i - 1, j - 1]
-            scale = max(gamma[i - 1, j - 1], 1.0) * max(lengths[j - 1], 1.0)
-            if abs(slack) > CERT_TOL * scale:
-                raise RuntimeError(
-                    f"complementary slackness failed for packet {i}, epoch {j}"
-                )
-    for j in range(1, m + 1):
-        used = schedule.tau[:, j - 1].sum()
-        slack = beta[j - 1] * (used - lengths[j - 1])
-        if abs(slack) > CERT_TOL * max(beta[j - 1], 1.0):
-            raise RuntimeError(f"epoch {j} capacity slackness failed")
+        raise RuntimeError(f"complementary slackness failed for packet {i}, epoch {j}")
+    cap_slack = beta * (_column_sums(tau) - lengths)
+    bad = _flagged(np.abs(cap_slack) > CERT_TOL * np.maximum(beta, 1.0))
+    if bad:
+        raise RuntimeError(f"epoch {bad[0] + 1} capacity slackness failed")
     if np.any(beta < 0) or np.any(gamma < 0) or np.any(eta != 0):
         raise RuntimeError("multiplier sign constraints failed")
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):

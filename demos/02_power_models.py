@@ -7,7 +7,7 @@ shadow prices back into rates, which is what optimality certificates
 are made of.
 """
 
-from txsched import Monomial, Shannon, g_inverse, g_of_rate, power_of_rate
+from txsched import Monomial, Shannon
 
 shannon = Shannon(noise_power=1.0)
 mono = Monomial(exponent=2.0, scale=1.0)
@@ -15,19 +15,19 @@ mono = Monomial(exponent=2.0, scale=1.0)
 print(f"{'rate':>6} {'f shannon':>12} {'g shannon':>12} {'f r^2':>10} {'g r^2':>10}")
 for r in [0.0, 0.5, 1.0, 2.0, 3.0, 4.0]:
     print(
-        f"{r:>6.2f} {power_of_rate(shannon, r):>12.4f} "
-        f"{g_of_rate(shannon, r):>12.4f} "
-        f"{power_of_rate(mono, r):>10.4f} {g_of_rate(mono, r):>10.4f}"
+        f"{r:>6.2f} {shannon.power(r):>12.4f} "
+        f"{shannon.g(r):>12.4f} "
+        f"{mono.power(r):>10.4f} {mono.g(r):>10.4f}"
     )
 
 print("\ng is invertible; round-trips recover the rate:")
 for r in [0.25, 1.0, 3.5]:
-    y = g_of_rate(shannon, r)
+    y = shannon.g(r)
     print(f"  g({r}) = {y:.6f}  ->  g_inverse({y:.6f}) = "
-          f"{g_inverse(shannon, y):.9f}")
+          f"{shannon.g_inverse(y):.9f}")
 
 print("\nstretching 4 bits over more time (Shannon, unit noise):")
 for T in [1.0, 2.0, 4.0, 8.0]:
-    energy = T * power_of_rate(shannon, 4.0 / T)
+    energy = T * shannon.power(4.0 / T)
     print(f"  {T:>4.0f} s at rate {4.0 / T:>4.1f}: {energy:>10.3f} J")
 print("slower is always cheaper, which is why deadlines cost energy")

@@ -23,7 +23,6 @@ from .model import (
 from .oracle import solve_projected_gradient
 from .power import BracketOverflow, Monomial, PowerModel, Shannon
 from .scheduler import (
-    InconsistentTrace,
     InternalDeadlineMiss,
     InternalIdle,
     InternalInvariantViolation,
@@ -56,7 +55,6 @@ _INPUT_ERRORS = (
 )
 _INTERNAL_ERRORS = (
     NoCandidates,
-    InconsistentTrace,
     InternalIdle,
     InternalDeadlineMiss,
     InternalInvariantViolation,

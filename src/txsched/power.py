@@ -173,21 +173,6 @@ class Monomial(PowerModel):
         return f"monomial(exponent={self.exponent}, scale={self.scale})"
 
 
-def power_of_rate(model: PowerModel, rate):
-    """f(rate); 0 at rate 0."""
-    return model.power(rate)
-
-
-def g_of_rate(model: PowerModel, rate):
-    """g(rate) = rate * f'(rate) - f(rate)."""
-    return model.g(rate)
-
-
-def g_inverse(model: PowerModel, y: float) -> float:
-    """The rate whose g-value is y."""
-    return model.g_inverse(y)
-
-
 def schedule_energy(model: PowerModel, rates) -> float:
     """Total energy of constant-rate transmissions.
 

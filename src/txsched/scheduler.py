@@ -4,12 +4,17 @@ The optimal offline policy works greedily from the most pressed part of
 the timeline outwards.  Each round considers every window that runs
 from some still-unscheduled packet's arrival to some still-unscheduled
 packet's deadline and fully contains at least one such packet's life
-time; the window's rate is its contained bits divided by its length.
-The maximum-rate window wins: its contained packets all transmit at
-that common rate, inside that window, ordered by earliest deadline
-first.  The window is then cut out of the timeline (arrivals and
-deadlines of the remaining packets contract past the cut) and the
-process repeats on the shortened axis until every packet is scheduled.
+time; the window's rate is its contained bits divided by the time in it
+that earlier rounds left free.  The maximum-rate window wins: its
+contained packets all transmit at that common rate, in that free time,
+ordered by earliest deadline first.  The time is then reserved, and the
+process repeats until every packet is scheduled.
+
+Every window, piece and segment stays in original time.  A round
+measures a window's free length through the positions of its endpoints
+on the remaining timeline, computed afresh from the sorted list of
+reserved pieces, so nothing is carried from round to round but that
+list.
 
 Rates only depend on the window geometry, never on the power law; the
 power model enters once at the end, to price the schedule.
@@ -43,10 +48,6 @@ class NoCandidates(RuntimeError):
     """No sub-interval exists among the active packets (internal bug)."""
 
 
-class InconsistentTrace(RuntimeError):
-    """A shifted interval fell outside the mapped time domain."""
-
-
 class InternalIdle(RuntimeError):
     """The EDF fill would idle; impossible for a max-rate window."""
 
@@ -57,20 +58,6 @@ class InternalDeadlineMiss(RuntimeError):
 
 class InternalInvariantViolation(RuntimeError):
     """A schedule invariant failed after assembly (internal bug)."""
-
-
-@dataclass(frozen=True)
-class SubInterval:
-    """A candidate window with its contained packets and minimum rate."""
-
-    start: float
-    end: float
-    contained: frozenset[int]
-    rate: float
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -89,22 +76,18 @@ class Segment:
 
 @dataclass(frozen=True)
 class IterationStep:
-    """One round: the chosen window, its original-time image, and the
-    packets it settled.  `shifted_start/end` are in the contracted time
-    axis of that round; `candidates` counts the windows examined."""
+    """One round: the free pieces of the chosen window and the packets
+    it settled; `candidates` counts the windows examined."""
 
     rate: float
     members: frozenset[int]
     pieces: tuple[tuple[float, float], ...]
-    shifted_start: float | None = None
-    shifted_end: float | None = None
     candidates: int | None = None
 
 
 @dataclass(frozen=True)
 class IterationTrace:
     steps: tuple[IterationStep, ...]
-    horizon: float | None = None
 
     def rates(self) -> list[float]:
         return [s.rate for s in self.steps]
@@ -128,7 +111,7 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------------
-# candidate enumeration and selection
+# candidate windows
 
 
 def _candidate_grid(arrivals: np.ndarray, deadlines: np.ndarray, bits: np.ndarray):
@@ -160,126 +143,17 @@ def _argmax_lex(rates: np.ndarray, valid: np.ndarray, starts, ends):
     return int(si[order[0]]), int(ei[order[0]])
 
 
-def enumerate_subintervals(active_packets: list[Packet]) -> list[SubInterval]:
-    """All windows from an active arrival to an active deadline that
-    contain at least one active life time, with their rates.
-
-    Windows with identical endpoints are reported once, so the list has
-    at most N^2 entries.
-    """
-    if not active_packets:
-        raise ValueError("active packet list is empty")
-    arrivals = np.array([p.arrival for p in active_packets])
-    deadlines = np.array([p.deadline for p in active_packets])
-    bits = np.array([p.bits for p in active_packets])
-    ids = np.array([p.id for p in active_packets])
-    starts, ends, in_start, in_end, rates, valid = _candidate_grid(
-        arrivals, deadlines, bits
-    )
-    out = []
-    for si, ei in zip(*np.nonzero(valid)):
-        members = ids[in_start[:, si] & in_end[:, ei]]
-        out.append(
-            SubInterval(
-                start=float(starts[si]),
-                end=float(ends[ei]),
-                contained=frozenset(int(i) for i in members),
-                rate=float(rates[si, ei]),
-            )
-        )
-    out.sort(key=lambda s: (s.start, s.end))
-    return out
-
-
-def select_max_rate(candidates: list[SubInterval]) -> SubInterval:
-    """The maximum-rate candidate; ties break to the smallest start,
-    then the smallest end."""
-    if not candidates:
-        raise NoCandidates("empty candidate list")
-    rmax = max(c.rate for c in candidates)
-    tied = [c for c in candidates if c.rate >= rmax - RATE_TIE_REL * abs(rmax)]
-    return min(tied, key=lambda c: (c.start, c.end))
-
-
-def shift_out(window: tuple[float, float], packet_times):
-    """Contract the time axis past a removed window.
-
-    Each (arrival, deadline) pair is updated by the three-case rule:
-    instants at or before the window start stay, instants inside clamp
-    to the start, instants after the end move left by the window
-    length.
-    """
-    a, d = window
-    length = d - a
-    out = []
-    for ta, td in packet_times:
-        na = ta if ta <= a else (a if ta <= d else ta - length)
-        nd = td if td <= a else (a if td <= d else td - length)
-        out.append((na, nd))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# time-axis bookkeeping
-
-
-def _free_intervals(removed: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Complement of the removed chunks in [0, inf)."""
-    free = []
-    cur = 0.0
-    for s, e in removed:
-        if s - cur > _PIECE_EPS:
-            free.append((cur, s))
-        cur = max(cur, e)
-    free.append((cur, float("inf")))
-    return free
-
-
-def _map_to_original(free, interval: tuple[float, float]):
-    """Original-time pieces of a shifted interval.
-
-    `free` lists the original-time intervals not yet reserved, in
-    order; their cumulative lengths are the shifted coordinates.
-    """
-    a, d = interval
-    if a < -TIME_TOL:
-        raise InconsistentTrace(f"shifted interval {interval} starts before 0")
-    pieces = []
-    c = 0.0
-    for u, v in free:
-        w = v - u
-        lo = max(a, c)
-        hi = min(d, c + w)
-        if hi - lo > _PIECE_EPS:
-            pieces.append((u + (lo - c), u + (hi - c)))
-        c += w
-        if c >= d:
-            break
-    else:
-        if d > c + TIME_TOL:
-            raise InconsistentTrace(
-                f"shifted interval {interval} extends past the mapped domain"
-            )
-    return pieces
-
-
-def unshift(trace: IterationTrace, iteration: int, interval: tuple[float, float]):
-    """Map a shifted interval of round `iteration` back to original
-    time through the cuts made by rounds 1..iteration-1."""
-    if not 1 <= iteration <= len(trace.steps) + 1:
-        raise InconsistentTrace(f"iteration {iteration} outside the trace")
-    removed = []
-    for step in trace.steps[: iteration - 1]:
-        removed.extend(step.pieces)
-    removed.sort()
-    if trace.horizon is not None:
-        limit = trace.horizon - _intervals.measure(removed)
-        if interval[1] > limit + TIME_TOL:
-            raise InconsistentTrace(
-                f"shifted interval {interval} extends past the remaining "
-                f"axis of length {limit}"
-            )
-    return _map_to_original(_free_intervals(removed), interval)
+def _positions(times: np.ndarray, reserved) -> np.ndarray:
+    """Positions of original-time instants on the timeline that is left
+    once the sorted, disjoint `reserved` pieces are cut out: each instant
+    moves left by the reserved time before it, and an instant inside a
+    reserved piece lands where that piece was cut."""
+    if not reserved:
+        return times
+    edges = np.asarray(reserved, dtype=float).ravel()
+    # reserved time before each edge: 0, c1, c1, c2, c2, ..., cR
+    cum = np.concatenate(([0.0], np.cumsum(edges[1::2] - edges[0::2])))
+    return times - np.interp(times, edges, np.repeat(cum, 2)[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +171,19 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     Arrived members wait in a heap keyed on (deadline, id); an arrival
     pointer moves members into it as time passes their arrival.
+
+    Instants are compared to within `eps`, _PIECE_EPS relative to the
+    largest piece endpoint, since the steps add up in float and one ulp
+    of a large instant exceeds any absolute epsilon.
     """
     if not members:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    pieces = [(float(s), float(e)) for s, e in pieces if e - s > _PIECE_EPS]
+    eps = _PIECE_EPS * max([1.0] + [abs(float(x)) for piece in pieces for x in piece])
+    pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
-        if s1 < e0 - _PIECE_EPS:
+        if s1 < e0 - eps:
             raise ValueError("pieces must be disjoint and ascending")
 
     need = {p.id: p.bits / rate for p in members}
@@ -313,7 +192,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     arrivals = sorted({p.arrival for p in members})
     # Member positions by arrival; a position also breaks (deadline, id)
     # ties.  Admission times never decrease: a piece ends its steps
-    # _PIECE_EPS before its end, and the next piece starts no earlier.
+    # eps before its end, and the next piece starts no earlier.
     by_arrival = sorted(range(len(members)), key=lambda k: members[k].arrival)
     heap: list[tuple[float, int, int]] = []
     admitted = 0  # by_arrival[:admitted] have been pushed
@@ -321,7 +200,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     segments: list[Segment] = []
 
     def emit(pid: int, t0: float, t1: float):
-        if segments and segments[-1].packet == pid and abs(segments[-1].t_end - t0) <= _PIECE_EPS:
+        if segments and segments[-1].packet == pid and abs(segments[-1].t_end - t0) <= eps:
             last = segments[-1]
             segments[-1] = Segment(pid, last.t_start, t1, rate)
         else:
@@ -329,7 +208,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     for ps, pe in pieces:
         t = ps
-        while pe - t > _PIECE_EPS:
+        while pe - t > eps:
             while (
                 admitted < len(members)
                 and members[by_arrival[admitted]].arrival <= t + TIME_TOL
@@ -354,12 +233,12 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
             dur = min(pe - t, need[cur.id])
             if cur.deadline - t < dur - TIME_TOL:
                 dur = max(cur.deadline - t, 0.0)
-                if dur <= _PIECE_EPS:
+                if dur <= eps:
                     raise InternalDeadlineMiss(
                         f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
                     )
             i = bisect.bisect_right(arrivals, t + TIME_TOL)
-            if i < len(arrivals) and arrivals[i] < t + dur - _PIECE_EPS:
+            if i < len(arrivals) and arrivals[i] < t + dur - eps:
                 dur = arrivals[i] - t
             emit(cur.id, t, t + dur)
             need[cur.id] -= dur
@@ -437,15 +316,15 @@ def _check_solution_invariants(
 
 
 def solve(instance: Instance, model: PowerModel) -> Schedule:
-    """The optimal schedule: greedy max-rate window selection with
-    timeline contraction, then EDF inside each selected window."""
+    """The optimal schedule: greedy max-rate window selection over the
+    time earlier rounds left free, then EDF inside each selected window."""
     decomp = decompose(instance)
     n = instance.n
-    arrivals = instance.arrivals().copy()
-    deadlines = instance.deadlines().copy()
+    arrivals = instance.arrivals()
+    deadlines = instance.deadlines()
     bits = instance.bits()
     active = np.ones(n, dtype=bool)
-    removed: list[tuple[float, float]] = []
+    reserved: list[tuple[float, float]] = []
     steps: list[IterationStep] = []
     segments: list[Segment] = []
     rates = np.zeros(n)
@@ -453,45 +332,36 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     while active.any():
         idx = np.flatnonzero(active)
         starts, ends, in_start, in_end, rate_grid, valid = _candidate_grid(
-            arrivals[idx], deadlines[idx], bits[idx]
+            _positions(arrivals[idx], reserved),
+            _positions(deadlines[idx], reserved),
+            bits[idx],
         )
         if not valid.any():
             raise NoCandidates(
                 "no sub-interval among active packets; windows degenerate"
             )
         si, ei = _argmax_lex(rate_grid, valid, starts, ends)
-        s, e = float(starts[si]), float(ends[ei])
-        rate = float(rate_grid[si, ei])
         member_rows = idx[in_start[:, si] & in_end[:, ei]]
-        member_ids = frozenset(int(r) + 1 for r in member_rows)
-
-        pieces = _map_to_original(_free_intervals(removed), (s, e))
+        span = (float(arrivals[member_rows].min()), float(deadlines[member_rows].max()))
+        pieces = _intervals.subtract([span], reserved)
+        rate = float(bits[member_rows].sum() / _intervals.measure(pieces))
         member_packets = [instance.packets[r] for r in member_rows]
-        segs = edf_fill(pieces, member_packets, rate)
+        segments.extend(edf_fill(pieces, member_packets, rate))
 
         steps.append(
             IterationStep(
                 rate=rate,
-                members=member_ids,
+                members=frozenset(int(r) + 1 for r in member_rows),
                 pieces=tuple(pieces),
-                shifted_start=s,
-                shifted_end=e,
                 candidates=int(valid.sum()),
             )
         )
         rates[member_rows] = rate
-        segments.extend(segs)
-        removed = _intervals.merge(removed + pieces, tol=_PIECE_EPS)
+        reserved = _intervals.merge(reserved + pieces)
         active[member_rows] = False
 
-        rest = np.flatnonzero(active)
-        if rest.size:
-            updated = shift_out((s, e), zip(arrivals[rest], deadlines[rest]))
-            arrivals[rest] = [u[0] for u in updated]
-            deadlines[rest] = [u[1] for u in updated]
-
     segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
-    trace = IterationTrace(tuple(steps), horizon=instance.horizon)
+    trace = IterationTrace(tuple(steps))
     _check_solution_invariants(instance, decomp, trace, segments, rates)
     tau = _tau_from_segments(instance, decomp, segments)
     energy = schedule_energy(
@@ -581,7 +451,7 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
 
     The allocation table is reconstructed by intersecting segments with
     the instance's epoch grid; the iteration trace keeps rates, members
-    and pieces (shifted coordinates are not serialized).
+    and pieces.
     """
     doc = json.loads(text)
     decomp = decompose(instance)
@@ -600,7 +470,7 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
         )
         for it in doc.get("iterations", [])
     )
-    trace = IterationTrace(steps, horizon=instance.horizon) if steps else None
+    trace = IterationTrace(steps) if steps else None
     tau = _tau_from_segments(instance, decomp, segments)
     return Schedule(
         rates=rates,

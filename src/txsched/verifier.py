@@ -320,7 +320,11 @@ def check_optimality(
     recomputed = 0.0
     for i in np.flatnonzero(rates > 0).tolist():
         recomputed += bits[i] / rates[i] * power_of[rates[i]]
-    if abs(recomputed - schedule.energy) > 1e-9 * max(abs(recomputed), 1.0):
+    if not np.isfinite(recomputed):
+        warnings.append(
+            f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
+        )
+    elif not abs(recomputed - schedule.energy) <= 1e-9 * max(abs(recomputed), 1.0):
         warnings.append(
             f"stored energy {schedule.energy} differs from recomputed {recomputed}"
         )

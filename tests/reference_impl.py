@@ -270,7 +270,11 @@ def check_optimality(
     for i in range(instance.n):
         if rates[i] > 0:
             recomputed += bits[i] / rates[i] * model.power(rates[i])
-    if abs(recomputed - schedule.energy) > 1e-9 * max(abs(recomputed), 1.0):
+    if not np.isfinite(recomputed):
+        warnings.append(
+            f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
+        )
+    elif not abs(recomputed - schedule.energy) <= 1e-9 * max(abs(recomputed), 1.0):
         warnings.append(
             f"stored energy {schedule.energy} differs from recomputed {recomputed}"
         )
@@ -383,15 +387,17 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     arrived, unfinished member with the earliest deadline (ties to the
     lower id).  Idling inside a piece or an unfinished member signal an
     internal bug: the caller only passes windows whose rate makes both
-    impossible.
+    impossible.  Instants are compared to within _PIECE_EPS relative to
+    the largest piece endpoint.
     """
     if not members:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    pieces = [(float(s), float(e)) for s, e in pieces if e - s > _PIECE_EPS]
+    eps = _PIECE_EPS * max([1.0] + [abs(float(x)) for piece in pieces for x in piece])
+    pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
-        if s1 < e0 - _PIECE_EPS:
+        if s1 < e0 - eps:
             raise ValueError("pieces must be disjoint and ascending")
 
     need = {p.id: p.bits / rate for p in members}
@@ -403,7 +409,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     segments: list[Segment] = []
 
     def emit(pid: int, t0: float, t1: float):
-        if segments and segments[-1].packet == pid and abs(segments[-1].t_end - t0) <= _PIECE_EPS:
+        if segments and segments[-1].packet == pid and abs(segments[-1].t_end - t0) <= eps:
             last = segments[-1]
             segments[-1] = Segment(pid, last.t_start, t1, rate)
         else:
@@ -411,7 +417,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     for ps, pe in pieces:
         t = ps
-        while pe - t > _PIECE_EPS:
+        while pe - t > eps:
             for p in members:
                 if need[p.id] > need_tol and p.deadline < t - TIME_TOL:
                     raise InternalDeadlineMiss(
@@ -428,12 +434,12 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
             dur = min(pe - t, need[cur.id])
             if cur.deadline - t < dur - TIME_TOL:
                 dur = max(cur.deadline - t, 0.0)
-                if dur <= _PIECE_EPS:
+                if dur <= eps:
                     raise InternalDeadlineMiss(
                         f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
                     )
             i = np.searchsorted(arrivals, t + TIME_TOL, side="right")
-            if i < len(arrivals) and arrivals[i] < t + dur - _PIECE_EPS:
+            if i < len(arrivals) and arrivals[i] < t + dur - eps:
                 dur = arrivals[i] - t
             emit(cur.id, t, t + dur)
             need[cur.id] -= dur

@@ -11,9 +11,6 @@ from txsched import (
     PowerModel,
     Shannon,
     ZeroRate,
-    g_inverse,
-    g_of_rate,
-    power_of_rate,
     schedule_energy,
 )
 
@@ -27,75 +24,75 @@ def central_diff(f, x, h):
 
 class TestPowerValues:
     def test_zero_rate_costs_nothing(self):
-        assert power_of_rate(Shannon(1.0), 0.0) == 0.0
+        assert Shannon(1.0).power(0.0) == 0.0
 
     def test_unit_rate_unit_noise(self):
-        assert power_of_rate(Shannon(1.0), 1.0) == pytest.approx(3.0, rel=1e-12)
+        assert Shannon(1.0).power(1.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_half_rate_double_noise(self):
-        assert power_of_rate(Shannon(2.0), 0.5) == pytest.approx(2.0, rel=1e-12)
+        assert Shannon(2.0).power(0.5) == pytest.approx(2.0, rel=1e-12)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(NegativeRate):
-            power_of_rate(Shannon(1.0), -0.1)
+            Shannon(1.0).power(-0.1)
 
     def test_vectorized(self):
-        out = power_of_rate(Shannon(1.0), np.array([0.0, 1.0, 2.0]))
+        out = Shannon(1.0).power(np.array([0.0, 1.0, 2.0]))
         assert np.allclose(out, [0.0, 3.0, 15.0])
 
 
 class TestG:
     def test_zero(self):
-        assert g_of_rate(Shannon(1.0), 0.0) == 0.0
+        assert Shannon(1.0).g(0.0) == 0.0
 
     def test_unit_rate_closed_form(self):
-        assert g_of_rate(Shannon(1.0), 1.0) == pytest.approx(G_AT_ONE, rel=1e-12)
+        assert Shannon(1.0).g(1.0) == pytest.approx(G_AT_ONE, rel=1e-12)
 
     def test_matches_finite_difference_construction(self):
         # independent oracle: g(r) = r f'(r) - f(r) with f' from central
         # differences
         model = Shannon(1.5)
         for r in np.linspace(0.1, 6.0, 23):
-            fp = central_diff(lambda x: power_of_rate(model, x), r, 1e-6)
-            expected = r * fp - power_of_rate(model, r)
-            assert g_of_rate(model, r) == pytest.approx(expected, rel=1e-6)
+            fp = central_diff(model.power, r, 1e-6)
+            expected = r * fp - model.power(r)
+            assert model.g(r) == pytest.approx(expected, rel=1e-6)
 
     def test_monotone_on_grid(self):
         for model in (Shannon(0.7), Monomial(2.5, 0.3)):
             grid = np.linspace(0.0, 8.0, 200)
-            vals = [g_of_rate(model, r) for r in grid]
+            vals = [model.g(r) for r in grid]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             assert all(v >= -1e-12 for v in vals)
 
 
 class TestGInverse:
     def test_zero(self):
-        assert g_inverse(Shannon(1.0), 0.0) == 0.0
+        assert Shannon(1.0).g_inverse(0.0) == 0.0
 
     def test_roundtrip_at_one(self):
-        r = g_inverse(Shannon(1.0), G_AT_ONE)
+        r = Shannon(1.0).g_inverse(G_AT_ONE)
         assert r == pytest.approx(1.0, abs=1e-9)
 
     def test_known_marginal_energy_value(self):
-        assert g_inverse(Shannon(1.0), 2.5452) == pytest.approx(1.0, abs=1e-4)
+        assert Shannon(1.0).g_inverse(2.5452) == pytest.approx(1.0, abs=1e-4)
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeInput):
-            g_inverse(Shannon(1.0), -1.0)
+            Shannon(1.0).g_inverse(-1.0)
 
     def test_residual_contract_sampled(self):
         # the bisection promises |g(result) - y| <= 1e-9 * max(1, y)
         for model in (Shannon(1.0), Shannon(3.0), Monomial(3.0, 0.5)):
             for r in np.linspace(0.01, 12.0, 40):
-                y = g_of_rate(model, r)
-                back = g_inverse(model, y)
-                assert abs(g_of_rate(model, back) - y) <= 1e-9 * max(1.0, y)
+                y = model.g(r)
+                back = model.g_inverse(y)
+                assert abs(model.g(back) - y) <= 1e-9 * max(1.0, y)
 
     def test_roundtrip_identity_sampled(self):
         # where g has healthy slope the residual contract pins r itself
         for model in (Shannon(1.0), Shannon(3.0), Monomial(3.0, 0.5)):
             for r in np.linspace(1.0, 10.0, 30):
-                back = g_inverse(model, g_of_rate(model, r))
+                back = model.g_inverse(model.g(r))
                 assert back == pytest.approx(r, rel=1e-9)
 
     def test_monomial_closed_form_cross_checks_bisection(self):
@@ -129,14 +126,14 @@ class TestConvexityProperties:
         keep = (r3 - r1) > 1e-9
         r1, r2, r3 = r1[keep], r2[keep], r3[keep]
         t = (r2 - r1) / (r3 - r1)
-        f = lambda x: power_of_rate(model, x)
+        f = model.power
         interp = (1 - t) * f(r1) + t * f(r3)
         assert np.all(f(r2) <= interp + 1e-9)
 
     @pytest.mark.parametrize("model", [Shannon(1.0), Monomial(2.3, 0.8)])
     def test_deriv_matches_central_difference(self, model):
         for r in np.linspace(0.2, 8.0, 25):
-            fd = central_diff(lambda x: power_of_rate(model, x), r, 1e-6)
+            fd = central_diff(model.power, r, 1e-6)
             assert model.power_deriv(r) == pytest.approx(fd, rel=1e-6)
 
     def test_energy_decreasing_in_allotted_time(self):
@@ -147,8 +144,8 @@ class TestConvexityProperties:
             bits = float(rng.uniform(0.1, 10))
             t1 = float(rng.uniform(0.1, 10))
             t2 = t1 + float(rng.uniform(0.01, 10))
-            e1 = t1 * power_of_rate(model, bits / t1)
-            e2 = t2 * power_of_rate(model, bits / t2)
+            e1 = t1 * model.power(bits / t1)
+            e2 = t2 * model.power(bits / t2)
             assert e2 <= e1 * (1 + 1e-12)
 
 

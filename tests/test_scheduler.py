@@ -2,26 +2,21 @@ import numpy as np
 import pytest
 
 from txsched import (
-    InconsistentTrace,
     InternalDeadlineMiss,
     InternalIdle,
-    IterationStep,
-    IterationTrace,
     NoCandidates,
     Packet,
     Shannon,
     decompose,
     edf_fill,
-    enumerate_subintervals,
     normalize_instance,
     schedule_from_allocation,
     schedule_from_json,
     schedule_to_json,
-    select_max_rate,
-    shift_out,
+    scheduler,
     solve,
-    unshift,
 )
+from txsched.scheduler import _argmax_lex, _candidate_grid, _positions
 
 
 def P(pid, bits, arrival, deadline):
@@ -32,35 +27,51 @@ def nested_instance():
     return normalize_instance([P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
 
 
+def candidates(packets):
+    """{(start, end): (rate, member ids)} over the valid cells of the
+    candidate grid, with the grid's arrays for selection."""
+    ids = np.array([p.id for p in packets])
+    grid = _candidate_grid(
+        np.array([p.arrival for p in packets]),
+        np.array([p.deadline for p in packets]),
+        np.array([p.bits for p in packets]),
+    )
+    starts, ends, in_start, in_end, rates, valid = grid
+    table = {
+        (float(starts[si]), float(ends[ei])): (
+            float(rates[si, ei]),
+            set(ids[in_start[:, si] & in_end[:, ei]].tolist()),
+        )
+        for si, ei in zip(*np.nonzero(valid))
+    }
+    return table, grid
+
+
 class TestEnumerate:
+    """The candidate grid: every window from an active arrival to an
+    active deadline that contains a life time, with its rate."""
+
     def test_nested_pair_candidates(self):
         # hand enumeration: 2 arrivals x 2 deadlines, all windows valid
-        cands = enumerate_subintervals(
-            [P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)]
-        )
-        table = {(c.start, c.end): (c.rate, c.contained) for c in cands}
-        assert len(cands) == 4
+        table, _ = candidates([P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
+        assert len(table) == 4
         assert table[(0.0, 2.0)] == (pytest.approx(1.5), {1, 2})
         assert table[(0.0, 1.0)] == (pytest.approx(1.0), {2})
         assert table[(0.5, 1.0)] == (pytest.approx(2.0), {2})
         assert table[(0.5, 2.0)] == (pytest.approx(2.0 / 3.0), {2})
 
     def test_single_packet(self):
-        cands = enumerate_subintervals([P(1, 1.0, 0.0, 1.0)])
-        assert len(cands) == 1
-        assert cands[0].start == 0.0 and cands[0].end == 1.0
-        assert cands[0].rate == pytest.approx(1.0)
+        table, _ = candidates([P(1, 1.0, 0.0, 1.0)])
+        assert list(table) == [(0.0, 1.0)]
+        assert table[(0.0, 1.0)] == (pytest.approx(1.0), {1})
 
     def test_disjoint_rejects_inverted_window(self):
         # the (arrival 2, deadline 1) pairing has end <= start
-        cands = enumerate_subintervals(
-            [P(1, 3.0, 0.0, 1.0), P(2, 5.0, 2.0, 3.0)]
-        )
-        table = {(c.start, c.end): c.rate for c in cands}
+        table, _ = candidates([P(1, 3.0, 0.0, 1.0), P(2, 5.0, 2.0, 3.0)])
         assert set(table) == {(0.0, 1.0), (2.0, 3.0), (0.0, 3.0)}
-        assert table[(0.0, 1.0)] == pytest.approx(3.0)
-        assert table[(2.0, 3.0)] == pytest.approx(5.0)
-        assert table[(0.0, 3.0)] == pytest.approx(8.0 / 3.0)
+        assert table[(0.0, 1.0)][0] == pytest.approx(3.0)
+        assert table[(2.0, 3.0)][0] == pytest.approx(5.0)
+        assert table[(0.0, 3.0)][0] == pytest.approx(8.0 / 3.0)
 
     def test_at_most_n_squared(self):
         rng = np.random.default_rng(3)
@@ -70,90 +81,97 @@ class TestEnumerate:
                 P(i + 1, 1.0, a, a + float(rng.uniform(0.2, 4)))
                 for i, a in enumerate(rng.uniform(0, 8, n))
             ]
-            assert len(enumerate_subintervals(packets)) <= n * n
+            assert len(candidates(packets)[0]) <= n * n
+
+
+def select(starts, ends, rates):
+    rates = np.array(rates, dtype=float)
+    si, ei = _argmax_lex(rates, np.isfinite(rates), np.array(starts), np.array(ends))
+    return starts[si], ends[ei]
 
 
 class TestSelect:
+    """Selection on the candidate grid: the maximum rate, ties to the
+    smallest start, then the smallest end."""
+
     def test_nested_pair_maximum(self):
-        cands = enumerate_subintervals(
+        _, (starts, ends, _, _, rates, valid) = candidates(
             [P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)]
         )
-        best = select_max_rate(cands)
-        assert (best.start, best.end) == (0.5, 1.0)
-        assert best.rate == pytest.approx(2.0)
+        si, ei = _argmax_lex(rates, valid, starts, ends)
+        assert (starts[si], ends[ei]) == (0.5, 1.0)
+        assert rates[si, ei] == pytest.approx(2.0)
 
     def test_single_candidate(self):
-        cands = enumerate_subintervals([P(1, 1.0, 0.0, 1.0)])
-        assert select_max_rate(cands) is cands[0]
+        _, (starts, ends, _, _, rates, valid) = candidates([P(1, 1.0, 0.0, 1.0)])
+        assert _argmax_lex(rates, valid, starts, ends) == (0, 0)
 
     def test_tie_breaks_to_smallest_start(self):
-        from txsched import SubInterval
-
-        a = SubInterval(1.0, 2.0, frozenset({2}), 1.0)
-        b = SubInterval(0.0, 1.0, frozenset({1}), 1.0)
-        assert select_max_rate([a, b]) is b
+        no = -np.inf  # an invalid cell
+        assert select([0.0, 1.0], [1.0, 2.0], [[1.0, no], [no, 1.0]]) == (0.0, 1.0)
 
     def test_tie_breaks_to_smallest_end_second(self):
-        from txsched import SubInterval
+        assert select([0.0], [1.0, 2.0], [[1.0, 1.0]]) == (0.0, 1.0)
 
-        a = SubInterval(0.0, 2.0, frozenset({1, 2}), 1.0)
-        b = SubInterval(0.0, 1.0, frozenset({1}), 1.0)
-        assert select_max_rate([a, b]) is b
+    def test_empty_rejected(self, monkeypatch):
+        # a grid without a valid window stops the solver
+        def no_windows(arrivals, deadlines, bits):
+            grid = list(_candidate_grid(arrivals, deadlines, bits))
+            grid[5] = np.zeros_like(grid[5])
+            return tuple(grid)
 
-    def test_empty_rejected(self):
+        monkeypatch.setattr(scheduler, "_candidate_grid", no_windows)
         with pytest.raises(NoCandidates):
-            select_max_rate([])
+            solve(nested_instance(), Shannon(1.0))
+
+
+def positions_after_cut(times):
+    return _positions(np.array(times, dtype=float), [(0.5, 1.0)]).tolist()
 
 
 class TestShiftOut:
+    """Positions on the timeline left after cutting out (0.5, 1.0):
+    instants before the cut stay, instants inside land on the cut,
+    instants after it move left by its length."""
+
     def test_straddling_window_contracts(self):
-        # arrival before the cut keeps, deadline past the cut moves left
-        assert shift_out((0.5, 1.0), [(0.0, 2.0)]) == [(0.0, 1.5)]
+        assert positions_after_cut([0.0, 2.0]) == pytest.approx([0.0, 1.5])
 
     def test_entirely_before_is_untouched(self):
-        assert shift_out((0.5, 1.0), [(0.0, 0.4)]) == [(0.0, 0.4)]
+        assert positions_after_cut([0.0, 0.4]) == [0.0, 0.4]
 
     def test_deadline_inside_clamps(self):
-        assert shift_out((0.5, 1.0), [(0.0, 0.8)]) == [(0.0, 0.5)]
+        assert positions_after_cut([0.0, 0.8]) == pytest.approx([0.0, 0.5])
 
     def test_entirely_after_translates(self):
-        assert shift_out((0.5, 1.0), [(2.0, 3.0)]) == [(1.5, 2.5)]
+        assert positions_after_cut([2.0, 3.0]) == pytest.approx([1.5, 2.5])
 
     def test_arrival_inside_clamps(self):
-        assert shift_out((0.5, 1.0), [(0.7, 2.0)]) == [(0.5, 1.5)]
+        assert positions_after_cut([0.7, 2.0]) == pytest.approx([0.5, 1.5])
+
+    def test_several_cuts_add_up(self):
+        reserved = [(0.5, 1.0), (2.0, 3.0)]
+        out = _positions(np.array([0.2, 0.7, 1.5, 2.5, 4.0]), reserved)
+        assert out.tolist() == pytest.approx([0.2, 0.5, 1.0, 1.5, 2.5])
 
 
 class TestUnshift:
+    """Each round's pieces are the free original time of its window."""
+
     def test_first_iteration_is_identity(self):
-        trace = IterationTrace(())
-        assert unshift(trace, 1, (0.5, 1.0)) == [(0.5, 1.0)]
+        times = np.array([0.0, 0.5, 2.0])
+        assert _positions(times, []).tolist() == [0.0, 0.5, 2.0]
 
     def test_gap_reinsertion(self):
-        step = IterationStep(rate=2.0, members=frozenset({2}), pieces=((0.5, 1.0),))
-        trace = IterationTrace((step,))
-        assert unshift(trace, 2, (0.0, 1.5)) == [(0.0, 0.5), (1.0, 2.0)]
+        steps = solve(nested_instance(), Shannon(1.0)).trace.steps
+        assert steps[0].pieces == ((0.5, 1.0),)
+        assert steps[1].pieces == ((0.0, 0.5), (1.0, 2.0))
 
     def test_piece_before_gap_unaffected(self):
-        step = IterationStep(rate=2.0, members=frozenset({2}), pieces=((0.5, 1.0),))
-        trace = IterationTrace((step,))
-        assert unshift(trace, 2, (0.0, 0.3)) == [(0.0, 0.3)]
-
-    def test_interval_outside_domain_rejected(self):
-        trace = IterationTrace(())
-        with pytest.raises(InconsistentTrace):
-            unshift(trace, 1, (-1.0, 0.5))
-
-    def test_iteration_out_of_range_rejected(self):
-        trace = IterationTrace(())
-        with pytest.raises(InconsistentTrace):
-            unshift(trace, 5, (0.0, 1.0))
-
-    def test_interval_past_remaining_axis_rejected(self):
-        inst = nested_instance()
-        s = solve(inst, Shannon(1.0))
-        # after round 1 removed 0.5s, the shifted axis is only 1.5s long
-        with pytest.raises(InconsistentTrace):
-            unshift(s.trace, 2, (0.0, 1.7))
+        inst = normalize_instance([P(1, 0.3, 0.0, 0.3), P(2, 1.0, 0.5, 1.0)])
+        steps = solve(inst, Shannon(1.0)).trace.steps
+        assert steps[0].pieces == ((0.5, 1.0),)
+        assert steps[1].pieces == ((0.0, 0.3),)
 
 
 class TestEdfFill:

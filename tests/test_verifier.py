@@ -1,18 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from txsched import (
     DimensionMismatch,
+    GeneratorConfig,
     InfeasibleInput,
     NotOptimal,
     Packet,
     Schedule,
     Segment,
     Shannon,
+    baseline_constant_edf,
     check_feasible,
     check_optimality,
     decompose,
     extract_certificate,
+    generate,
     normalize_instance,
     schedule_from_allocation,
     solve,
@@ -172,6 +177,26 @@ class TestCheckOptimality:
         rep = check_optimality(inst, solve(inst, MODEL), MODEL)
         assert rep.optimal
         assert any("equal arrival" in w for w in rep.warnings)
+
+    def test_stored_energy_mismatch_warns(self):
+        inst = nested_instance()
+        s = solve(inst, MODEL)
+        assert not check_optimality(inst, s, MODEL).warnings
+        for energy in (s.energy * (1 + 1e-6), float("nan"), float("inf")):
+            rep = check_optimality(inst, tampered(s, energy=energy), MODEL)
+            assert any("stored energy" in w for w in rep.warnings), energy
+
+    def test_overflowed_energy_warns(self):
+        # the baseline's rates on this nested instance overflow Shannon's
+        # power: the stored and the recomputed energy are both inf
+        config = GeneratorConfig(n=200, horizon=100.0, seed=11, non_fifo_prob=1.0)
+        inst = generate(config)
+        sched = baseline_constant_edf(inst, MODEL)
+        assert sched.energy == float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_optimality(inst, sched, MODEL)
+        assert any("not finite" in w for w in rep.warnings)
 
 
 class TestConditionsTrackOptimality:

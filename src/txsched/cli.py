@@ -180,7 +180,6 @@ def _cmd_validate(args) -> int:
                 )
             ],
             "lambda": [float(v) for v in cert.lam],
-            "eta": [float(v) for v in cert.eta],
         }
         print(json.dumps(doc, indent=2))
     return EXIT_OK if report.optimal else EXIT_VALIDATION

@@ -134,7 +134,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
             win_union = _intervals.merge([p.window for p in members])
             usable = _intervals.intersect(free, win_union)
             claimed = _intervals.measure(usable)
-            if claimed <= 1e-9:
+            if claimed <= instance.time_tol:
                 raise InternalIdle("tie group found no free time")
             rate = sum(p.bits for p in members) / claimed
             segs = edf_fill(usable, members, rate)
@@ -146,7 +146,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
         tau = np.zeros((instance.n, decomp.m))
         rows, cols = decomp.pairs()
         tau[rows, cols] = decomp.epoch_lengths()[cols] / decomp.coverage()[cols]
-        return schedule_from_allocation(instance, tau, model, certified=False)
+        return schedule_from_allocation(instance, tau, model)
 
     segments.sort(key=lambda s: (s.t_start, s.t_end))
     tau = _tau_from_segments(instance, decomp, segments)
@@ -161,7 +161,6 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
         segments=tuple(segments),
         energy=energy,
         trace=None,
-        certified=False,
     )
 
 

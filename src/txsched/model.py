@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Instants closer than this collapse to a single grid point.  Window
-# containment and segment checks reuse the same tolerance so that the
-# grid and the schedules built on it stay consistent.
-INSTANT_MERGE_TOL = 1e-9
+# Two instants of an instance are the same instant when they lie within
+# this fraction of its horizon (`Instance.time_tol`).  The grid, window
+# containment and segment checks all use that one tolerance, so the
+# schedules built on the grid stay consistent with it, and rescaling
+# time moves the tolerance with it.
+TIME_REL_TOL = 1e-10
 
 
 class EmptyInstance(ValueError):
@@ -82,6 +84,11 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.packets)
+
+    @property
+    def time_tol(self) -> float:
+        """Instants closer than this are the same instant."""
+        return TIME_REL_TOL * self.horizon
 
     def bits(self) -> np.ndarray:
         return np.array([p.bits for p in self.packets])
@@ -159,7 +166,7 @@ class EpochDecomposition:
         out: list[tuple[float, float]] = []
         for j in self.live_epochs():
             s, e = self.epochs[j - 1]
-            if out and abs(out[-1][1] - s) <= INSTANT_MERGE_TOL:
+            if out and out[-1][1] == s:
                 out[-1] = (out[-1][0], e)
             else:
                 out.append((s, e))
@@ -176,37 +183,39 @@ def normalize_instance(raw_packets) -> Instance:
     packets = list(raw_packets)
     if not packets:
         raise EmptyInstance("no packets")
+    t0 = min(p.arrival for p in packets)
+    horizon = max(p.deadline for p in packets) - t0
+    tol = TIME_REL_TOL * horizon
     for p in packets:
-        if p.deadline - p.arrival < INSTANT_MERGE_TOL:
+        if p.deadline - p.arrival < tol:
             raise MalformedPacket(
                 p.id,
                 f"window [{p.arrival}, {p.deadline}] is shorter than the "
-                f"{INSTANT_MERGE_TOL} instant-merge tolerance",
+                f"instance's {tol} time tolerance",
             )
     packets.sort(key=lambda p: (p.arrival, p.deadline, p.id))
-    t0 = packets[0].arrival
     shifted = [
         Packet(i + 1, p.bits, p.arrival - t0, p.deadline - t0)
         for i, p in enumerate(packets)
     ]
     id_map = {i + 1: p.id for i, p in enumerate(packets)}
-    horizon = max(p.deadline for p in shifted)
     return Instance(tuple(shifted), horizon, id_map)
 
 
 def decompose(instance: Instance) -> EpochDecomposition:
     """Build the instant grid, the epochs and each packet's epoch range."""
     # Greedy clustering anchored on each cluster's first instant: an
-    # instant joins the current cluster while it lies within the merge
+    # instant joins the current cluster while it lies within the time
     # tolerance of that representative, so a run of instants spaced
     # just under the tolerance still splits once it drifts past it.
+    tol = instance.time_tol
     raw = np.unique(np.concatenate([instance.arrivals(), instance.deadlines()]))
     reps: list[float] = []
     for v in raw.tolist():
-        if not reps or v - reps[-1] > INSTANT_MERGE_TOL:
+        if not reps or v - reps[-1] > tol:
             reps.append(v)
     # A raw instant's grid index is the representative at or just below
-    # it (its cluster start), which is within the merge tolerance.
+    # it (its cluster start), which is within the time tolerance.
     grid = np.array(reps)
     lo = np.searchsorted(grid, instance.arrivals(), side="right") - 1
     hi = np.searchsorted(grid, instance.deadlines(), side="right") - 1

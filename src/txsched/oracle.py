@@ -50,26 +50,6 @@ class OracleSolution:
     energy_history: np.ndarray | None = None
 
 
-def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= cap}.
-
-    Clipping to the orthant suffices when it fits under the cap;
-    otherwise this is the classic sort-based projection onto the
-    simplex {x >= 0, sum(x) = cap}.
-    """
-    v = np.asarray(v, dtype=float)
-    clipped = np.clip(v, 0.0, None)
-    if clipped.sum() <= cap:
-        return clipped
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - cap
-    ks = np.arange(1, len(v) + 1)
-    valid = u - cssv / ks > 0
-    k = ks[valid][-1]
-    theta = cssv[k - 1] / k
-    return np.clip(v - theta, 0.0, None)
-
-
 def _project_columns(packed: np.ndarray, caps: np.ndarray, lens: np.ndarray):
     """Batched capped-simplex projection of packed epoch columns.
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _intervals
 from .model import (
-    INSTANT_MERGE_TOL,
+    TIME_REL_TOL,
     EpochDecomposition,
     Instance,
     Packet,
@@ -39,7 +39,6 @@ from .model import (
 )
 from .power import PowerModel, schedule_energy
 
-TIME_TOL = INSTANT_MERGE_TOL
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
 _PIECE_EPS = 1e-12
 
@@ -99,7 +98,6 @@ class Schedule:
 
     rates[i-1] is packet i's constant rate; tau[i-1, j-1] its
     transmission time inside epoch j; segments the flattened timeline.
-    `certified` marks schedules produced by the optimal policy.
     """
 
     rates: np.ndarray
@@ -107,29 +105,31 @@ class Schedule:
     segments: tuple[Segment, ...]
     energy: float
     trace: IterationTrace | None
-    certified: bool = True
 
 
 # ---------------------------------------------------------------------------
 # candidate windows
 
 
-def _candidate_grid(arrivals: np.ndarray, deadlines: np.ndarray, bits: np.ndarray):
+def _candidate_grid(
+    arrivals: np.ndarray, deadlines: np.ndarray, bits: np.ndarray, tol: float
+):
     """Rate matrix over (unique arrival) x (unique deadline) windows.
 
     Returns (starts, ends, in_start, in_end, rates, valid) where
     in_start[p, s] marks packet p's window starting at or after
     starts[s], in_end[p, e] likewise for deadlines, and valid marks
-    windows of positive length containing at least one packet.
+    windows longer than the time tolerance `tol` containing at least
+    one packet.
     """
     starts = np.unique(arrivals)
     ends = np.unique(deadlines)
-    in_start = arrivals[:, None] >= starts[None, :] - TIME_TOL
-    in_end = deadlines[:, None] <= ends[None, :] + TIME_TOL
+    in_start = arrivals[:, None] >= starts[None, :] - tol
+    in_end = deadlines[:, None] <= ends[None, :] + tol
     counts = in_start.astype(float).T @ in_end.astype(float)
     bitsum = (in_start * bits[:, None]).T @ in_end.astype(float)
     lengths = ends[None, :] - starts[:, None]
-    valid = (lengths > TIME_TOL) & (counts > 0.5)
+    valid = (lengths > tol) & (counts > 0.5)
     rates = np.where(valid, bitsum / np.where(valid, lengths, 1.0), -np.inf)
     return starts, ends, in_start, in_end, rates, valid
 
@@ -172,15 +172,18 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     Arrived members wait in a heap keyed on (deadline, id); an arrival
     pointer moves members into it as time passes their arrival.
 
-    Instants are compared to within `eps`, _PIECE_EPS relative to the
-    largest piece endpoint, since the steps add up in float and one ulp
-    of a large instant exceeds any absolute epsilon.
+    Steps are cut to within `eps`, _PIECE_EPS relative to the largest
+    piece endpoint, since the steps add up in float and one ulp of a
+    large instant exceeds any absolute epsilon.  An arrival or deadline
+    is the same instant as `t` within `tol`, TIME_REL_TOL times the
+    latest member deadline: the scale of the instance's time tolerance.
     """
     if not members:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
     eps = _PIECE_EPS * max([1.0] + [abs(float(x)) for piece in pieces for x in piece])
+    tol = TIME_REL_TOL * max(abs(p.deadline) for p in members)
     pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
         if s1 < e0 - eps:
@@ -211,18 +214,18 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
         while pe - t > eps:
             while (
                 admitted < len(members)
-                and members[by_arrival[admitted]].arrival <= t + TIME_TOL
+                and members[by_arrival[admitted]].arrival <= t + tol
             ):
                 p = members[by_arrival[admitted]]
                 if need[p.id] > need_tol:
                     heapq.heappush(heap, (p.deadline, p.id, by_arrival[admitted]))
                 admitted += 1
-            if heap and heap[0][0] < t - TIME_TOL:
+            if heap and heap[0][0] < t - tol:
                 # A member past its deadline has arrived, so the heap holds
                 # every unfinished one; name the first in member order.
                 late = next(
                     p for p in members
-                    if need[p.id] > need_tol and p.deadline < t - TIME_TOL
+                    if need[p.id] > need_tol and p.deadline < t - tol
                 )
                 raise InternalDeadlineMiss(
                     f"packet {late.id} unfinished at its deadline {late.deadline}"
@@ -231,13 +234,13 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
                 raise InternalIdle(f"no transmittable packet at time {t}")
             cur = members[heap[0][2]]
             dur = min(pe - t, need[cur.id])
-            if cur.deadline - t < dur - TIME_TOL:
+            if cur.deadline - t < dur - tol:
                 dur = max(cur.deadline - t, 0.0)
                 if dur <= eps:
                     raise InternalDeadlineMiss(
                         f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
                     )
-            i = bisect.bisect_right(arrivals, t + TIME_TOL)
+            i = bisect.bisect_right(arrivals, t + tol)
             if i < len(arrivals) and arrivals[i] < t + dur - eps:
                 dur = arrivals[i] - t
             emit(cur.id, t, t + dur)
@@ -264,6 +267,7 @@ def _tau_from_segments(
 ) -> np.ndarray:
     grid = np.array(decomp.instants)
     tau = np.zeros((instance.n, decomp.m))
+    dust = _PIECE_EPS * instance.horizon
     for seg in segments:
         i = seg.packet - 1
         j0 = max(int(np.searchsorted(grid, seg.t_start, side="right")) - 1, 0)
@@ -272,7 +276,7 @@ def _tau_from_segments(
             hi = min(seg.t_end, grid[j + 1])
             # sub-dust overlaps are float artifacts of segments touching
             # an epoch boundary, not allocations
-            if hi - lo > _PIECE_EPS:
+            if hi - lo > dust:
                 tau[i, j] += hi - lo
             if grid[j] >= seg.t_end:
                 break
@@ -287,6 +291,7 @@ def _check_solution_invariants(
     rates: np.ndarray,
 ):
     steps = trace.steps
+    tol = instance.time_tol
     for g in range(len(steps) - 1):
         if steps[g + 1].rate > steps[g].rate * (1.0 + 1e-9):
             raise InternalInvariantViolation(
@@ -294,14 +299,14 @@ def _check_solution_invariants(
             )
     all_pieces = sorted(p for s in steps for p in s.pieces)
     for (s0, e0), (s1, _) in zip(all_pieces, all_pieces[1:]):
-        if s1 < e0 - TIME_TOL:
+        if s1 < e0 - tol:
             raise InternalInvariantViolation("reserved pieces overlap across rounds")
-    merged = _intervals.merge(all_pieces, tol=TIME_TOL)
+    merged = _intervals.merge(all_pieces, tol=tol)
     live = decomp.live_region()
     gap = _intervals.measure(
         _intervals.subtract(live, merged)
     ) + _intervals.measure(_intervals.subtract(merged, live))
-    if gap > 1e-6 * max(1.0, instance.horizon):
+    if gap > 1e-6 * instance.horizon:
         raise InternalInvariantViolation(
             f"reserved pieces do not tile the live region (mismatch {gap})"
         )
@@ -335,6 +340,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
             _positions(arrivals[idx], reserved),
             _positions(deadlines[idx], reserved),
             bits[idx],
+            instance.time_tol,
         )
         if not valid.any():
             raise NoCandidates(
@@ -374,12 +380,11 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         segments=tuple(segments),
         energy=energy,
         trace=trace,
-        certified=True,
     )
 
 
 def schedule_from_allocation(
-    instance: Instance, tau: np.ndarray, model: PowerModel, certified: bool = False
+    instance: Instance, tau: np.ndarray, model: PowerModel
 ) -> Schedule:
     """Materialize a schedule from an epoch-time allocation table.
 
@@ -398,9 +403,10 @@ def schedule_from_allocation(
     bits = instance.bits()
     rates = bits / totals
     segments = []
+    dust = _PIECE_EPS * instance.horizon
     for j in range(decomp.m):
         t = decomp.epochs[j][0]
-        rows = [i for i in np.flatnonzero(tau[:, j] > _PIECE_EPS)]
+        rows = [i for i in np.flatnonzero(tau[:, j] > dust)]
         rows.sort(key=lambda i: (instance.packets[i].deadline, i))
         for i in rows:
             segments.append(Segment(i + 1, t, t + tau[i, j], float(rates[i])))
@@ -416,7 +422,6 @@ def schedule_from_allocation(
         segments=tuple(segments),
         energy=energy,
         trace=None,
-        certified=certified,
     )
 
 
@@ -478,5 +483,4 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
         segments=segments,
         energy=float(doc["energy"]),
         trace=trace,
-        certified=False,
     )

@@ -17,12 +17,12 @@ import numpy as np
 
 from .model import EpochDecomposition, Instance, decompose
 from .power import PowerModel
-from .scheduler import TIME_TOL, Schedule
+from .scheduler import _PIECE_EPS, Schedule
 
+# Instants, idle time and epoch capacity are compared within the
+# instance's `time_tol`; allocation dust within _PIECE_EPS of its horizon.
 BIT_REL_TOL = 1e-9
 RATE_REL_TOL = 1e-9
-NON_IDLING_ABS_TOL = 1e-9
-EPOCH_CAP_SLACK = 1e-9
 POSITIVE_TIME_REL = 1e-9  # tau below this fraction of the epoch counts as zero
 CERT_TOL = 1e-8
 
@@ -128,6 +128,7 @@ def check_feasible(
     violations: list[str] = []
     segments = schedule.segments
     bits = instance.bits()
+    tol = instance.time_tol
 
     seg_packet = np.array([s.packet for s in segments], dtype=np.int64)
     seg_start = np.array([s.t_start for s in segments], dtype=float)
@@ -136,8 +137,8 @@ def check_feasible(
     known = (seg_packet >= 1) & (seg_packet <= n)
     row = np.where(known, seg_packet - 1, 0)
     assigned = schedule.rates[row]
-    early = seg_start < instance.arrivals()[row] - TIME_TOL
-    late = seg_end > instance.deadlines()[row] + TIME_TOL
+    early = seg_start < instance.arrivals()[row] - tol
+    late = seg_end > instance.deadlines()[row] + tol
     empty = ~(seg_end > seg_start)
     off_rate = np.abs(seg_rate - assigned) > RATE_REL_TOL * np.maximum(
         np.abs(assigned), 1.0
@@ -167,7 +168,7 @@ def check_feasible(
             )
 
     order = np.lexsort((seg_end, seg_start))
-    overlap = seg_start[order[1:]] < seg_end[order[:-1]] - TIME_TOL
+    overlap = seg_start[order[1:]] < seg_end[order[:-1]] - tol
     for k in _flagged(overlap):
         a, b = segments[order[k]], segments[order[k + 1]]
         violations.append(
@@ -190,10 +191,11 @@ def check_feasible(
     tau = schedule.tau
     nz_rows, nz_cols = np.nonzero(tau)
     nz_vals = tau[nz_rows, nz_cols]
-    if np.any(nz_vals < -1e-12):
+    dust = _PIECE_EPS * instance.horizon
+    if np.any(nz_vals < -dust):
         violations.append("negative epoch allocation in tau")
     lo, hi = np.array(decomp.lo), np.array(decomp.hi)
-    outside = (np.abs(nz_vals) > 1e-12) & (
+    outside = (np.abs(nz_vals) > dust) & (
         (nz_cols < lo[nz_rows]) | (nz_cols >= hi[nz_rows])
     )
     totals = np.ascontiguousarray(tau).sum(axis=1)  # pairwise per row, as tau[i].sum()
@@ -217,7 +219,7 @@ def check_feasible(
 
     lengths = decomp.epoch_lengths()
     used = _column_sums(tau)
-    for j in _flagged(used > lengths + EPOCH_CAP_SLACK):
+    for j in _flagged(used > lengths + tol):
         violations.append(
             f"epoch {j + 1} allocates {used[j]} of its {lengths[j]} seconds"
         )
@@ -267,7 +269,7 @@ def check_optimality(
     lengths = decomp.epoch_lengths()
     live = decomp.coverage() > 0
     used = _column_sums(schedule.tau)
-    idle_ok = ~live | (np.abs(used - lengths) <= NON_IDLING_ABS_TOL)
+    idle_ok = ~live | (np.abs(used - lengths) <= instance.time_tol)
     non_idling = dict(enumerate(idle_ok.tolist(), start=1))
 
     rates = schedule.rates
@@ -353,15 +355,14 @@ class KKTCertificate:
 
     beta[j-1] prices epoch j's time; gamma[i-1, j-1] prices packet i's
     zero allocation in epoch j; lam[i-1] prices packet i's bit
-    constraint; eta is identically 0 because optimal rates are positive.
-    The defining identity is rate_i = g_inverse(beta_j - gamma_ij) for
+    constraint.  The rates' own multipliers are identically 0, because
+    optimal rates are positive, and are not stored.  The defining identity is rate_i = g_inverse(beta_j - gamma_ij) for
     every epoch j in packet i's window.
     """
 
     beta: np.ndarray
     gamma: np.ndarray
     lam: np.ndarray
-    eta: np.ndarray
 
 
 def extract_certificate(
@@ -414,7 +415,6 @@ def extract_certificate(
     )
 
     lam = g_rates.copy()
-    eta = np.zeros(n)
 
     # Validate the construction before handing it out.  The defining
     # identity rate = g_inverse(beta - gamma) is checked through g
@@ -448,11 +448,11 @@ def extract_certificate(
             )
         raise RuntimeError(f"complementary slackness failed for packet {i}, epoch {j}")
     cap_slack = beta * (_column_sums(tau) - lengths)
-    bad = _flagged(np.abs(cap_slack) > CERT_TOL * np.maximum(beta, 1.0))
+    bad = _flagged(np.abs(cap_slack) > np.maximum(beta, 1.0) * instance.time_tol)
     if bad:
         raise RuntimeError(f"epoch {bad[0] + 1} capacity slackness failed")
-    if np.any(beta < 0) or np.any(gamma < 0) or np.any(eta != 0):
+    if np.any(beta < 0) or np.any(gamma < 0):
         raise RuntimeError("multiplier sign constraints failed")
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
         raise RuntimeError("non-finite multipliers")
-    return KKTCertificate(beta=beta, gamma=gamma, lam=lam, eta=eta)
+    return KKTCertificate(beta=beta, gamma=gamma, lam=lam)

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from txsched.model import INSTANT_MERGE_TOL, Instance, Packet
+from txsched.model import TIME_REL_TOL, Instance, Packet
 from txsched.power import PowerModel
 from txsched.scheduler import (
     _PIECE_EPS,
-    TIME_TOL,
     InternalDeadlineMiss,
     InternalIdle,
     Schedule,
@@ -28,8 +27,6 @@ from txsched.scheduler import (
 from txsched.verifier import (
     BIT_REL_TOL,
     CERT_TOL,
-    EPOCH_CAP_SLACK,
-    NON_IDLING_ABS_TOL,
     POSITIVE_TIME_REL,
     RATE_REL_TOL,
     DimensionMismatch,
@@ -66,7 +63,7 @@ def decompose_sets(instance: Instance) -> SetDecomposition:
     )
     reps: list[float] = []
     for v in raw:
-        if not reps or v - reps[-1] > INSTANT_MERGE_TOL:
+        if not reps or v - reps[-1] > instance.time_tol:
             reps.append(float(v))
     grid = np.array(reps)
     epochs = tuple((reps[j], reps[j + 1]) for j in range(len(reps) - 1))
@@ -74,7 +71,7 @@ def decompose_sets(instance: Instance) -> SetDecomposition:
     n = instance.n
 
     # Map a raw instant to its grid index: the grid point at or just
-    # below it (the cluster start), which is within the merge tolerance.
+    # below it (the cluster start), which is within the time tolerance.
     def gidx(v: float) -> int:
         return int(np.searchsorted(grid, v, side="right")) - 1
 
@@ -115,18 +112,19 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
             f"got {schedule.tau.shape} and {len(schedule.rates)}"
         )
     violations: list[str] = []
+    tol = instance.time_tol
 
     for seg in schedule.segments:
         if not 1 <= seg.packet <= n:
             violations.append(f"segment references unknown packet {seg.packet}")
             continue
         p = instance.packets[seg.packet - 1]
-        if seg.t_start < p.arrival - TIME_TOL:
+        if seg.t_start < p.arrival - tol:
             violations.append(
                 f"causality: packet {p.id} transmits at {seg.t_start} "
                 f"before its arrival {p.arrival}"
             )
-        if seg.t_end > p.deadline + TIME_TOL:
+        if seg.t_end > p.deadline + tol:
             violations.append(
                 f"deadline: packet {p.id} transmits until {seg.t_end} "
                 f"past its deadline {p.deadline}"
@@ -142,7 +140,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
 
     ordered = sorted(schedule.segments, key=lambda s: (s.t_start, s.t_end))
     for a, b in zip(ordered, ordered[1:]):
-        if b.t_start < a.t_end - TIME_TOL:
+        if b.t_start < a.t_end - tol:
             violations.append(
                 f"overlap: packets {a.packet} and {b.packet} both transmit "
                 f"in [{b.t_start}, {min(a.t_end, b.t_end)}]"
@@ -160,12 +158,13 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
                 f"of {bits[i]} bits"
             )
 
-    if np.any(schedule.tau < -1e-12):
+    dust = _PIECE_EPS * instance.horizon
+    if np.any(schedule.tau < -dust):
         violations.append("negative epoch allocation in tau")
     for i in range(n):
         c_i = decomp.epoch_sets_per_packet[i]
         for j in range(1, m + 1):
-            if j not in c_i and abs(schedule.tau[i, j - 1]) > 1e-12:
+            if j not in c_i and abs(schedule.tau[i, j - 1]) > dust:
                 violations.append(
                     f"packet {i + 1} allocated time in epoch {j} outside its window"
                 )
@@ -179,7 +178,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     lengths = decomp.epoch_lengths()
     for j in range(1, m + 1):
         used = schedule.tau[:, j - 1].sum()
-        if used > lengths[j - 1] + EPOCH_CAP_SLACK:
+        if used > lengths[j - 1] + tol:
             violations.append(
                 f"epoch {j} allocates {used} of its {lengths[j - 1]} seconds"
             )
@@ -225,7 +224,7 @@ def check_optimality(
             non_idling[j] = True  # no packet can transmit here
             continue
         used = schedule.tau[:, j - 1].sum()
-        non_idling[j] = abs(used - lengths[j - 1]) <= NON_IDLING_ABS_TOL
+        non_idling[j] = abs(used - lengths[j - 1]) <= instance.time_tol
 
     rates = schedule.rates
     rmax = float(rates.max()) if len(rates) else 0.0
@@ -338,7 +337,6 @@ def extract_certificate(
             gamma[i - 1, j - 1] = max(beta[j - 1] - g_rates[i - 1], 0.0)
 
     lam = g_rates.copy()
-    eta = np.zeros(n)
 
     # Validate the construction before handing it out.  The defining
     # identity rate = g_inverse(beta - gamma) is checked through g
@@ -371,13 +369,13 @@ def extract_certificate(
     for j in range(1, m + 1):
         used = schedule.tau[:, j - 1].sum()
         slack = beta[j - 1] * (used - lengths[j - 1])
-        if abs(slack) > CERT_TOL * max(beta[j - 1], 1.0):
+        if abs(slack) > max(beta[j - 1], 1.0) * instance.time_tol:
             raise RuntimeError(f"epoch {j} capacity slackness failed")
-    if np.any(beta < 0) or np.any(gamma < 0) or np.any(eta != 0):
+    if np.any(beta < 0) or np.any(gamma < 0):
         raise RuntimeError("multiplier sign constraints failed")
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
         raise RuntimeError("non-finite multipliers")
-    return KKTCertificate(beta=beta, gamma=gamma, lam=lam, eta=eta)
+    return KKTCertificate(beta=beta, gamma=gamma, lam=lam)
 
 
 def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
@@ -387,14 +385,16 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     arrived, unfinished member with the earliest deadline (ties to the
     lower id).  Idling inside a piece or an unfinished member signal an
     internal bug: the caller only passes windows whose rate makes both
-    impossible.  Instants are compared to within _PIECE_EPS relative to
-    the largest piece endpoint.
+    impossible.  Steps are cut to within _PIECE_EPS relative to the
+    largest piece endpoint; arrivals and deadlines are compared to within
+    TIME_REL_TOL times the latest member deadline.
     """
     if not members:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
     eps = _PIECE_EPS * max([1.0] + [abs(float(x)) for piece in pieces for x in piece])
+    tol = TIME_REL_TOL * max(abs(p.deadline) for p in members)
     pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
         if s1 < e0 - eps:
@@ -419,26 +419,26 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
         t = ps
         while pe - t > eps:
             for p in members:
-                if need[p.id] > need_tol and p.deadline < t - TIME_TOL:
+                if need[p.id] > need_tol and p.deadline < t - tol:
                     raise InternalDeadlineMiss(
                         f"packet {p.id} unfinished at its deadline {p.deadline}"
                     )
             active = [
                 p
                 for p in members
-                if need[p.id] > need_tol and p.arrival <= t + TIME_TOL
+                if need[p.id] > need_tol and p.arrival <= t + tol
             ]
             if not active:
                 raise InternalIdle(f"no transmittable packet at time {t}")
             cur = min(active, key=lambda p: (p.deadline, p.id))
             dur = min(pe - t, need[cur.id])
-            if cur.deadline - t < dur - TIME_TOL:
+            if cur.deadline - t < dur - tol:
                 dur = max(cur.deadline - t, 0.0)
                 if dur <= eps:
                     raise InternalDeadlineMiss(
                         f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
                     )
-            i = np.searchsorted(arrivals, t + TIME_TOL, side="right")
+            i = np.searchsorted(arrivals, t + tol, side="right")
             if i < len(arrivals) and arrivals[i] < t + dur - eps:
                 dur = arrivals[i] - t
             emit(cur.id, t, t + dur)

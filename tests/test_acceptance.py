@@ -156,7 +156,6 @@ def test_criterion_3_necessary_conditions(big_corpus):
         if not (
             np.all(cert.beta >= 0)
             and np.all(cert.gamma >= 0)
-            and np.all(cert.eta == 0)
             and np.all(np.isfinite(cert.lam))
         ):
             failures.append((k, "multiplier signs"))

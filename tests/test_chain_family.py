@@ -2,8 +2,8 @@
 
 Chains of short, overlapping windows take about N/2 solve rounds, each
 cutting a window out of the middle of the remaining timeline.  Every
-instance, and its copies with time and bits scaled by 1e3 and 1e-3,
-must solve, survive the JSON round trip and yield a KKT certificate;
+instance, and its copies with time and bits scaled by 1e3, 1e-3, 1e6
+and 1e-6, must solve, survive the JSON round trip and yield a KKT certificate;
 the copies must reproduce the original's rates and scale its energy by
 the factor.
 """
@@ -22,7 +22,7 @@ from txsched import (
 )
 
 MODEL = Shannon(1.0)
-SCALES = (1e3, 1e-3)
+SCALES = (1e3, 1e-3, 1e6, 1e-6)
 
 
 def chain_instance(n=100, seed=0, horizon=100.0, scale=1.0):

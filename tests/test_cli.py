@@ -86,8 +86,7 @@ class TestSolveValidate:
         out = capsys.readouterr().out
         payload = out[out.index("{") :]
         cert = json.loads(payload)
-        assert set(cert.keys()) == {"beta", "gamma", "lambda", "eta"}
-        assert all(v == 0 for v in cert["eta"])
+        assert set(cert.keys()) == {"beta", "gamma", "lambda"}
 
     def test_malformed_instance_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -37,7 +37,7 @@ from txsched import (
     scheduler,
     solve,
 )
-from txsched.model import INSTANT_MERGE_TOL
+from txsched.model import TIME_REL_TOL
 
 MODEL = Shannon(1.0)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -83,7 +83,7 @@ def assert_same_certificate(new, old, where=""):
     if new[0] == "raised":
         assert new == old, where
         return
-    for name in ("beta", "gamma", "lam", "eta"):
+    for name in ("beta", "gamma", "lam"):
         a, b = getattr(new[1], name), getattr(old[1], name)
         assert a.dtype == b.dtype and a.shape == b.shape, (where, name)
         assert a.tobytes() == b.tobytes(), (where, name)
@@ -116,7 +116,6 @@ def replaced(schedule, **kwargs):
         segments=schedule.segments,
         energy=schedule.energy,
         trace=schedule.trace,
-        certified=False,
     )
     fields.update(kwargs)
     return Schedule(**fields)
@@ -307,9 +306,12 @@ def test_edf_fill_direct_cases_match_loop():
         ([(0.0, 2.0)], [P(4, 1.0, 0.0, 2.0), P(2, 1.0, 0.0, 2.0)], 1.0),
         ([(0.0, 1.0), (2.0, 3.0)],
          [P(1, 1.0, 0.0, 3.0), P(2, 0.5, 0.2, 0.9)], 1.5 / 2.0),
-        # the second piece starts a hair before the first one ends
-        ([(0.0, 1.0), (1.0 - 5e-13, 2.0)],
-         [P(1, 1.0, 0.0, 2.0), P(2, 1.0, 1.0 + 2 * INSTANT_MERGE_TOL, 2.0)], 1.0),
+        # the second piece starts a hair before the first one ends; the
+        # second member arrives just under, at and just over the time
+        # tolerance (TIME_REL_TOL times the latest deadline) after it
+        *(([(0.0, 1.0), (1.0 - 5e-13, 2.0)],
+           [P(1, 1.0, 0.0, 2.0), P(2, 1.0, 1.0 + k * TIME_REL_TOL * 2.0, 2.0)], 1.0)
+          for k in (0.5, 1.0, 2.0)),
         # idle: nothing has arrived
         ([(0.0, 1.0)], [P(1, 1.0, 0.5, 1.0)], 2.0),
         # deadline miss: rate too low
@@ -345,22 +347,28 @@ def test_edf_fill_direct_cases_match_loop():
 
 def _clustered_instances(rng, count):
     """Instances whose instants come in runs spaced just under, at and
-    just over the instant-merge tolerance."""
-    spacings = INSTANT_MERGE_TOL * np.array([0.6, 0.999, 1.0, 1.001, 1.5, 2.5])
+    just over the time tolerance.  One packet from 0 and one to 10 pin
+    the horizon at 10, so the tolerance is TIME_REL_TOL * 10 = 1e-9."""
+    tol = TIME_REL_TOL * 10.0
+    spacings = tol * np.array([0.6, 0.999, 1.0, 1.001, 1.5, 2.5])
     out = []
     for _ in range(count):
         pool = []
-        for c in rng.uniform(0.0, 10.0, int(rng.integers(2, 6))):
+        for c in rng.uniform(1.0, 9.0, int(rng.integers(2, 6))):
             s = spacings[rng.integers(len(spacings))]
             pool.extend(float(c + k * s) for k in range(int(rng.integers(1, 5))))
         pool = sorted(pool)
-        packets = []
-        for pid in range(1, int(rng.integers(2, 10))):
+        packets = [
+            Packet(1, 1.0, 0.0, pool[rng.integers(len(pool))]),
+            Packet(2, 1.0, pool[rng.integers(len(pool))], 10.0),
+        ]
+        for pid in range(3, int(rng.integers(3, 11))):
             a, d = sorted(rng.choice(len(pool), 2, replace=False))
-            if pool[d] - pool[a] >= INSTANT_MERGE_TOL:
+            if pool[d] - pool[a] >= tol:
                 packets.append(Packet(pid, 1.0, pool[a], pool[d]))
-        if packets:
-            out.append(normalize_instance(packets))
+        inst = normalize_instance(packets)
+        assert inst.time_tol == tol
+        out.append(inst)
     return out
 
 
@@ -393,13 +401,14 @@ def test_ranges_match_set_families():
 
 
 def test_greedy_clustering_anchors_on_the_representative():
-    # 0, 0.6e-9 and 1.2e-9: neighbours are all within the tolerance, but
-    # the third instant is 1.2e-9 from the cluster's first, so it starts
-    # a new grid point
-    tol = INSTANT_MERGE_TOL
+    # horizon 1, so the tolerance is TIME_REL_TOL: at 0, 0.6 and 1.2
+    # tolerances, neighbours are all within it, but the third instant is
+    # 1.2 tolerances from the cluster's first, so it starts a new grid point
+    tol = TIME_REL_TOL
     inst = normalize_instance([
         Packet(1, 1.0, 0.0, 1.2 * tol), Packet(2, 1.0, 0.6 * tol, 1.0)
     ])
+    assert inst.time_tol == tol
     d = decompose(inst)
     assert d.instants == (0.0, 1.2 * tol, 1.0)
     assert (d.lo, d.hi) == ((0, 0), (1, 2))

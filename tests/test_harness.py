@@ -107,7 +107,6 @@ class TestBaseline:
         s = solve(inst, MODEL)
         assert b.energy == pytest.approx(s.energy, rel=1e-12)
         assert b.rates[0] == pytest.approx(1.0)
-        assert not b.certified
 
     def test_exact_fit_disjoint_equals_optimal(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0), P(2, 2.0, 1.0, 3.0)])

@@ -14,6 +14,7 @@ from txsched import (
     is_non_fifo,
     normalize_instance,
 )
+from txsched.model import TIME_REL_TOL
 
 
 def P(pid, bits, arrival, deadline):
@@ -72,8 +73,23 @@ class TestNormalize:
         assert inst.id_map == {1: 4, 2: 6, 3: 5}
 
     def test_sub_tolerance_window_rejected(self):
-        with pytest.raises(MalformedPacket):
-            normalize_instance([P(1, 1.0, 0.0, 5e-10)])
+        # the tolerance is TIME_REL_TOL of the horizon: 1e-9 s next to a
+        # 10 s packet, and a million times that in microseconds
+        for scale in (1.0, 1e6):
+            horizon = 10.0 * scale
+            tol = TIME_REL_TOL * horizon
+            assert normalize_instance([P(1, 1.0, 0.0, horizon)]).time_tol == tol
+            for frac in (0.5, 0.999):
+                with pytest.raises(MalformedPacket) as err:
+                    normalize_instance(
+                        [P(1, 1.0, 0.0, horizon), P(2, 1.0, 0.0, frac * tol)]
+                    )
+                assert err.value.packet_id == 2
+            for frac in (1.0, 1.001):
+                inst = normalize_instance(
+                    [P(1, 1.0, 0.0, horizon), P(2, 1.0, 0.0, frac * tol)]
+                )
+                assert inst.packets[0].window == (0.0, frac * tol)
 
     def test_horizon_is_max_deadline(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 5.0), P(2, 1.0, 1.0, 2.0)])

@@ -9,11 +9,11 @@ from txsched import (
     decompose,
     generate,
     normalize_instance,
-    project_capped_simplex,
     solve,
     solve_grid,
     solve_projected_gradient,
 )
+from txsched.oracle import _project_columns
 
 
 def P(pid, bits, arrival, deadline):
@@ -26,6 +26,13 @@ def nested_instance():
 
 MODEL = Shannon(1.0)
 NESTED_ENERGY = 0.5 * 15.0 + 1.5 * (2.0 ** (8.0 / 3.0) - 1.0)
+
+
+def project_capped_simplex(v, cap):
+    """The oracle's batched projection onto {x >= 0, sum(x) <= cap},
+    run on a batch of one epoch column."""
+    v = np.asarray(v, dtype=float)
+    return _project_columns(v[None, :], np.array([cap]), np.array([len(v)]))[0]
 
 
 class TestProjection:

@@ -42,7 +42,6 @@ def tampered(schedule, **kwargs):
         segments=kwargs.get("segments", schedule.segments),
         energy=kwargs.get("energy", schedule.energy),
         trace=kwargs.get("trace", schedule.trace),
-        certified=False,
     )
 
 
@@ -258,7 +257,6 @@ class TestCertificate:
         assert cert.gamma[0, 1] == pytest.approx(g2 - g43, rel=1e-9)
         assert cert.gamma[0, 1] > 0
         assert np.allclose(cert.lam, [g43, g2])
-        assert np.all(cert.eta == 0)
 
     def test_single_packet_certificate(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0)])

@@ -1,20 +1,19 @@
 """Small helpers for sorted, disjoint interval lists.
 
 Intervals are (start, end) tuples with end > start, kept sorted by
-start.  Degenerate pieces shorter than `drop_tol` are discarded by the
-operations that can produce them.
+start.  The caller gives the tolerance in the time unit of its
+intervals: `merge` joins intervals apart by at most `tol`, and
+`intersect` and `subtract` drop pieces no longer than it.
 """
 
 from __future__ import annotations
-
-_DROP_TOL = 1e-12
 
 
 def measure(intervals) -> float:
     return sum(e - s for s, e in intervals)
 
 
-def merge(intervals, tol: float = _DROP_TOL) -> list[tuple[float, float]]:
+def merge(intervals, tol: float) -> list[tuple[float, float]]:
     """Sort and coalesce intervals that touch or overlap within tol."""
     if not intervals:
         return []
@@ -29,14 +28,14 @@ def merge(intervals, tol: float = _DROP_TOL) -> list[tuple[float, float]]:
     return out
 
 
-def intersect(a, b) -> list[tuple[float, float]]:
+def intersect(a, b, tol: float) -> list[tuple[float, float]]:
     """Intersection of two sorted disjoint interval lists."""
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
         s = max(a[i][0], b[j][0])
         e = min(a[i][1], b[j][1])
-        if e - s > _DROP_TOL:
+        if e - s > tol:
             out.append((s, e))
         if a[i][1] <= b[j][1]:
             i += 1
@@ -45,7 +44,7 @@ def intersect(a, b) -> list[tuple[float, float]]:
     return out
 
 
-def subtract(a, b) -> list[tuple[float, float]]:
+def subtract(a, b, tol: float) -> list[tuple[float, float]]:
     """Parts of `a` not covered by `b` (both sorted disjoint)."""
     out = []
     j = 0
@@ -56,12 +55,12 @@ def subtract(a, b) -> list[tuple[float, float]]:
         k = j
         while k < len(b) and b[k][0] < e:
             hs, he = b[k]
-            if hs - cur > _DROP_TOL:
+            if hs - cur > tol:
                 out.append((cur, hs))
             cur = max(cur, he)
             if cur >= e:
                 break
             k += 1
-        if e - cur > _DROP_TOL:
+        if e - cur > tol:
             out.append((cur, e))
     return out

@@ -23,6 +23,7 @@ from .scheduler import (
     InternalIdle,
     InternalInvariantViolation,
     Schedule,
+    _PIECE_EPS,
     edf_fill,
     schedule_from_allocation,
     solve,
@@ -125,14 +126,15 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     """
     decomp = decompose(instance)
     free: list[tuple[float, float]] = [(0.0, instance.horizon)]
+    dust = _PIECE_EPS * instance.horizon
     segments = []
     rates = np.zeros(instance.n)
     try:
         deadlines = sorted({p.deadline for p in instance.packets})
         for d in deadlines:
             members = [p for p in instance.packets if p.deadline == d]
-            win_union = _intervals.merge([p.window for p in members])
-            usable = _intervals.intersect(free, win_union)
+            win_union = _intervals.merge([p.window for p in members], dust)
+            usable = _intervals.intersect(free, win_union, dust)
             claimed = _intervals.measure(usable)
             if claimed <= instance.time_tol:
                 raise InternalIdle("tie group found no free time")
@@ -141,7 +143,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
             for p in members:
                 rates[p.id - 1] = rate
             segments.extend(segs)
-            free = _intervals.subtract(free, usable)
+            free = _intervals.subtract(free, usable, dust)
     except (InternalIdle, InternalDeadlineMiss):
         tau = np.zeros((instance.n, decomp.m))
         rows, cols = decomp.pairs()

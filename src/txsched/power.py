@@ -177,9 +177,11 @@ def schedule_energy(model: PowerModel, rates) -> float:
     """Total energy of constant-rate transmissions.
 
     `rates` is an iterable of (packet id, rate, total transmission
-    time); the energy is sum(time * f(rate)).
+    time); the energy is sum(time * f(rate)), with f evaluated once per
+    distinct rate, since the packets of one solve round share theirs.
     """
     total = 0.0
+    power: dict[float, float] = {}
     for pid, rate, time in rates:
         if rate < 0:
             raise NegativeRate(f"packet {pid}: rate {rate} is negative")
@@ -187,5 +189,7 @@ def schedule_energy(model: PowerModel, rates) -> float:
             raise ZeroRate(f"packet {pid}: rate 0 never finishes")
         if not time > 0:
             raise ValueError(f"packet {pid}: transmission time {time} must be positive")
-        total += time * model.power(rate)
+        if rate not in power:
+            power[rate] = model.power(rate)
+        total += time * power[rate]
     return total

@@ -14,7 +14,8 @@ Every window, piece and segment stays in original time.  A round
 measures a window's free length through the positions of its endpoints
 on the remaining timeline, computed afresh from the sorted list of
 reserved pieces, so nothing is carried from round to round but that
-list.
+list.  Each busy period (a connected run of windows) keeps its own
+list and runs its own rounds, as no winning window crosses an idle gap.
 
 Rates only depend on the window geometry, never on the power law; the
 power model enters once at the end, to price the schedule.
@@ -76,7 +77,8 @@ class Segment:
 @dataclass(frozen=True)
 class IterationStep:
     """One round: the free pieces of the chosen window and the packets
-    it settled; `candidates` counts the windows examined."""
+    it settled; `candidates` counts the windows the round examined,
+    all inside the busy period it served."""
 
     rate: float
     members: frozenset[int]
@@ -182,7 +184,9 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    eps = _PIECE_EPS * max([1.0] + [abs(float(x)) for piece in pieces for x in piece])
+    eps = _PIECE_EPS * max(
+        (abs(float(x)) for piece in pieces for x in piece), default=0.0
+    )
     tol = TIME_REL_TOL * max(abs(p.deadline) for p in members)
     pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
@@ -191,7 +195,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     need = {p.id: p.bits / rate for p in members}
     total_need = sum(need.values())
-    need_tol = max(1e-12 * total_need, 1e-15)
+    need_tol = 1e-12 * total_need
     arrivals = sorted({p.arrival for p in members})
     # Member positions by arrival; a position also breaks (deadline, id)
     # ties.  Admission times never decrease: a piece ends its steps
@@ -265,21 +269,26 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 def _tau_from_segments(
     instance: Instance, decomp: EpochDecomposition, segments
 ) -> np.ndarray:
+    """The epoch-time table of a segment list: each segment adds its
+    overlap with every epoch it meets, in segment order."""
     grid = np.array(decomp.instants)
     tau = np.zeros((instance.n, decomp.m))
-    dust = _PIECE_EPS * instance.horizon
-    for seg in segments:
-        i = seg.packet - 1
-        j0 = max(int(np.searchsorted(grid, seg.t_start, side="right")) - 1, 0)
-        for j in range(j0, decomp.m):
-            lo = max(seg.t_start, grid[j])
-            hi = min(seg.t_end, grid[j + 1])
-            # sub-dust overlaps are float artifacts of segments touching
-            # an epoch boundary, not allocations
-            if hi - lo > dust:
-                tau[i, j] += hi - lo
-            if grid[j] >= seg.t_end:
-                break
+    rows = np.array([seg.packet - 1 for seg in segments], dtype=np.intp)
+    t0 = np.array([seg.t_start for seg in segments], dtype=float)
+    t1 = np.array([seg.t_end for seg in segments], dtype=float)
+    # a segment meets the epochs from the one holding its start up to,
+    # not including, the first whose left instant reaches its end
+    first = np.maximum(np.searchsorted(grid, t0, side="right") - 1, 0)
+    count = np.maximum(
+        np.minimum(np.searchsorted(grid, t1, side="left"), decomp.m) - first, 0
+    )
+    seg = np.repeat(np.arange(len(segments)), count)
+    cols = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    overlap = np.minimum(t1[seg], grid[cols + 1]) - np.maximum(t0[seg], grid[cols])
+    # sub-dust overlaps are float artifacts of segments touching an
+    # epoch boundary, not allocations
+    keep = overlap > _PIECE_EPS * instance.horizon
+    np.add.at(tau, (rows[seg[keep]], cols[keep]), overlap[keep])
     return tau
 
 
@@ -301,11 +310,12 @@ def _check_solution_invariants(
     for (s0, e0), (s1, _) in zip(all_pieces, all_pieces[1:]):
         if s1 < e0 - tol:
             raise InternalInvariantViolation("reserved pieces overlap across rounds")
-    merged = _intervals.merge(all_pieces, tol=tol)
+    merged = _intervals.merge(all_pieces, tol)
     live = decomp.live_region()
+    dust = _PIECE_EPS * instance.horizon
     gap = _intervals.measure(
-        _intervals.subtract(live, merged)
-    ) + _intervals.measure(_intervals.subtract(merged, live))
+        _intervals.subtract(live, merged, dust)
+    ) + _intervals.measure(_intervals.subtract(merged, live, dust))
     if gap > 1e-6 * instance.horizon:
         raise InternalInvariantViolation(
             f"reserved pieces do not tile the live region (mismatch {gap})"
@@ -320,19 +330,34 @@ def _check_solution_invariants(
         raise InternalInvariantViolation("some packet ended up with no rate")
 
 
-def solve(instance: Instance, model: PowerModel) -> Schedule:
-    """The optimal schedule: greedy max-rate window selection over the
-    time earlier rounds left free, then EDF inside each selected window."""
-    decomp = decompose(instance)
-    n = instance.n
-    arrivals = instance.arrivals()
-    deadlines = instance.deadlines()
-    bits = instance.bits()
-    active = np.ones(n, dtype=bool)
+def _busy_periods(arrivals: np.ndarray, deadlines: np.ndarray, tol: float):
+    """Row indices of each busy period, a maximal run of windows whose
+    union is connected, in time order; rows ascend within a period.
+
+    Sorted by arrival, a period ends where the next arrival comes later
+    than the latest deadline so far by more than `tol`.
+    """
+    order = np.argsort(arrivals, kind="stable")
+    reach = np.maximum.accumulate(deadlines[order])
+    cuts = np.flatnonzero(arrivals[order][1:] > reach[:-1] + tol) + 1
+    return [np.sort(rows) for rows in np.split(order, cuts)]
+
+
+def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
+    """The rounds of one busy period, in order, as (head rate, step,
+    segments) triples; sets `rates` at the period's rows.
+
+    The head rate is the round's best grid rate, the value a loop over
+    all periods at once would compare against the other periods.
+    """
+    packets = [instance.packets[r] for r in rows]
+    arrivals = np.array([p.arrival for p in packets])
+    deadlines = np.array([p.deadline for p in packets])
+    bits = np.array([p.bits for p in packets])
+    dust = _PIECE_EPS * instance.horizon
+    active = np.ones(len(rows), dtype=bool)
     reserved: list[tuple[float, float]] = []
-    steps: list[IterationStep] = []
-    segments: list[Segment] = []
-    rates = np.zeros(n)
+    rounds = []
 
     while active.any():
         idx = np.flatnonzero(active)
@@ -347,24 +372,74 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
                 "no sub-interval among active packets; windows degenerate"
             )
         si, ei = _argmax_lex(rate_grid, valid, starts, ends)
-        member_rows = idx[in_start[:, si] & in_end[:, ei]]
-        span = (float(arrivals[member_rows].min()), float(deadlines[member_rows].max()))
-        pieces = _intervals.subtract([span], reserved)
-        rate = float(bits[member_rows].sum() / _intervals.measure(pieces))
-        member_packets = [instance.packets[r] for r in member_rows]
-        segments.extend(edf_fill(pieces, member_packets, rate))
-
-        steps.append(
-            IterationStep(
-                rate=rate,
-                members=frozenset(int(r) + 1 for r in member_rows),
-                pieces=tuple(pieces),
-                candidates=int(valid.sum()),
-            )
+        member = idx[in_start[:, si] & in_end[:, ei]]
+        span = (float(arrivals[member].min()), float(deadlines[member].max()))
+        pieces = _intervals.subtract([span], reserved, dust)
+        rate = float(bits[member].sum() / _intervals.measure(pieces))
+        member_rows = rows[member]
+        member_packets = [packets[k] for k in member]
+        step = IterationStep(
+            rate=rate,
+            members=frozenset(int(r) + 1 for r in member_rows),
+            pieces=tuple(pieces),
+            candidates=int(valid.sum()),
+        )
+        rounds.append(
+            (float(rate_grid.max()), step, edf_fill(pieces, member_packets, rate))
         )
         rates[member_rows] = rate
-        reserved = _intervals.merge(reserved + pieces)
-        active[member_rows] = False
+        reserved = _intervals.merge(reserved + pieces, dust)
+        active[member] = False
+    return rounds
+
+
+def _interleave(periods):
+    """Each period's rounds, merged in the order one round loop over all
+    periods takes them: the highest head rate next, and among heads
+    within RATE_TIE_REL of it, the earliest period's.
+
+    Exact rates would not do: a period and its shifted copy have heads
+    that differ in the last bits and must still alternate.
+    """
+    heads = [(-rounds[0][0], p, 0) for p, rounds in enumerate(periods)]
+    heapq.heapify(heads)
+    while heads:
+        top = -heads[0][0]
+        tied = []
+        while heads and -heads[0][0] >= top - RATE_TIE_REL * abs(top):
+            tied.append(heapq.heappop(heads))
+        tied.sort(key=lambda head: head[1])
+        _, p, k = tied[0]
+        yield periods[p][k]
+        for head in tied[1:]:
+            heapq.heappush(heads, head)
+        if k + 1 < len(periods[p]):
+            heapq.heappush(heads, (-periods[p][k + 1][0], p, k + 1))
+
+
+def solve(instance: Instance, model: PowerModel) -> Schedule:
+    """The optimal schedule: greedy max-rate window selection over the
+    time earlier rounds left free, then EDF inside each selected window.
+
+    No selected window spans an idle gap, since its rate falls below
+    that of the better of its two sides, so each busy period is solved
+    on its own and the periods' rounds are interleaved afterwards.
+    """
+    decomp = decompose(instance)
+    n = instance.n
+    bits = instance.bits()
+    rates = np.zeros(n)
+    periods = [
+        _solve_period(instance, rows, rates)
+        for rows in _busy_periods(
+            instance.arrivals(), instance.deadlines(), instance.time_tol
+        )
+    ]
+    steps: list[IterationStep] = []
+    segments: list[Segment] = []
+    for _, step, segs in _interleave(periods):
+        steps.append(step)
+        segments.extend(segs)
 
     segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
     trace = IterationTrace(tuple(steps))

@@ -1,12 +1,16 @@
-"""Loop implementations of the verifier and of the EDF fill.
+"""Loop implementations of the solver round loop, the verifier, the EDF
+fill, the allocation table and the energy sum.
 
-These are the per-(packet, epoch) Python loops that the vectorized
-`txsched.verifier` functions and the heap-based `txsched.scheduler.edf_fill`
-replaced, kept as the reference that tests/test_equivalence.py compares
-the fast code against: the same violation strings in the same order,
-the same condition tuples, bit-identical multipliers and identical
-segments.  `decompose_sets` builds the epoch containment relation as
-frozenset families, the representation the loops were written for.
+These are the Python loops that the per-period `txsched.scheduler.solve`,
+the vectorized `txsched.verifier` functions, the heap-based
+`txsched.scheduler.edf_fill`, the vectorized `_tau_from_segments` and the
+once-per-rate `txsched.power.schedule_energy` replaced, kept as the
+reference that tests/test_equivalence.py compares the fast code against:
+identical schedule JSON, the same violation strings in the same order,
+the same condition tuples, bit-identical multipliers, tables and energy,
+and identical segments.  `decompose_sets` builds the epoch containment
+relation as frozenset families, the representation the loops were
+written for.
 """
 
 from __future__ import annotations
@@ -15,10 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from txsched.model import TIME_REL_TOL, Instance, Packet
-from txsched.power import PowerModel
+from txsched import _intervals, scheduler
+from txsched.model import TIME_REL_TOL, Instance, Packet, decompose
+from txsched.power import NegativeRate, PowerModel, ZeroRate
 from txsched.scheduler import (
     _PIECE_EPS,
+    IterationStep,
+    IterationTrace,
+    NoCandidates,
+    _argmax_lex,
+    _candidate_grid,
+    _check_solution_invariants,
+    _positions,
     InternalDeadlineMiss,
     InternalIdle,
     Schedule,
@@ -393,7 +405,9 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    eps = _PIECE_EPS * max([1.0] + [abs(float(x)) for piece in pieces for x in piece])
+    eps = _PIECE_EPS * max(
+        (abs(float(x)) for piece in pieces for x in piece), default=0.0
+    )
     tol = TIME_REL_TOL * max(abs(p.deadline) for p in members)
     pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
@@ -402,7 +416,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     need = {p.id: p.bits / rate for p in members}
     total_need = sum(need.values())
-    need_tol = max(1e-12 * total_need, 1e-15)
+    need_tol = 1e-12 * total_need
     by_id = {p.id: p for p in members}
     arrivals = sorted({p.arrival for p in members})
 
@@ -453,3 +467,96 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
             f"packets left unfinished after all pieces: {sorted(leftovers)}"
         )
     return segments
+
+
+def tau_from_segments(instance: Instance, decomp, segments) -> np.ndarray:
+    """The epoch-time table, one segment and one epoch at a time."""
+    grid = np.array(decomp.instants)
+    tau = np.zeros((instance.n, decomp.m))
+    dust = _PIECE_EPS * instance.horizon
+    for seg in segments:
+        i = seg.packet - 1
+        j0 = max(int(np.searchsorted(grid, seg.t_start, side="right")) - 1, 0)
+        for j in range(j0, decomp.m):
+            lo = max(seg.t_start, grid[j])
+            hi = min(seg.t_end, grid[j + 1])
+            if hi - lo > dust:
+                tau[i, j] += hi - lo
+            if grid[j] >= seg.t_end:
+                break
+    return tau
+
+
+def schedule_energy(model: PowerModel, rates) -> float:
+    """sum(time * f(rate)), with f evaluated for every packet."""
+    total = 0.0
+    for pid, rate, time in rates:
+        if rate < 0:
+            raise NegativeRate(f"packet {pid}: rate {rate} is negative")
+        if rate == 0:
+            raise ZeroRate(f"packet {pid}: rate 0 never finishes")
+        if not time > 0:
+            raise ValueError(f"packet {pid}: transmission time {time} must be positive")
+        total += time * model.power(rate)
+    return total
+
+
+def solve(instance: Instance, model: PowerModel) -> Schedule:
+    """One round loop over all packets at once: every round scores the
+    windows of every still-active packet, whatever its busy period.  It
+    fills through `scheduler.edf_fill`, the name tests patch."""
+    decomp = decompose(instance)
+    n = instance.n
+    arrivals = instance.arrivals()
+    deadlines = instance.deadlines()
+    bits = instance.bits()
+    dust = _PIECE_EPS * instance.horizon
+    active = np.ones(n, dtype=bool)
+    reserved: list[tuple[float, float]] = []
+    steps: list[IterationStep] = []
+    segments: list[Segment] = []
+    rates = np.zeros(n)
+
+    while active.any():
+        idx = np.flatnonzero(active)
+        starts, ends, in_start, in_end, rate_grid, valid = _candidate_grid(
+            _positions(arrivals[idx], reserved),
+            _positions(deadlines[idx], reserved),
+            bits[idx],
+            instance.time_tol,
+        )
+        if not valid.any():
+            raise NoCandidates(
+                "no sub-interval among active packets; windows degenerate"
+            )
+        si, ei = _argmax_lex(rate_grid, valid, starts, ends)
+        member_rows = idx[in_start[:, si] & in_end[:, ei]]
+        span = (float(arrivals[member_rows].min()), float(deadlines[member_rows].max()))
+        pieces = _intervals.subtract([span], reserved, dust)
+        rate = float(bits[member_rows].sum() / _intervals.measure(pieces))
+        member_packets = [instance.packets[r] for r in member_rows]
+        segments.extend(scheduler.edf_fill(pieces, member_packets, rate))
+        steps.append(
+            IterationStep(
+                rate=rate,
+                members=frozenset(int(r) + 1 for r in member_rows),
+                pieces=tuple(pieces),
+                candidates=int(valid.sum()),
+            )
+        )
+        rates[member_rows] = rate
+        reserved = _intervals.merge(reserved + pieces, dust)
+        active[member_rows] = False
+
+    segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
+    trace = IterationTrace(tuple(steps))
+    _check_solution_invariants(instance, decomp, trace, segments, rates)
+    return Schedule(
+        rates=rates,
+        tau=tau_from_segments(instance, decomp, segments),
+        segments=tuple(segments),
+        energy=schedule_energy(
+            model, [(i + 1, rates[i], bits[i] / rates[i]) for i in range(n)]
+        ),
+        trace=trace,
+    )

@@ -2,10 +2,10 @@
 
 Chains of short, overlapping windows take about N/2 solve rounds, each
 cutting a window out of the middle of the remaining timeline.  Every
-instance, and its copies with time and bits scaled by 1e3, 1e-3, 1e6
-and 1e-6, must solve, survive the JSON round trip and yield a KKT certificate;
-the copies must reproduce the original's rates and scale its energy by
-the factor.
+instance, and its copies with time and bits scaled by 1e3, 1e-3, 1e6,
+1e-6 and 1e-12, must solve, survive the JSON round trip and yield a KKT
+certificate; the copies must reproduce the original's rates and scale its
+energy by the factor.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from txsched import (
 )
 
 MODEL = Shannon(1.0)
-SCALES = (1e3, 1e-3, 1e6, 1e-6)
+SCALES = (1e3, 1e-3, 1e6, 1e-6, 1e-12)
 
 
 def chain_instance(n=100, seed=0, horizon=100.0, scale=1.0):
@@ -60,3 +60,9 @@ def test_chain_and_rescaled_copies_certify(n, seed):
         assert [st.members for st in copy.trace.steps] == [
             st.members for st in base.trace.steps
         ]
+
+
+def test_large_chain_certifies():
+    # 971 rounds in 342 busy periods
+    sched = certified(chain_instance(n=2000, seed=0, horizon=2000.0))
+    assert len(sched.trace.steps) > 2000 // 4

@@ -1,9 +1,11 @@
-"""The range-based decomposition, the vectorized verifier and the heap
-EDF fill against the loop implementations in reference_impl.py.
+"""The per-period solver, the range-based decomposition, the vectorized
+verifier, the heap EDF fill and the vectorized allocation table against
+the loop implementations in reference_impl.py.
 
-Every comparison is exact: the same violation strings in the same
-order, equal reports and epoch conditions, bit-identical multipliers
-and identical segments, or the same exception type and message.
+Every comparison is exact: identical schedule JSON, the same violation
+strings in the same order, equal reports and epoch conditions,
+bit-identical rates, tables and multipliers and identical segments, or
+the same exception type and message.
 """
 
 import json
@@ -257,9 +259,104 @@ def test_solver_schedules_and_mutations_match_loops(inst, compare_edf):
     assert assert_same_verdicts(inst, sched)[0] == "value"
     back = schedule_from_json(schedule_to_json(sched), inst)
     assert_same_verdicts(inst, back)
+    loop_tau = ref.tau_from_segments(inst, decompose(inst), sched.segments)
+    assert sched.tau.tobytes() == back.tau.tobytes() == loop_tau.tobytes()
     assert_same_verdicts(inst, baseline_constant_edf(inst, MODEL))
     for name, mutated in mutations(inst, sched).items():
         assert_same_verdicts(inst, mutated, where=name)
+
+
+def split_families():
+    labelled = (
+        corpus_instances()
+        + generator_instances()
+        + [("nested-200", nested_instance())]
+        + [
+            (f"chain-{n}-0-x{scale:g}",
+             chain_instance(n=n, horizon=float(n), scale=scale))
+            for n in (150, 400)
+            for scale in (1.0, 1e3, 1e-6)
+        ]
+    )
+    return [pytest.param(inst, id=label) for label, inst in labelled]
+
+
+def assert_same_solution(inst):
+    """The per-period solve against the global round loop, and the
+    allocation table rebuilt from its JSON against the loop table."""
+    new, old = solve(inst, MODEL), ref.solve(inst, MODEL)
+    text = schedule_to_json(new)
+    assert text == schedule_to_json(old)
+    assert new.rates.tobytes() == old.rates.tobytes()
+    assert new.tau.tobytes() == old.tau.tobytes()
+    back = schedule_from_json(text, inst)
+    loop_tau = ref.tau_from_segments(inst, decompose(inst), back.segments)
+    assert back.tau.tobytes() == loop_tau.tobytes()
+    return new
+
+
+@pytest.mark.parametrize("inst", split_families())
+def test_split_solve_matches_global_loop(inst):
+    assert_same_solution(inst)
+
+
+def test_shifted_copy_rounds_alternate():
+    """A chain of 20 packets beside a copy of itself 1000.37 s later.
+    Each round of the original ties with the copy's, whose rates differ
+    in the last bits, so the rounds alternate, original first; merging
+    the two round lists on exact rates would not keep that order."""
+    base = chain_instance(n=20, seed=0, horizon=20.0)
+    inst = normalize_instance(
+        list(base.packets)
+        + [Packet(p.id + 20, p.bits, p.arrival + 1000.37, p.deadline + 1000.37)
+           for p in base.packets]
+    )
+    steps = assert_same_solution(inst).trace.steps
+    assert [st.rate for st in steps[::2]] != [st.rate for st in steps[1::2]]
+    assert len(steps) % 2 == 0
+    for orig, copy in zip(steps[::2], steps[1::2]):
+        assert max(orig.members) <= 20
+        assert copy.members == {m + 20 for m in orig.members}
+
+
+@pytest.mark.parametrize("gap, periods", [(0.5, 1), (2.0, 2)])
+def test_gap_splits_periods_beyond_time_tol(gap, periods):
+    # rounds at rates 1.0 (left), 0.6 and 0.5 (right), 0.2 (left)
+    g = gap * TIME_REL_TOL * 10.0
+    inst = normalize_instance([
+        Packet(1, 0.6, 0.0, 5.0), Packet(2, 2.0, 1.0, 3.0),
+        Packet(3, 1.5, 5.0 + g, 10.0 + g), Packet(4, 1.2, 6.0 + g, 8.0 + g),
+    ])
+    assert inst.time_tol == pytest.approx(TIME_REL_TOL * 10.0)
+    split = scheduler._busy_periods(inst.arrivals(), inst.deadlines(), inst.time_tol)
+    assert len(split) == periods
+    sched = assert_same_solution(inst)
+    assert [set(st.members) for st in sched.trace.steps] == [{2}, {4}, {3}, {1}]
+    extract_certificate(inst, sched, MODEL)
+
+
+def test_tau_from_segments_matches_loop():
+    # random segments: many per cell (so the summation order shows),
+    # edges on grid instants give or take less than the dust, spans of
+    # many epochs, segments out of the grid and degenerate ones
+    inst = nested_instance(n=30, seed=2)
+    decomp = decompose(inst)
+    grid = np.array(decomp.instants)
+    dust = scheduler._PIECE_EPS * inst.horizon
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        segments = []
+        for _ in range(200):
+            t0 = float(rng.choice(grid) + rng.choice([0.0, 0.5, -0.5, 2.0]) * dust
+                       if rng.random() < 0.5 else rng.uniform(-1.0, inst.horizon + 1.0))
+            width = float(rng.choice([0.5 * dust, -1e-3, 5.0]) if rng.random() < 0.2
+                          else rng.uniform(1e-4, 0.3))
+            segments.append(Segment(int(rng.integers(1, 4)), t0, t0 + width, 1.0))
+        new = scheduler._tau_from_segments(inst, decomp, segments)
+        assert new.tobytes() == ref.tau_from_segments(inst, decomp, segments).tobytes()
+    assert scheduler._tau_from_segments(inst, decomp, []).tobytes() == (
+        np.zeros((inst.n, decomp.m)).tobytes()
+    )
 
 
 def test_mutations_cover_every_tampering():

@@ -29,7 +29,9 @@ def original(family):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("scale, shift", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e6)])
+@pytest.mark.parametrize(
+    "scale, shift", [(1e-12, 0.0), (1e-6, 0.0), (1e6, 0.0), (1.0, 1e6)]
+)
 def test_rescaled_and_shifted_copies_certify(family, scale, shift):
     inst, base = original(family)
     copy = certified(normalize_instance(

@@ -43,7 +43,9 @@ print("  gamma[packet 1, epoch 2] =  ", round(cert.gamma[0, 1], 4),
       "(the energy margin by which packet 2 outbids it there)")
 
 # Nudge the allocation: give the slow packet a slice of the busy epoch.
-tau = schedule.tau.copy()
+# schedule.tau holds the table's nonzero cells; spread them out densely.
+tau = np.zeros(schedule.tau.shape)
+tau[schedule.tau.rows, schedule.tau.cols] = schedule.tau.values
 tau[0, 1] += 0.05
 tau[1, 1] -= 0.05
 worse = schedule_from_allocation(instance, tau, model)

@@ -170,13 +170,14 @@ def _cmd_validate(args) -> int:
         if not report.optimal:
             return EXIT_VALIDATION
         cert = extract_certificate(instance, schedule, model)
-        rows, cols = decompose(instance).pairs()
+        decomp = decompose(instance)
+        rows, cols = decomp.pairs()
         doc = {
             "beta": [float(b) for b in cert.beta],
             "gamma": [
                 {"packet": i + 1, "epoch": j + 1, "value": v}
                 for i, j, v in zip(
-                    rows.tolist(), cols.tolist(), cert.gamma[rows, cols].tolist()
+                    rows.tolist(), cols.tolist(), cert.gamma.on_pairs(decomp).tolist()
                 )
             ],
             "lambda": [float(v) for v in cert.lam],
@@ -207,7 +208,8 @@ def _cmd_trace(args) -> int:
     decomp = decompose(instance)
     rows, cols = decomp.pairs()
     lines = ["packet,epoch,start,end,tau"]
-    for i, j, t in zip(rows.tolist(), cols.tolist(), schedule.tau[rows, cols].tolist()):
+    times = schedule.tau.on_pairs(decomp).tolist()
+    for i, j, t in zip(rows.tolist(), cols.tolist(), times):
         s, e = decomp.epochs[j]
         lines.append(f"{i + 1},{j + 1},{float(s)!r},{float(e)!r},{t!r}")
     _write(args.output, "\n".join(lines) + "\n")

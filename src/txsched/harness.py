@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _intervals
-from .model import Instance, Packet, decompose, normalize_instance
+from .model import Instance, Packet, PairTable, decompose, normalize_instance
 from .power import PowerModel, schedule_energy
 from .scheduler import (
     InternalDeadlineMiss,
@@ -24,10 +24,10 @@ from .scheduler import (
     InternalInvariantViolation,
     Schedule,
     _PIECE_EPS,
-    edf_fill,
-    schedule_from_allocation,
-    solve,
+    _schedule_from_table,
     _tau_from_segments,
+    edf_fill,
+    solve,
 )
 
 class ConfigInvalid(ValueError):
@@ -145,10 +145,10 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
             segments.extend(segs)
             free = _intervals.subtract(free, usable, dust)
     except (InternalIdle, InternalDeadlineMiss):
-        tau = np.zeros((instance.n, decomp.m))
         rows, cols = decomp.pairs()
-        tau[rows, cols] = decomp.epoch_lengths()[cols] / decomp.coverage()[cols]
-        return schedule_from_allocation(instance, tau, model)
+        share = decomp.epoch_lengths()[cols] / decomp.coverage()[cols]
+        tau = PairTable(rows, cols, share, (instance.n, decomp.m))
+        return _schedule_from_table(instance, decomp, tau, model)
 
     segments.sort(key=lambda s: (s.t_start, s.t_end))
     tau = _tau_from_segments(instance, decomp, segments)

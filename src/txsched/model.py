@@ -138,6 +138,15 @@ class EpochDecomposition:
         cols = np.arange(counts.sum()) + np.repeat(lo - first, counts)
         return rows, cols
 
+    def pair_positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Where each (row, column) cell sits in `pairs()`, or -1 for a
+        cell outside its packet's epoch range."""
+        lo = np.array(self.lo, dtype=np.intp)
+        hi = np.array(self.hi, dtype=np.intp)
+        first = np.cumsum(hi - lo) - (hi - lo)
+        inside = (cols >= lo[rows]) & (cols < hi[rows])
+        return np.where(inside, first[rows] + cols - lo[rows], -1)
+
     def coverage(self) -> np.ndarray:
         """Number of packets that can transmit in each epoch column."""
         steps = np.bincount(self.lo, minlength=self.m + 1) - np.bincount(
@@ -170,6 +179,48 @@ class EpochDecomposition:
                 out[-1] = (out[-1][0], e)
             else:
                 out.append((s, e))
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """A sparse packet x epoch table of `shape` (N, M): cell
+    (rows[k], cols[k]) holds values[k], and every other cell is 0.
+
+    Rows and columns are 0-based (packet id - 1, epoch - 1).  The cells
+    are distinct and ordered by row, then column, so a row or column
+    sum adds its values in that order.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, table: np.ndarray) -> "PairTable":
+        """The nonzero cells of a 2-D array."""
+        rows, cols = np.nonzero(table)
+        return cls(rows, cols, table[rows, cols], table.shape)
+
+    def __getitem__(self, cell: tuple[int, int]) -> float:
+        i, j = cell
+        hit = np.flatnonzero((self.rows == i) & (self.cols == j))
+        return float(self.values[hit[0]]) if hit.size else 0.0
+
+    def row_sums(self) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.values, minlength=self.shape[0])
+
+    def col_sums(self) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.values, minlength=self.shape[1])
+
+    def on_pairs(self, decomp: EpochDecomposition) -> np.ndarray:
+        """The table's value at every feasible pair, in `decomp.pairs()`
+        order; cells outside the packets' ranges are left out."""
+        out = np.zeros(sum(decomp.hi) - sum(decomp.lo))
+        pos = decomp.pair_positions(self.rows, self.cols)
+        inside = pos >= 0
+        out[pos[inside]] = self.values[inside]
         return out
 
 

@@ -23,7 +23,6 @@ power model enters once at the end, to price the schedule.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import json
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from .model import (
     EpochDecomposition,
     Instance,
     Packet,
+    PairTable,
     decompose,
 )
 from .power import PowerModel, schedule_energy
@@ -99,11 +99,12 @@ class Schedule:
     """A complete transmission plan.
 
     rates[i-1] is packet i's constant rate; tau[i-1, j-1] its
-    transmission time inside epoch j; segments the flattened timeline.
+    transmission time inside epoch j, held as the table's nonzero cells;
+    segments the flattened timeline.
     """
 
     rates: np.ndarray
-    tau: np.ndarray
+    tau: PairTable
     segments: tuple[Segment, ...]
     energy: float
     trace: IterationTrace | None
@@ -176,9 +177,14 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     Steps are cut to within `eps`, _PIECE_EPS relative to the largest
     piece endpoint, since the steps add up in float and one ulp of a
-    large instant exceeds any absolute epsilon.  An arrival or deadline
-    is the same instant as `t` within `tol`, TIME_REL_TOL times the
-    latest member deadline: the scale of the instance's time tolerance.
+    large instant exceeds any absolute epsilon; for the same reason a
+    member is done once less than `eps` of its time is left.  An arrival
+    or deadline is the same instant as `t` within `tol`, TIME_REL_TOL
+    times the latest member deadline: the scale of the instance's time
+    tolerance.
+    That tolerance admits a member early only when no arrived member is
+    waiting; otherwise the running step ends at the arrival, so no
+    member transmits before its arrival instant while another could.
     """
     if not members:
         raise ValueError("no members to fill")
@@ -195,8 +201,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     need = {p.id: p.bits / rate for p in members}
     total_need = sum(need.values())
-    need_tol = 1e-12 * total_need
-    arrivals = sorted({p.arrival for p in members})
+    need_tol = max(1e-12 * total_need, eps)
     # Member positions by arrival; a position also breaks (deadline, id)
     # ties.  Admission times never decrease: a piece ends its steps
     # eps before its end, and the next piece starts no earlier.
@@ -213,17 +218,22 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
         else:
             segments.append(Segment(pid, t0, t1, rate))
 
+    def admit(until: float):
+        nonlocal admitted
+        while admitted < len(members):
+            p = members[by_arrival[admitted]]
+            if p.arrival > until:
+                break
+            if need[p.id] > need_tol:
+                heapq.heappush(heap, (p.deadline, p.id, by_arrival[admitted]))
+            admitted += 1
+
     for ps, pe in pieces:
         t = ps
         while pe - t > eps:
-            while (
-                admitted < len(members)
-                and members[by_arrival[admitted]].arrival <= t + tol
-            ):
-                p = members[by_arrival[admitted]]
-                if need[p.id] > need_tol:
-                    heapq.heappush(heap, (p.deadline, p.id, by_arrival[admitted]))
-                admitted += 1
+            admit(t + eps)
+            if not heap:
+                admit(t + tol)
             if heap and heap[0][0] < t - tol:
                 # A member past its deadline has arrived, so the heap holds
                 # every unfinished one; name the first in member order.
@@ -244,9 +254,10 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
                     raise InternalDeadlineMiss(
                         f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
                     )
-            i = bisect.bisect_right(arrivals, t + tol)
-            if i < len(arrivals) and arrivals[i] < t + dur - eps:
-                dur = arrivals[i] - t
+            if admitted < len(members):
+                arrival = members[by_arrival[admitted]].arrival
+                if arrival < t + dur - eps:
+                    dur = arrival - t
             emit(cur.id, t, t + dur)
             need[cur.id] -= dur
             if need[cur.id] <= need_tol:
@@ -268,11 +279,12 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
 def _tau_from_segments(
     instance: Instance, decomp: EpochDecomposition, segments
-) -> np.ndarray:
+) -> PairTable:
     """The epoch-time table of a segment list: each segment adds its
-    overlap with every epoch it meets, in segment order."""
+    overlap with every epoch it meets, in segment order.  Segments of
+    unknown packets book nothing; the verifier names them."""
     grid = np.array(decomp.instants)
-    tau = np.zeros((instance.n, decomp.m))
+    segments = [seg for seg in segments if 1 <= seg.packet <= instance.n]
     rows = np.array([seg.packet - 1 for seg in segments], dtype=np.intp)
     t0 = np.array([seg.t_start for seg in segments], dtype=float)
     t1 = np.array([seg.t_end for seg in segments], dtype=float)
@@ -288,8 +300,11 @@ def _tau_from_segments(
     # sub-dust overlaps are float artifacts of segments touching an
     # epoch boundary, not allocations
     keep = overlap > _PIECE_EPS * instance.horizon
-    np.add.at(tau, (rows[seg[keep]], cols[keep]), overlap[keep])
-    return tau
+    m = decomp.m
+    cells, where = np.unique(rows[seg[keep]] * m + cols[keep], return_inverse=True)
+    values = np.zeros(len(cells))
+    np.add.at(values, where, overlap[keep])
+    return PairTable(cells // m, cells % m, values, (instance.n, m))
 
 
 def _check_solution_invariants(
@@ -324,7 +339,7 @@ def _check_solution_invariants(
     for seg in segments:
         delivered[seg.packet - 1] += seg.duration * seg.rate
     bits = instance.bits()
-    if np.any(np.abs(delivered - bits) > 1e-9 * np.maximum(bits, 1.0)):
+    if np.any(np.abs(delivered - bits) > 1e-9 * bits):
         raise InternalInvariantViolation("delivered bits do not match packet sizes")
     if np.any(rates <= 0):
         raise InternalInvariantViolation("some packet ended up with no rate")
@@ -461,7 +476,8 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
 def schedule_from_allocation(
     instance: Instance, tau: np.ndarray, model: PowerModel
 ) -> Schedule:
-    """Materialize a schedule from an epoch-time allocation table.
+    """Materialize a schedule from a dense N x M epoch-time allocation
+    table, such as the oracle's, keeping its nonzero cells.
 
     Rates follow from each packet's total time; inside each epoch the
     allocated packets transmit sequentially in deadline order.  Useful
@@ -472,20 +488,30 @@ def schedule_from_allocation(
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (instance.n, decomp.m):
         raise ValueError(f"tau must be {(instance.n, decomp.m)}, got {tau.shape}")
-    totals = tau.sum(axis=1)
+    return _schedule_from_table(instance, decomp, PairTable.from_dense(tau), model)
+
+
+def _schedule_from_table(
+    instance: Instance, decomp: EpochDecomposition, tau: PairTable, model: PowerModel
+) -> Schedule:
+    """`schedule_from_allocation` on the table's cells."""
+    totals = tau.row_sums()
     if np.any(totals <= 0):
         raise ValueError("every packet needs positive total time")
     bits = instance.bits()
     rates = bits / totals
-    segments = []
     dust = _PIECE_EPS * instance.horizon
-    for j in range(decomp.m):
-        t = decomp.epochs[j][0]
-        rows = [i for i in np.flatnonzero(tau[:, j] > dust)]
-        rows.sort(key=lambda i: (instance.packets[i].deadline, i))
-        for i in rows:
-            segments.append(Segment(i + 1, t, t + tau[i, j], float(rates[i])))
-            t += tau[i, j]
+    used = tau.values > dust
+    rows, cols, values = tau.rows[used], tau.cols[used], tau.values[used]
+    order = np.lexsort((rows, instance.deadlines()[rows], cols))
+    segments = []
+    col = -1
+    cells = zip(rows[order].tolist(), cols[order].tolist(), values[order].tolist())
+    for i, j, v in cells:
+        if j != col:
+            col, t = j, decomp.epochs[j][0]
+        segments.append(Segment(i + 1, t, t + v, float(rates[i])))
+        t += v
     segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
     energy = schedule_energy(
         model,
@@ -523,7 +549,7 @@ def schedule_to_json(schedule: Schedule) -> str:
             for st in (schedule.trace.steps if schedule.trace else ())
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def schedule_from_json(text: str, instance: Instance) -> Schedule:

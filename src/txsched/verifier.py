@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EpochDecomposition, Instance, decompose
+from .model import EpochDecomposition, Instance, PairTable, decompose
 from .power import PowerModel
 from .scheduler import _PIECE_EPS, Schedule
 
@@ -46,15 +46,62 @@ class FeasibilityReport:
 
 
 @dataclass(frozen=True)
+class PairTimes:
+    """A schedule's time at every feasible (packet, epoch) pair.
+
+    rows, cols and tau follow `decomp.pairs()`: packet-major, epochs
+    ascending within a packet.  `positive` marks the pairs whose time
+    counts as positive, POSITIVE_TIME_REL of the epoch or more.
+    """
+
+    decomp: EpochDecomposition
+    rows: np.ndarray
+    cols: np.ndarray
+    tau: np.ndarray
+    positive: np.ndarray
+
+    def members(self, col: int, positive: bool) -> frozenset[int]:
+        """Ids of the packets feasible in epoch column `col` whose time
+        there is positive, or zero."""
+        rows = np.arange(len(self.decomp.lo))
+        pos = self.decomp.pair_positions(rows, np.full(len(rows), col))
+        rows, pos = rows[pos >= 0], pos[pos >= 0]
+        return frozenset((rows[self.positive[pos] == positive] + 1).tolist())
+
+
+def _pair_times(decomp: EpochDecomposition, tau: PairTable) -> PairTimes:
+    rows, cols = decomp.pairs()
+    values = tau.on_pairs(decomp)
+    positive = values > POSITIVE_TIME_REL * decomp.epoch_lengths()[cols]
+    return PairTimes(decomp, rows, cols, values, positive)
+
+
+@dataclass(frozen=True)
 class EpochCondition:
-    """Rate-ordering conditions for one epoch."""
+    """Rate-ordering conditions for one epoch.
+
+    The packets feasible here split into those with positive time
+    (`positive`) and those with zero time (`zero`); the report keeps
+    their counts, and the member sets are built when asked for.
+    """
 
     epoch: int
-    positive: frozenset[int]       # packets with positive time here
-    zero: frozenset[int]           # feasible packets with zero time here
+    n_positive: int
+    n_zero: int
     equal_rates_ok: bool
     dominance_ok: bool
     common_rate: float | None
+    pairs: PairTimes = field(compare=False, repr=False)
+
+    @property
+    def positive(self) -> frozenset[int]:
+        """Packets with positive time here."""
+        return self.pairs.members(self.epoch - 1, True)
+
+    @property
+    def zero(self) -> frozenset[int]:
+        """Feasible packets with zero time here."""
+        return self.pairs.members(self.epoch - 1, False)
 
 
 @dataclass(frozen=True)
@@ -66,33 +113,8 @@ class VerificationReport:
     monotone_iteration_rates_ok: bool | None
     optimal: bool
     warnings: tuple[str, ...] = field(default=())
-
-
-# Columns per block when summing tau column by column; bounds the
-# transposed copy to N x 256 floats.
-_COLUMN_BLOCK = 256
-
-
-def _column_sums(tau: np.ndarray) -> np.ndarray:
-    """tau[:, j].sum() for every column j, bit for bit.
-
-    numpy sums a single row or column pairwise, but `tau.sum(axis=0)`
-    adds whole rows in sequence and rounds differently, so each block
-    of columns is transposed into contiguous rows and summed along them.
-    """
-    out = np.empty(tau.shape[1])
-    for j0 in range(0, tau.shape[1], _COLUMN_BLOCK):
-        block = tau[:, j0 : j0 + _COLUMN_BLOCK]
-        out[j0 : j0 + block.shape[1]] = np.ascontiguousarray(block.T).sum(axis=1)
-    return out
-
-
-def _pairs_with_time(decomp: EpochDecomposition, tau: np.ndarray):
-    """Every feasible (row, column) pair, as `decomp.pairs()` orders
-    them, with a mask of the pairs whose time counts as positive."""
-    rows, cols = decomp.pairs()
-    positive = tau[rows, cols] > POSITIVE_TIME_REL * decomp.epoch_lengths()[cols]
-    return rows, cols, positive
+    # the pair times the conditions were checked on
+    pairs: PairTimes | None = field(default=None, compare=False, repr=False)
 
 
 def _per_epoch(ufunc, fill: float, cols: np.ndarray, values: np.ndarray, m: int):
@@ -187,24 +209,22 @@ def check_feasible(
             f"of {bits[i]} bits"
         )
 
-    # Only nonzero entries can be negative or lie outside a window.
+    # Only the table's cells can be negative or lie outside a window.
     tau = schedule.tau
-    nz_rows, nz_cols = np.nonzero(tau)
-    nz_vals = tau[nz_rows, nz_cols]
     dust = _PIECE_EPS * instance.horizon
-    if np.any(nz_vals < -dust):
+    if np.any(tau.values < -dust):
         violations.append("negative epoch allocation in tau")
-    lo, hi = np.array(decomp.lo), np.array(decomp.hi)
-    outside = (np.abs(nz_vals) > dust) & (
-        (nz_cols < lo[nz_rows]) | (nz_cols >= hi[nz_rows])
+    outside = (np.abs(tau.values) > dust) & (
+        decomp.pair_positions(tau.rows, tau.cols) < 0
     )
-    totals = np.ascontiguousarray(tau).sum(axis=1)  # pairwise per row, as tau[i].sum()
+    totals = tau.row_sums()
     rates = schedule.rates
     with np.errstate(divide="ignore", invalid="ignore"):
         span = np.where(rates > 0, bits / rates, np.inf)
-    mismatch = np.abs(totals - span) > BIT_REL_TOL * np.maximum(span, 1.0)
+    # A total may also miss the sub-dust overlaps the table leaves out.
+    mismatch = np.abs(totals - span) > np.maximum(BIT_REL_TOL * span, dust)
     outside_by_row: dict[int, list[int]] = {}
-    for i, j in zip(nz_rows[outside].tolist(), nz_cols[outside].tolist()):
+    for i, j in zip(tau.rows[outside].tolist(), tau.cols[outside].tolist()):
         outside_by_row.setdefault(i, []).append(j)
     for i in sorted(outside_by_row.keys() | set(_flagged(mismatch))):
         for j in outside_by_row.get(i, ()):
@@ -218,7 +238,7 @@ def check_feasible(
             )
 
     lengths = decomp.epoch_lengths()
-    used = _column_sums(tau)
+    used = tau.col_sums()
     for j in _flagged(used > lengths + tol):
         violations.append(
             f"epoch {j + 1} allocates {used[j]} of its {lengths[j]} seconds"
@@ -267,46 +287,36 @@ def check_optimality(
     constant_rate_ok = not np.any(fastest - slowest > RATE_REL_TOL * fastest)
 
     lengths = decomp.epoch_lengths()
-    live = decomp.coverage() > 0
-    used = _column_sums(schedule.tau)
+    coverage = decomp.coverage()
+    live = coverage > 0
+    used = schedule.tau.col_sums()
     idle_ok = ~live | (np.abs(used - lengths) <= instance.time_tol)
     non_idling = dict(enumerate(idle_ok.tolist(), start=1))
 
     rates = schedule.rates
     rmax = float(rates.max()) if len(rates) else 0.0
-    # The positive and the zero pairs, each grouped by epoch column.
-    rows, cols, positive = _pairs_with_time(decomp, schedule.tau)
-    by_epoch = np.argsort(cols, kind="stable")
-    pos = by_epoch[positive[by_epoch]]
-    zero = by_epoch[~positive[by_epoch]]
-    n_pos = np.bincount(cols[pos], minlength=m)
-    n_zero = np.bincount(cols[zero], minlength=m)
-    pos_max = _per_epoch(np.maximum, -np.inf, cols[pos], rates[rows[pos]], m)
-    pos_min = _per_epoch(np.minimum, np.inf, cols[pos], rates[rows[pos]], m)
-    zero_max = _per_epoch(np.maximum, -np.inf, cols[zero], rates[rows[zero]], m)
+    # Per-epoch rate extremes of the positive and of the zero pairs.
+    pairs = _pair_times(decomp, schedule.tau)
+    pos, zero = pairs.positive, ~pairs.positive
+    pos_cols, zero_cols = pairs.cols[pos], pairs.cols[zero]
+    pos_rate, zero_rate = rates[pairs.rows[pos]], rates[pairs.rows[zero]]
+    n_pos = np.bincount(pos_cols, minlength=m)
+    n_zero = coverage - n_pos
+    pos_max = _per_epoch(np.maximum, -np.inf, pos_cols, pos_rate, m)
+    pos_min = _per_epoch(np.minimum, np.inf, pos_cols, pos_rate, m)
+    zero_max = _per_epoch(np.maximum, -np.inf, zero_cols, zero_rate, m)
     equal_ok = (n_pos == 0) | (pos_max - pos_min <= RATE_REL_TOL * pos_max)
     dominance_ok = (n_pos == 0) | (n_zero == 0) | (
         pos_min >= zero_max - RATE_REL_TOL * max(rmax, 1.0)
     )
 
-    pos_ids = (rows[pos] + 1).tolist()
-    zero_ids = (rows[zero] + 1).tolist()
-    pos_end = np.cumsum(n_pos).tolist()
-    zero_end = np.cumsum(n_zero).tolist()
-    n_pos, n_zero = n_pos.tolist(), n_zero.tolist()
-    equal_ok, dominance_ok = equal_ok.tolist(), dominance_ok.tolist()
-    conditions = []
-    for col in np.flatnonzero(live).tolist():
-        conditions.append(
-            EpochCondition(
-                epoch=col + 1,
-                positive=frozenset(pos_ids[pos_end[col] - n_pos[col] : pos_end[col]]),
-                zero=frozenset(zero_ids[zero_end[col] - n_zero[col] : zero_end[col]]),
-                equal_rates_ok=equal_ok[col],
-                dominance_ok=dominance_ok[col],
-                common_rate=float(pos_max[col]) if n_pos[col] else None,
-            )
+    per_epoch = (n_pos, n_zero, equal_ok, dominance_ok, pos_max)
+    conditions = tuple(
+        EpochCondition(col + 1, n_p, n_z, eq, dom, r if n_p else None, pairs)
+        for col, n_p, n_z, eq, dom, r in zip(
+            np.flatnonzero(live).tolist(), *(a[live].tolist() for a in per_epoch)
         )
+    )
 
     monotone: bool | None = None
     if schedule.trace is not None and schedule.trace.steps:
@@ -317,11 +327,11 @@ def check_optimality(
                 monotone = False
 
     # f is evaluated once per distinct rate; the terms add up in packet order.
-    bits = instance.bits()
     power_of = {r: model.power(r) for r in set(rates[rates > 0].tolist())}
     recomputed = 0.0
-    for i in np.flatnonzero(rates > 0).tolist():
-        recomputed += bits[i] / rates[i] * power_of[rates[i]]
+    for b, r in zip(instance.bits().tolist(), rates.tolist()):
+        if r > 0:
+            recomputed += b / r * power_of[r]
     if not np.isfinite(recomputed):
         warnings.append(
             f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
@@ -342,10 +352,11 @@ def check_optimality(
         feasible=feas,
         constant_rate_ok=constant_rate_ok,
         non_idling_ok=non_idling,
-        epoch_rate_conditions=tuple(conditions),
+        epoch_rate_conditions=conditions,
         monotone_iteration_rates_ok=monotone,
         optimal=optimal,
         warnings=tuple(warnings),
+        pairs=pairs,
     )
 
 
@@ -354,14 +365,16 @@ class KKTCertificate:
     """Multipliers witnessing optimality.
 
     beta[j-1] prices epoch j's time; gamma[i-1, j-1] prices packet i's
-    zero allocation in epoch j; lam[i-1] prices packet i's bit
-    constraint.  The rates' own multipliers are identically 0, because
-    optimal rates are positive, and are not stored.  The defining identity is rate_i = g_inverse(beta_j - gamma_ij) for
-    every epoch j in packet i's window.
+    zero allocation in epoch j, and is held on the waiting pairs only
+    (zero time in an epoch where others transmit); lam[i-1] prices
+    packet i's bit constraint.  The rates' own multipliers are
+    identically 0, because optimal rates are positive, and are not
+    stored.  The defining identity is rate_i = g_inverse(beta_j -
+    gamma_ij) for every epoch j in packet i's window.
     """
 
     beta: np.ndarray
-    gamma: np.ndarray
+    gamma: PairTable
     lam: np.ndarray
 
 
@@ -405,14 +418,14 @@ def extract_certificate(
     beta = np.zeros(m)
     for col, r in common.items():
         beta[col] = g_of[r]
-    tau = schedule.tau
-    rows, cols, positive = _pairs_with_time(decomp, tau)
+    pairs = report.pairs
+    rows, cols, positive = pairs.rows, pairs.cols, pairs.positive
     transmitting = np.bincount(cols[positive], minlength=m) > 0
     waiting = ~positive & transmitting[cols]
-    gamma = np.zeros((n, m))
-    gamma[rows[waiting], cols[waiting]] = np.maximum(
-        beta[cols[waiting]] - g_rates[rows[waiting]], 0.0
-    )
+    target = g_rates[rows]
+    pair_beta = beta[cols]
+    pair_gamma = np.where(waiting, np.maximum(pair_beta - target, 0.0), 0.0)
+    gamma = PairTable(rows[waiting], cols[waiting], pair_gamma[waiting], (n, m))
 
     lam = g_rates.copy()
 
@@ -423,18 +436,17 @@ def extract_certificate(
     # under beta's float quantum whenever the epoch's common rate is
     # much faster, so the residual is measured additively at beta's
     # scale instead.  Pairs are checked in packet order, then epoch order.
+    # The tolerance is the larger of CERT_TOL relative to g(rate) and two
+    # quanta of beta; the quanta are only taken where the first is exceeded.
     lengths = decomp.epoch_lengths()
-    target = g_rates[rows]
-    pair_beta = beta[cols]
-    pair_gamma = gamma[rows, cols]
     residual = np.abs(pair_beta - pair_gamma - target)
-    tol = np.maximum(
-        CERT_TOL * np.maximum(1.0, target),
-        2.0 * np.spacing(np.maximum(pair_beta, 1.0)),
+    identity_bad = residual > CERT_TOL * np.maximum(1.0, target)
+    suspect = np.flatnonzero(identity_bad)
+    identity_bad[suspect] = residual[suspect] > 2.0 * np.spacing(
+        np.maximum(pair_beta[suspect], 1.0)
     )
-    identity_bad = residual > tol
-    slack = pair_gamma * tau[rows, cols]
-    scale = np.maximum(pair_gamma, 1.0) * np.maximum(lengths[cols], 1.0)
+    slack = pair_gamma * pairs.tau
+    scale = np.maximum(pair_gamma, 1.0) * lengths[cols]
     slack_bad = np.abs(slack) > CERT_TOL * scale
     bad = _flagged(identity_bad | slack_bad)
     if bad:
@@ -443,16 +455,16 @@ def extract_certificate(
         if identity_bad[k]:
             raise RuntimeError(
                 f"certificate identity failed for packet {i}, epoch {j}: "
-                f"beta - gamma = {beta[j - 1] - gamma[i - 1, j - 1]}, "
+                f"beta - gamma = {pair_beta[k] - pair_gamma[k]}, "
                 f"g(rate) = {target[k]}"
             )
         raise RuntimeError(f"complementary slackness failed for packet {i}, epoch {j}")
-    cap_slack = beta * (_column_sums(tau) - lengths)
+    cap_slack = beta * (schedule.tau.col_sums() - lengths)
     bad = _flagged(np.abs(cap_slack) > np.maximum(beta, 1.0) * instance.time_tol)
     if bad:
         raise RuntimeError(f"epoch {bad[0] + 1} capacity slackness failed")
-    if np.any(beta < 0) or np.any(gamma < 0):
+    if np.any(beta < 0) or np.any(gamma.values < 0):
         raise RuntimeError("multiplier sign constraints failed")
-    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma.values))):
         raise RuntimeError("non-finite multipliers")
     return KKTCertificate(beta=beta, gamma=gamma, lam=lam)

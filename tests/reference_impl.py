@@ -7,10 +7,12 @@ the vectorized `txsched.verifier` functions, the heap-based
 once-per-rate `txsched.power.schedule_energy` replaced, kept as the
 reference that tests/test_equivalence.py compares the fast code against:
 identical schedule JSON, the same violation strings in the same order,
-the same condition tuples, bit-identical multipliers, tables and energy,
-and identical segments.  `decompose_sets` builds the epoch containment
-relation as frozenset families, the representation the loops were
-written for.
+the same conditions and member sets, bit-identical multipliers, tables
+and energy, and identical segments.  `decompose_sets` builds the epoch
+containment relation as frozenset families, and `dense` the N x M
+table, the representations the loops were written for.  The loops add
+a table's rows and columns cell by cell in index order, the order the
+sparse table's sums take.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from txsched import _intervals, scheduler
-from txsched.model import TIME_REL_TOL, Instance, Packet, decompose
+from txsched.model import TIME_REL_TOL, Instance, Packet, PairTable, decompose
 from txsched.power import NegativeRate, PowerModel, ZeroRate
 from txsched.scheduler import (
     _PIECE_EPS,
@@ -42,13 +44,39 @@ from txsched.verifier import (
     POSITIVE_TIME_REL,
     RATE_REL_TOL,
     DimensionMismatch,
-    EpochCondition,
     FeasibilityReport,
     InfeasibleInput,
-    KKTCertificate,
     NotOptimal,
     VerificationReport,
 )
+
+
+def dense(table: PairTable) -> np.ndarray:
+    """The N x M array of a sparse table."""
+    out = np.zeros(table.shape)
+    out[table.rows, table.cols] = table.values
+    return out
+
+
+@dataclass(frozen=True)
+class LoopCondition:
+    """The rate-ordering conditions of one epoch, with its member sets."""
+
+    epoch: int
+    positive: frozenset[int]
+    zero: frozenset[int]
+    equal_rates_ok: bool
+    dominance_ok: bool
+    common_rate: float | None
+
+
+@dataclass(frozen=True)
+class DenseCertificate:
+    """The multipliers, with gamma as an N x M array."""
+
+    beta: np.ndarray
+    gamma: np.ndarray
+    lam: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,6 +129,16 @@ def decompose_sets(instance: Instance) -> SetDecomposition:
         epoch_sets_per_packet=tuple(c_sets),
         packet_sets_per_epoch=tuple(frozenset(s) for s in f_lists),
     )
+
+
+def row_sum(tau: np.ndarray, i: int) -> float:
+    """tau[i, 0] + tau[i, 1] + ..., added left to right."""
+    return float(np.add.accumulate(tau[i])[-1]) if tau.shape[1] else 0.0
+
+
+def column_sum(tau: np.ndarray, j: int) -> float:
+    """tau[0, j] + tau[1, j] + ..., added top to bottom."""
+    return float(np.add.accumulate(tau[:, j])[-1]) if tau.shape[0] else 0.0
 
 
 def _positive_sets(
@@ -171,25 +209,26 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
             )
 
     dust = _PIECE_EPS * instance.horizon
-    if np.any(schedule.tau < -dust):
+    tau = dense(schedule.tau)
+    if np.any(tau < -dust):
         violations.append("negative epoch allocation in tau")
     for i in range(n):
         c_i = decomp.epoch_sets_per_packet[i]
         for j in range(1, m + 1):
-            if j not in c_i and abs(schedule.tau[i, j - 1]) > dust:
+            if j not in c_i and abs(tau[i, j - 1]) > dust:
                 violations.append(
                     f"packet {i + 1} allocated time in epoch {j} outside its window"
                 )
-        total = schedule.tau[i].sum()
+        total = row_sum(tau, i)
         span = bits[i] / schedule.rates[i] if schedule.rates[i] > 0 else np.inf
-        if abs(total - span) > BIT_REL_TOL * max(span, 1.0):
+        if abs(total - span) > max(BIT_REL_TOL * span, dust):
             violations.append(
                 f"packet {i + 1} tau total {total} does not match bits/rate {span}"
             )
 
     lengths = decomp.epoch_lengths()
     for j in range(1, m + 1):
-        used = schedule.tau[:, j - 1].sum()
+        used = column_sum(tau, j - 1)
         if used > lengths[j - 1] + tol:
             violations.append(
                 f"epoch {j} allocates {used} of its {lengths[j - 1]} seconds"
@@ -230,12 +269,13 @@ def check_optimality(
             constant_rate_ok = False
 
     lengths = decomp.epoch_lengths()
+    tau = dense(schedule.tau)
     non_idling: dict[int, bool] = {}
     for j in range(1, decomp.m + 1):
         if not decomp.packet_sets_per_epoch[j - 1]:
             non_idling[j] = True  # no packet can transmit here
             continue
-        used = schedule.tau[:, j - 1].sum()
+        used = column_sum(tau, j - 1)
         non_idling[j] = abs(used - lengths[j - 1]) <= instance.time_tol
 
     rates = schedule.rates
@@ -245,7 +285,7 @@ def check_optimality(
         feas_set = decomp.packet_sets_per_epoch[j - 1]
         if not feas_set:
             continue
-        pos, zero = _positive_sets(instance, decomp, schedule.tau, j)
+        pos, zero = _positive_sets(instance, decomp, tau, j)
         pos_rates = [rates[i - 1] for i in pos]
         equal_ok = True
         common = None
@@ -258,7 +298,7 @@ def check_optimality(
             hi = max(rates[k - 1] for k in zero)
             dominance_ok = lo >= hi - RATE_REL_TOL * max(rmax, 1.0)
         conditions.append(
-            EpochCondition(
+            LoopCondition(
                 epoch=j,
                 positive=pos,
                 zero=zero,
@@ -310,7 +350,7 @@ def check_optimality(
 
 def extract_certificate(
     instance: Instance, schedule: Schedule, model: PowerModel
-) -> KKTCertificate:
+) -> DenseCertificate:
     """Construct and validate the multipliers of an optimal schedule."""
     report = check_optimality(instance, schedule, model)
     if not report.optimal:
@@ -358,6 +398,7 @@ def extract_certificate(
     # much faster, so the residual is measured additively at beta's
     # scale instead.
     lengths = decomp.epoch_lengths()
+    tau = dense(schedule.tau)
     for i in range(1, n + 1):
         for j in decomp.epoch_sets_per_packet[i - 1]:
             target = g_rates[i - 1]
@@ -372,14 +413,14 @@ def extract_certificate(
                     f"beta - gamma = {beta[j - 1] - gamma[i - 1, j - 1]}, "
                     f"g(rate) = {target}"
                 )
-            slack = gamma[i - 1, j - 1] * schedule.tau[i - 1, j - 1]
-            scale = max(gamma[i - 1, j - 1], 1.0) * max(lengths[j - 1], 1.0)
+            slack = gamma[i - 1, j - 1] * tau[i - 1, j - 1]
+            scale = max(gamma[i - 1, j - 1], 1.0) * lengths[j - 1]
             if abs(slack) > CERT_TOL * scale:
                 raise RuntimeError(
                     f"complementary slackness failed for packet {i}, epoch {j}"
                 )
     for j in range(1, m + 1):
-        used = schedule.tau[:, j - 1].sum()
+        used = column_sum(tau, j - 1)
         slack = beta[j - 1] * (used - lengths[j - 1])
         if abs(slack) > max(beta[j - 1], 1.0) * instance.time_tol:
             raise RuntimeError(f"epoch {j} capacity slackness failed")
@@ -387,7 +428,7 @@ def extract_certificate(
         raise RuntimeError("multiplier sign constraints failed")
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
         raise RuntimeError("non-finite multipliers")
-    return KKTCertificate(beta=beta, gamma=gamma, lam=lam)
+    return DenseCertificate(beta=beta, gamma=gamma, lam=lam)
 
 
 def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
@@ -399,7 +440,9 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     internal bug: the caller only passes windows whose rate makes both
     impossible.  Steps are cut to within _PIECE_EPS relative to the
     largest piece endpoint; arrivals and deadlines are compared to within
-    TIME_REL_TOL times the latest member deadline.
+    TIME_REL_TOL times the latest member deadline, and an arrival within
+    that tolerance ahead of `t` is admitted only when nothing else can
+    run.
     """
     if not members:
         raise ValueError("no members to fill")
@@ -416,9 +459,10 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
     need = {p.id: p.bits / rate for p in members}
     total_need = sum(need.values())
-    need_tol = 1e-12 * total_need
+    need_tol = max(1e-12 * total_need, eps)
     by_id = {p.id: p for p in members}
     arrivals = sorted({p.arrival for p in members})
+    reach = -np.inf  # every member arriving by then has been admitted
 
     segments: list[Segment] = []
 
@@ -437,11 +481,19 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
                     raise InternalDeadlineMiss(
                         f"packet {p.id} unfinished at its deadline {p.deadline}"
                     )
+            reach = max(reach, t + eps)
             active = [
                 p
                 for p in members
-                if need[p.id] > need_tol and p.arrival <= t + tol
+                if need[p.id] > need_tol and p.arrival <= reach
             ]
+            if not active:
+                reach = max(reach, t + tol)
+                active = [
+                    p
+                    for p in members
+                    if need[p.id] > need_tol and p.arrival <= reach
+                ]
             if not active:
                 raise InternalIdle(f"no transmittable packet at time {t}")
             cur = min(active, key=lambda p: (p.deadline, p.id))
@@ -452,7 +504,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
                     raise InternalDeadlineMiss(
                         f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
                     )
-            i = np.searchsorted(arrivals, t + tol, side="right")
+            i = np.searchsorted(arrivals, reach, side="right")
             if i < len(arrivals) and arrivals[i] < t + dur - eps:
                 dur = arrivals[i] - t
             emit(cur.id, t, t + dur)
@@ -553,7 +605,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     _check_solution_invariants(instance, decomp, trace, segments, rates)
     return Schedule(
         rates=rates,
-        tau=tau_from_segments(instance, decomp, segments),
+        tau=PairTable.from_dense(tau_from_segments(instance, decomp, segments)),
         segments=tuple(segments),
         energy=schedule_energy(
             model, [(i + 1, rates[i], bits[i] / rates[i]) for i in range(n)]

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_impl import dense
 
 from txsched import (
     GeneratorConfig,
@@ -155,7 +156,7 @@ def test_criterion_3_necessary_conditions(big_corpus):
             continue
         if not (
             np.all(cert.beta >= 0)
-            and np.all(cert.gamma >= 0)
+            and np.all(cert.gamma.values >= 0)
             and np.all(np.isfinite(cert.lam))
         ):
             failures.append((k, "multiplier signs"))
@@ -202,7 +203,7 @@ def test_criterion_4_sufficiency_perturbations():
         if pick is None:
             continue
         j, donor, recipient, delta = pick
-        tau = sched.tau.copy()
+        tau = dense(sched.tau)
         tau[donor - 1, j - 1] -= delta
         tau[recipient - 1, j - 1] += delta
         perturbed = schedule_from_allocation(inst, tau, MODEL)

@@ -5,8 +5,14 @@ cutting a window out of the middle of the remaining timeline.  Every
 instance, and its copies with time and bits scaled by 1e3, 1e-3, 1e6,
 1e-6 and 1e-12, must solve, survive the JSON round trip and yield a KKT
 certificate; the copies must reproduce the original's rates and scale its
-energy by the factor.
+energy by the factor.  Chain N=10^4 must do the same in under 400 MB.
 """
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,3 +72,26 @@ def test_large_chain_certifies():
     # 971 rounds in 342 busy periods
     sched = certified(chain_instance(n=2000, seed=0, horizon=2000.0))
     assert len(sched.trace.steps) > 2000 // 4
+
+
+def test_chain_10k_certifies_within_memory_budget():
+    """Chain N=10^4 solves, round-trips and certifies in one child process
+    under 400 MB peak RSS.  RUSAGE_CHILDREN reports the largest child this
+    process has waited for, so the figure bounds this child's peak."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "from test_chain_family import certified, chain_instance\n"
+        "sched = certified(chain_instance(n=10_000, seed=0, horizon=10_000.0))\n"
+        "assert len(sched.trace.steps) > 10_000 // 4\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 400, peak_mb

@@ -1,11 +1,13 @@
 """The per-period solver, the range-based decomposition, the vectorized
-verifier, the heap EDF fill and the vectorized allocation table against
+verifier, the heap EDF fill and the sparse allocation table against
 the loop implementations in reference_impl.py.
 
 Every comparison is exact: identical schedule JSON, the same violation
-strings in the same order, equal reports and epoch conditions,
-bit-identical rates, tables and multipliers and identical segments, or
-the same exception type and message.
+strings in the same order, equal reports, epoch conditions and member
+sets, bit-identical rates, table cells and multipliers and identical
+segments, or the same exception type and message.  The sparse tables
+add their rows and columns in index order, as the loops do; numpy's
+own dense sums round differently, and are compared by value.
 """
 
 import json
@@ -14,12 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_impl as ref
+from reference_impl import dense
 from test_chain_family import chain_instance
 
 from txsched import (
     GeneratorConfig,
     Monomial,
     Packet,
+    PairTable,
     Schedule,
     Segment,
     Shannon,
@@ -80,15 +84,38 @@ def outcome(fn, *args):
         return ("raised", type(exc), str(exc))
 
 
-def assert_same_certificate(new, old, where=""):
+def assert_same_certificate(new, old, waiting, where=""):
+    """`waiting` holds the (packet, epoch) pairs gamma must be held on."""
     assert new[0] == old[0], (where, new, old)
     if new[0] == "raised":
         assert new == old, where
         return
+    gamma = new[1].gamma
+    cells = set(zip((gamma.rows + 1).tolist(), (gamma.cols + 1).tolist()))
+    assert cells == waiting, where
+    assert len(gamma.values) == len(waiting), where
     for name in ("beta", "gamma", "lam"):
         a, b = getattr(new[1], name), getattr(old[1], name)
+        a = dense(a) if name == "gamma" else a
         assert a.dtype == b.dtype and a.shape == b.shape, (where, name)
         assert a.tobytes() == b.tobytes(), (where, name)
+
+
+def condition_key(c):
+    return (c.epoch, c.positive, c.zero, c.equal_rates_ok, c.dominance_ok, c.common_rate)
+
+
+def report_key(report):
+    """Every field of a report, with each epoch condition's member sets."""
+    return (
+        report.feasible,
+        report.constant_rate_ok,
+        list(report.non_idling_ok.items()),
+        [condition_key(c) for c in report.epoch_rate_conditions],
+        report.monotone_iteration_rates_ok,
+        report.optimal,
+        report.warnings,
+    )
 
 
 def assert_same_verdicts(inst, sched, model=MODEL, where=""):
@@ -96,30 +123,57 @@ def assert_same_verdicts(inst, sched, model=MODEL, where=""):
     assert new == outcome(ref.check_feasible, inst, sched), where
     new = outcome(check_optimality, inst, sched, model)
     old = outcome(ref.check_optimality, inst, sched, model)
-    assert new == old, where
+    assert new[0] == old[0], (where, new, old)
+    waiting = set()
     if new[0] == "value":
-        a, b = new[1], old[1]
-        assert a.feasible.violations == b.feasible.violations, where
-        assert list(a.non_idling_ok.items()) == list(b.non_idling_ok.items()), where
-        assert a.epoch_rate_conditions == b.epoch_rate_conditions, where
-        assert a.warnings == b.warnings, where
+        assert report_key(new[1]) == report_key(old[1]), where
+        for c in new[1].epoch_rate_conditions:
+            assert (c.n_positive, c.n_zero) == (len(c.positive), len(c.zero)), where
+        waiting = {
+            (i, c.epoch)
+            for c in old[1].epoch_rate_conditions
+            if c.common_rate is not None
+            for i in c.zero
+        }
+    else:
+        assert new == old, where
     assert_same_certificate(
         outcome(extract_certificate, inst, sched, model),
         outcome(ref.extract_certificate, inst, sched, model),
+        waiting,
         where,
     )
     return new
 
 
+def assert_table_is(table, loop):
+    """A sparse table holds exactly the nonzero cells of the loop's dense
+    table, bit for bit, distinct and in row-major order."""
+    assert table.shape == loop.shape
+    assert dense(table).tobytes() == loop.tobytes()
+    assert len(table.values) == np.count_nonzero(loop)
+    keys = table.rows * table.shape[1] + table.cols
+    assert np.all(np.diff(keys) > 0)
+
+
+def assert_sums_match_dense(table):
+    """Row and column sums agree with numpy's dense sums up to rounding."""
+    full = dense(table)
+    for axis, sums in ((1, table.row_sums()), (0, table.col_sums())):
+        err = np.abs(sums - full.sum(axis=axis))
+        assert np.all(err <= 1e-12 * np.abs(full).sum(axis=axis)), axis
+
+
 def replaced(schedule, **kwargs):
+    """The schedule with some fields replaced; a `tau` is a dense table."""
     fields = dict(
         rates=schedule.rates.copy(),
-        tau=schedule.tau.copy(),
         segments=schedule.segments,
         energy=schedule.energy,
         trace=schedule.trace,
     )
     fields.update(kwargs)
+    fields["tau"] = PairTable.from_dense(kwargs["tau"]) if "tau" in kwargs else schedule.tau
     return Schedule(**fields)
 
 
@@ -137,6 +191,7 @@ def mutations(inst, s, seed=0):
     d = decompose(inst)
     lengths = d.epoch_lengths()
     segs = list(s.segments)
+    table = dense(s.tau)
     out = {}
 
     late = [k for k, g in enumerate(segs) if inst.packets[g.packet - 1].arrival > 0]
@@ -165,26 +220,26 @@ def mutations(inst, s, seed=0):
     ]
     if outside:
         i, c = outside[rng.integers(len(outside))]
-        tau = s.tau.copy()
+        tau = table.copy()
         tau[i, c] = 0.1 * lengths[c]
         out["outside window"] = replaced(s, tau=tau)
 
     k = int(rng.integers(len(rows)))
-    tau = s.tau.copy()
+    tau = table.copy()
     tau[rows[k], cols[k]] += lengths[cols[k]]
     out["over capacity"] = replaced(s, tau=tau)
 
-    pos_r, pos_c = np.nonzero(s.tau > 1e-6)
+    pos_r, pos_c = np.nonzero(table > 1e-6)
     k = int(rng.integers(len(pos_r)))
-    tau = s.tau.copy()
+    tau = table.copy()
     tau[pos_r[k], pos_c[k]] *= 0.5
     out["idle epoch"] = schedule_from_allocation(inst, tau, MODEL)
 
-    shared = [c for c in range(d.m) if np.count_nonzero(s.tau[:, c] > 1e-6) >= 2]
+    shared = [c for c in range(d.m) if np.count_nonzero(table[:, c] > 1e-6) >= 2]
     if shared:
         c = shared[rng.integers(len(shared))]
-        a, b = np.flatnonzero(s.tau[:, c] > 1e-6)[:2]
-        tau = s.tau.copy()
+        a, b = np.flatnonzero(table[:, c] > 1e-6)[:2]
+        tau = table.copy()
         delta = 0.1 * min(tau[a, c], tau[b, c])
         tau[a, c] += delta
         tau[b, c] -= delta
@@ -192,12 +247,12 @@ def mutations(inst, s, seed=0):
 
     waiting = [
         (r, c) for r, c in zip(rows.tolist(), cols.tolist())
-        if s.tau[r, c] == 0 and np.any(s.tau[:, c] > 1e-6)
+        if table[r, c] == 0 and np.any(table[:, c] > 1e-6)
     ]
     if waiting:
         q, c = waiting[rng.integers(len(waiting))]
-        p = int(np.argmax(s.tau[:, c]))
-        tau = s.tau.copy()
+        p = int(np.argmax(table[:, c]))
+        tau = table.copy()
         tau[q, c], tau[p, c] = tau[p, c], 0.0
         if tau[p].sum() > 0:
             out["dominance"] = schedule_from_allocation(inst, tau, MODEL)
@@ -208,7 +263,7 @@ def mutations(inst, s, seed=0):
     column_weight = np.bincount(cols, weights=weight, minlength=d.m)
     share = weight * lengths[cols] / column_weight[cols]
     for name, fill in (("spread allocation", 1.0), ("spread overfull", 1.5)):
-        tau = np.zeros_like(s.tau)
+        tau = np.zeros_like(table)
         tau[rows, cols] = fill * share
         out[name] = schedule_from_allocation(inst, tau, MODEL)
     spread = out["spread allocation"]
@@ -260,10 +315,15 @@ def test_solver_schedules_and_mutations_match_loops(inst, compare_edf):
     back = schedule_from_json(schedule_to_json(sched), inst)
     assert_same_verdicts(inst, back)
     loop_tau = ref.tau_from_segments(inst, decompose(inst), sched.segments)
-    assert sched.tau.tobytes() == back.tau.tobytes() == loop_tau.tobytes()
-    assert_same_verdicts(inst, baseline_constant_edf(inst, MODEL))
+    assert_table_is(sched.tau, loop_tau)
+    assert_table_is(back.tau, loop_tau)
+    baseline = baseline_constant_edf(inst, MODEL)
+    assert_same_verdicts(inst, baseline)
+    assert_sums_match_dense(sched.tau)
+    assert_sums_match_dense(baseline.tau)
     for name, mutated in mutations(inst, sched).items():
         assert_same_verdicts(inst, mutated, where=name)
+        assert_sums_match_dense(mutated.tau)
 
 
 def split_families():
@@ -288,10 +348,9 @@ def assert_same_solution(inst):
     text = schedule_to_json(new)
     assert text == schedule_to_json(old)
     assert new.rates.tobytes() == old.rates.tobytes()
-    assert new.tau.tobytes() == old.tau.tobytes()
+    assert_table_is(new.tau, dense(old.tau))
     back = schedule_from_json(text, inst)
-    loop_tau = ref.tau_from_segments(inst, decompose(inst), back.segments)
-    assert back.tau.tobytes() == loop_tau.tobytes()
+    assert_table_is(back.tau, ref.tau_from_segments(inst, decompose(inst), back.segments))
     return new
 
 
@@ -353,9 +412,9 @@ def test_tau_from_segments_matches_loop():
                           else rng.uniform(1e-4, 0.3))
             segments.append(Segment(int(rng.integers(1, 4)), t0, t0 + width, 1.0))
         new = scheduler._tau_from_segments(inst, decomp, segments)
-        assert new.tobytes() == ref.tau_from_segments(inst, decomp, segments).tobytes()
-    assert scheduler._tau_from_segments(inst, decomp, []).tobytes() == (
-        np.zeros((inst.n, decomp.m)).tobytes()
+        assert_table_is(new, ref.tau_from_segments(inst, decomp, segments))
+    assert_table_is(
+        scheduler._tau_from_segments(inst, decomp, []), np.zeros((inst.n, decomp.m))
     )
 
 

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from reference_impl import dense
+from test_chain_family import certified, chain_instance
 
 from txsched import (
+    GeneratorConfig,
     InternalDeadlineMiss,
     InternalIdle,
+    InternalInvariantViolation,
     NoCandidates,
     Packet,
+    Segment,
     Shannon,
     decompose,
     edf_fill,
+    generate,
     normalize_instance,
     schedule_from_allocation,
     schedule_from_json,
@@ -219,6 +225,27 @@ class TestEdfFill:
         with pytest.raises(InternalIdle):
             edf_fill([(0.0, 1.0)], [P(1, 1.0, 0.0, 1.0)], 2.0)
 
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_arrival_within_tolerance_waits_while_another_can_run(self, k):
+        # packet 1 finishes k time tolerances before packet 2 arrives;
+        # packet 3 runs until that instant, and packet 2 starts there
+        d = k * TIME_REL_TOL * 3.0
+        members = [P(1, 1.0 - d, 0.0, 1.0), P(2, 1.0, 1.0, 2.0), P(3, 1.0 + d, 0.0, 3.0)]
+        segs = edf_fill([(0.0, 3.0)], members, 1.0)
+        assert [s.packet for s in segs] == [1, 3, 2, 3]
+        assert segs[1].t_start == 1.0 - d
+        assert segs[2].t_start == 1.0
+
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_arrival_within_tolerance_admitted_when_nothing_else_can_run(self, k):
+        d = k * TIME_REL_TOL * 2.0
+        segs = edf_fill(
+            [(0.0, 2.0)], [P(1, 1.0 - d, 0.0, 1.0), P(2, 1.0 + d, 1.0, 2.0)], 1.0
+        )
+        assert [(s.packet, s.t_start, s.t_end) for s in segs] == [
+            (1, 0.0, 1.0 - d), (2, 1.0 - d, 2.0)
+        ]
+
     def test_arrival_inside_gap(self):
         # member arrived during a reserved chunk; transmits from the next piece
         segs = edf_fill([(1.0, 5.0)], [P(1, 1.0, 0.6, 5.0)], 0.25)
@@ -265,6 +292,32 @@ class TestSolve:
         spans = [(g.t_start, g.t_end) for g in s.segments]
         assert spans == [(0.0, 1.0), (2.0, 3.0)]
 
+    def test_arrival_inside_time_tol_of_a_step_end_certifies(self):
+        # nested benchmark case (seed 1008, index 131): packet 71 finishes
+        # 1.59e-8 s, 0.64 time_tol, before packet 72 arrives; packet 69
+        # runs until that instant, so packet 72 books no time before it
+        inst = generate(
+            GeneratorConfig(n=500, horizon=250.0, seed=2422924287, non_fifo_prob=1.0)
+        )
+        back = certified(inst)
+        first = min((g for g in back.segments if g.packet == 72), key=lambda g: g.t_start)
+        assert first.t_start == inst.packets[71].arrival
+        before = [g for g in back.segments if g.t_end == first.t_start]
+        assert [g.packet for g in before] == [69]
+        assert 0 < before[0].duration < inst.time_tol
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_short_delivery_violates_invariant_at_any_scale(self, scale):
+        inst = chain_instance(n=60, seed=0, horizon=60.0, scale=scale)
+        s = solve(inst, Shannon(1.0))
+        segs = list(s.segments)
+        g = segs[0]
+        segs[0] = Segment(g.packet, g.t_start, g.t_start + 0.5 * g.duration, g.rate)
+        with pytest.raises(InternalInvariantViolation, match="delivered bits"):
+            scheduler._check_solution_invariants(
+                inst, decompose(inst), s.trace, segs, s.rates
+            )
+
     def test_tau_matches_allocation_constraints(self):
         inst = nested_instance()
         s = solve(inst, Shannon(1.0))
@@ -272,9 +325,9 @@ class TestSolve:
         bits = inst.bits()
         # every packet's rows sum to bits/rate, every epoch is exactly full
         for i in range(inst.n):
-            assert s.tau[i].sum() == pytest.approx(bits[i] / s.rates[i], rel=1e-9)
+            assert s.tau.row_sums()[i] == pytest.approx(bits[i] / s.rates[i], rel=1e-9)
         for j in range(1, d.m + 1):
-            assert s.tau[:, j - 1].sum() == pytest.approx(
+            assert s.tau.col_sums()[j - 1] == pytest.approx(
                 d.epoch_lengths()[j - 1], rel=1e-9
             )
 
@@ -336,7 +389,7 @@ class TestScheduleFromAllocation:
         inst = nested_instance()
         model = Shannon(1.0)
         s = solve(inst, model)
-        rebuilt = schedule_from_allocation(inst, s.tau, model)
+        rebuilt = schedule_from_allocation(inst, dense(s.tau), model)
         assert rebuilt.energy == pytest.approx(s.energy, rel=1e-12)
         assert np.allclose(rebuilt.rates, s.rates)
 
@@ -358,7 +411,7 @@ class TestScheduleJson:
         assert np.allclose(back.rates, s.rates)
         assert back.segments == s.segments
         assert back.energy == s.energy
-        assert np.allclose(back.tau, s.tau)
+        assert np.allclose(dense(back.tau), dense(s.tau))
         assert [st.rate for st in back.trace.steps] == [
             st.rate for st in s.trace.steps
         ]

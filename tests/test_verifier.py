@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from reference_impl import dense
+from test_chain_family import chain_instance
 
 from txsched import (
     DimensionMismatch,
@@ -9,6 +11,7 @@ from txsched import (
     InfeasibleInput,
     NotOptimal,
     Packet,
+    PairTable,
     Schedule,
     Segment,
     Shannon,
@@ -36,9 +39,10 @@ MODEL = Shannon(1.0)
 
 
 def tampered(schedule, **kwargs):
+    """The schedule with some fields replaced; a `tau` is a dense table."""
     return Schedule(
         rates=kwargs.get("rates", schedule.rates.copy()),
-        tau=kwargs.get("tau", schedule.tau.copy()),
+        tau=PairTable.from_dense(kwargs["tau"]) if "tau" in kwargs else schedule.tau,
         segments=kwargs.get("segments", schedule.segments),
         energy=kwargs.get("energy", schedule.energy),
         trace=kwargs.get("trace", schedule.trace),
@@ -83,7 +87,7 @@ class TestCheckFeasible:
     def test_allocation_outside_window_flagged(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = s.tau.copy()
+        tau = dense(s.tau)
         tau[1, 0] = 0.1  # packet 2 cannot use the first epoch
         rep = check_feasible(inst, tampered(s, tau=tau))
         assert not rep.ok
@@ -92,11 +96,24 @@ class TestCheckFeasible:
     def test_epoch_overcommit_flagged(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = s.tau.copy()
+        tau = dense(s.tau)
         tau[0, 1] = 0.4  # middle epoch is only 0.5 long and already full
         rep = check_feasible(inst, tampered(s, tau=tau))
         assert not rep.ok
         assert any("allocates" in v for v in rep.violations)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_halved_tau_row_refused_at_any_scale(self, scale):
+        # the tau-total tolerance scales with the packet's own time, so a
+        # halved row is refused when time and bits shrink to 1e-12 too
+        inst = chain_instance(n=60, seed=0, horizon=60.0, scale=scale)
+        s = solve(inst, MODEL)
+        tau = dense(s.tau)
+        tau[5] *= 0.5
+        rep = check_feasible(inst, tampered(s, tau=tau))
+        assert [v for v in rep.violations if "tau total" in v] == [
+            v for v in rep.violations if v.startswith("packet 6 tau total")
+        ] != []
 
     def test_dimension_mismatch(self):
         inst = nested_instance()
@@ -129,7 +146,7 @@ class TestCheckOptimality:
         # equal-rate condition
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = s.tau.copy()
+        tau = dense(s.tau)
         tau[0, 1] += 0.1
         tau[1, 1] -= 0.1
         perturbed = schedule_from_allocation(inst, tau, MODEL)
@@ -221,8 +238,8 @@ class TestConditionsTrackOptimality:
             oracle = solve_projected_gradient(inst, MODEL, tol=1e-13)
             candidates = [solve(inst, MODEL), baseline_constant_edf(inst, MODEL)]
             s = candidates[0]
-            if inst.n >= 2 and np.any(s.tau.sum(axis=0) > 0):
-                tau = s.tau.copy()
+            if inst.n >= 2 and np.any(s.tau.col_sums() > 0):
+                tau = dense(s.tau)
                 j = int(np.argmax((tau > 1e-6).sum(axis=0)))
                 rows = np.flatnonzero(tau[:, j] > 1e-6)
                 if len(rows) >= 2:
@@ -263,7 +280,7 @@ class TestCertificate:
         s = solve(inst, MODEL)
         cert = extract_certificate(inst, s, MODEL)
         assert cert.beta[0] == pytest.approx(MODEL.g(1.0), rel=1e-12)
-        assert np.all(cert.gamma == 0)
+        assert np.all(cert.gamma.values == 0)
         assert cert.lam[0] == pytest.approx(MODEL.g(1.0), rel=1e-12)
 
     def test_roundtrip_identity(self):
@@ -280,13 +297,13 @@ class TestCertificate:
         inst = nested_instance()
         cert = extract_certificate(inst, solve(inst, MODEL), MODEL)
         assert np.all(np.isfinite(cert.beta)) and np.all(cert.beta >= 0)
-        assert np.all(np.isfinite(cert.gamma)) and np.all(cert.gamma >= 0)
+        assert np.all(np.isfinite(cert.gamma.values)) and np.all(cert.gamma.values >= 0)
         assert np.all(np.isfinite(cert.lam))
 
     def test_suboptimal_schedule_rejected(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = s.tau.copy()
+        tau = dense(s.tau)
         tau[0, 1] += 0.1
         tau[1, 1] -= 0.1
         with pytest.raises(NotOptimal):

@@ -152,11 +152,7 @@ def _cmd_validate(args) -> int:
     print(f"constant rates:        {'ok' if report.constant_rate_ok else 'FAIL'}")
     idle_bad = [j for j, ok in report.non_idling_ok.items() if not ok]
     print(f"non-idling epochs:     {'ok' if not idle_bad else f'FAIL {idle_bad}'}")
-    cond_bad = [
-        c.epoch
-        for c in report.epoch_rate_conditions
-        if not (c.equal_rates_ok and c.dominance_ok)
-    ]
+    cond_bad = report.epoch_rate_conditions.failed()
     print(f"epoch rate conditions: {'ok' if not cond_bad else f'FAIL {cond_bad}'}")
     if report.monotone_iteration_rates_ok is not None:
         print(

@@ -117,24 +117,34 @@ class Schedule:
 def _candidate_grid(
     arrivals: np.ndarray, deadlines: np.ndarray, bits: np.ndarray, tol: float
 ):
-    """Rate matrix over (unique arrival) x (unique deadline) windows.
+    """Rate table over (unique arrival) x (unique deadline) windows.
 
-    Returns (starts, ends, in_start, in_end, rates, valid) where
-    in_start[p, s] marks packet p's window starting at or after
-    starts[s], in_end[p, e] likewise for deadlines, and valid marks
-    windows longer than the time tolerance `tol` containing at least
-    one packet.
+    Returns (starts, ends, start_rank, end_rank, rates, valid).  Packet
+    p lies inside window (s, e) when s <= start_rank[p] and e >=
+    end_rank[p]: its arrival is at or after starts[s] and its deadline
+    at or before ends[e], both within the time tolerance `tol`.  valid
+    marks windows longer than `tol` containing at least one packet.
+
+    The bits are binned by (start rank, end rank), so a suffix sum over
+    starts and a prefix sum over ends give every window's contained
+    bits in O(S * E).
     """
     starts = np.unique(arrivals)
     ends = np.unique(deadlines)
-    in_start = arrivals[:, None] >= starts[None, :] - tol
-    in_end = deadlines[:, None] <= ends[None, :] + tol
-    counts = in_start.astype(float).T @ in_end.astype(float)
-    bitsum = (in_start * bits[:, None]).T @ in_end.astype(float)
-    lengths = ends[None, :] - starts[:, None]
-    valid = (lengths > tol) & (counts > 0.5)
-    rates = np.where(valid, bitsum / np.where(valid, lengths, 1.0), -np.inf)
-    return starts, ends, in_start, in_end, rates, valid
+    start_rank = (starts - tol).searchsorted(arrivals, "right") - 1
+    end_rank = (ends + tol).searchsorted(deadlines, "left")
+    shape = (len(starts), len(ends))
+    bitsum = np.bincount(
+        start_rank * shape[1] + end_rank, weights=bits, minlength=shape[0] * shape[1]
+    ).reshape(shape)
+    suffix = bitsum[::-1]
+    np.add.accumulate(suffix, axis=0, out=suffix)
+    np.add.accumulate(bitsum, axis=1, out=bitsum)
+    lengths = ends - starts[:, None]
+    valid = (lengths > tol) & (bitsum > 0)
+    rates = np.divide(bitsum, lengths, out=bitsum, where=valid)
+    np.copyto(rates, -np.inf, where=~valid)
+    return starts, ends, start_rank, end_rank, rates, valid
 
 
 def _argmax_lex(rates: np.ndarray, valid: np.ndarray, starts, ends):
@@ -376,18 +386,17 @@ def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
 
     while active.any():
         idx = np.flatnonzero(active)
-        starts, ends, in_start, in_end, rate_grid, valid = _candidate_grid(
-            _positions(arrivals[idx], reserved),
-            _positions(deadlines[idx], reserved),
-            bits[idx],
-            instance.time_tol,
+        k = len(idx)
+        times = _positions(np.concatenate((arrivals[idx], deadlines[idx])), reserved)
+        starts, ends, start_rank, end_rank, rate_grid, valid = _candidate_grid(
+            times[:k], times[k:], bits[idx], instance.time_tol
         )
         if not valid.any():
             raise NoCandidates(
                 "no sub-interval among active packets; windows degenerate"
             )
         si, ei = _argmax_lex(rate_grid, valid, starts, ends)
-        member = idx[in_start[:, si] & in_end[:, ei]]
+        member = idx[(start_rank >= si) & (end_rank <= ei)]
         span = (float(arrivals[member].min()), float(deadlines[member].max()))
         pieces = _intervals.subtract([span], reserved, dust)
         rate = float(bits[member].sum() / _intervals.measure(pieces))

@@ -11,6 +11,7 @@ witness optimality of the underlying convex program.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,12 +105,73 @@ class EpochCondition:
         return self.pairs.members(self.epoch - 1, False)
 
 
+class EpochConditions(Sequence):
+    """The live epochs' rate-ordering conditions, in epoch order.
+
+    They are held as arrays over the live epochs: `cols` (ascending),
+    the counts, both flags and `rate`, the fastest transmitting rate,
+    which is the common rate where anything transmits.  `optimal` and
+    the certificate read the arrays; the `EpochCondition` objects are
+    built when the sequence is first read.  Equal to a tuple of the
+    same conditions.
+    """
+
+    def __init__(self, cols, n_positive, n_zero, equal_ok, dominance_ok, rate, pairs):
+        self.cols = cols
+        self.n_positive = n_positive
+        self.n_zero = n_zero
+        self.equal_ok = equal_ok
+        self.dominance_ok = dominance_ok
+        self.rate = rate
+        self._pairs = pairs
+        self._built: tuple[EpochCondition, ...] | None = None
+
+    def failed(self) -> list[int]:
+        """Numbers of the epochs whose conditions fail, ascending."""
+        return (self.cols[~(self.equal_ok & self.dominance_ok)] + 1).tolist()
+
+    def common_rates(self) -> dict[int, float]:
+        """Epoch column -> common rate, over the epochs that transmit."""
+        on = self.n_positive > 0
+        return dict(zip(self.cols[on].tolist(), self.rate[on].tolist()))
+
+    def _conditions(self) -> tuple[EpochCondition, ...]:
+        if self._built is None:
+            per_epoch = (
+                self.n_positive, self.n_zero, self.equal_ok, self.dominance_ok, self.rate
+            )
+            self._built = tuple(
+                EpochCondition(col + 1, n_p, n_z, eq, dom, r if n_p else None, self._pairs)
+                for col, n_p, n_z, eq, dom, r in zip(
+                    self.cols.tolist(), *(a.tolist() for a in per_epoch)
+                )
+            )
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __getitem__(self, k):
+        return self._conditions()[k]
+
+    def __iter__(self):
+        return iter(self._conditions())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, EpochConditions)):
+            return NotImplemented
+        return self._conditions() == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(self._conditions())
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     feasible: FeasibilityReport
     constant_rate_ok: bool
     non_idling_ok: dict[int, bool]
-    epoch_rate_conditions: tuple[EpochCondition, ...]
+    epoch_rate_conditions: EpochConditions
     monotone_iteration_rates_ok: bool | None
     optimal: bool
     warnings: tuple[str, ...] = field(default=())
@@ -310,12 +372,10 @@ def check_optimality(
         pos_min >= zero_max - RATE_REL_TOL * max(rmax, 1.0)
     )
 
-    per_epoch = (n_pos, n_zero, equal_ok, dominance_ok, pos_max)
-    conditions = tuple(
-        EpochCondition(col + 1, n_p, n_z, eq, dom, r if n_p else None, pairs)
-        for col, n_p, n_z, eq, dom, r in zip(
-            np.flatnonzero(live).tolist(), *(a[live].tolist() for a in per_epoch)
-        )
+    conditions = EpochConditions(
+        np.flatnonzero(live),
+        *(a[live] for a in (n_pos, n_zero, equal_ok, dominance_ok, pos_max)),
+        pairs,
     )
 
     monotone: bool | None = None
@@ -345,7 +405,7 @@ def check_optimality(
         feas.ok
         and constant_rate_ok
         and all(non_idling.values())
-        and all(c.equal_rates_ok and c.dominance_ok for c in conditions)
+        and not conditions.failed()
         and (monotone is None or monotone)
     )
     return VerificationReport(
@@ -392,9 +452,7 @@ def extract_certificate(
             f"idle epoch {j}" for j, ok in report.non_idling_ok.items() if not ok
         )
         failed.extend(
-            f"epoch {c.epoch} rate conditions"
-            for c in report.epoch_rate_conditions
-            if not (c.equal_rates_ok and c.dominance_ok)
+            f"epoch {j} rate conditions" for j in report.epoch_rate_conditions.failed()
         )
         if report.monotone_iteration_rates_ok is False:
             failed.append("iteration-rate monotonicity")
@@ -405,11 +463,7 @@ def extract_certificate(
     if np.any(rates <= 0):
         raise NotOptimal("certificate requires strictly positive rates")
     # Rates take one value per solver round, so g is evaluated per value.
-    common = {
-        c.epoch - 1: c.common_rate
-        for c in report.epoch_rate_conditions
-        if c.common_rate is not None
-    }
+    common = report.epoch_rate_conditions.common_rates()
     rate_list = rates.tolist()
     g_of = {r: model.g(r) for r in set(rate_list) | set(common.values())}
     g_rates = np.array([g_of[r] for r in rate_list])

@@ -1,12 +1,15 @@
 """Loop implementations of the solver round loop, the verifier, the EDF
-fill, the allocation table and the energy sum.
+fill, the allocation table and the energy sum, and the dense window
+scoring.
 
-These are the Python loops that the per-period `txsched.scheduler.solve`,
-the vectorized `txsched.verifier` functions, the heap-based
-`txsched.scheduler.edf_fill`, the vectorized `_tau_from_segments` and the
-once-per-rate `txsched.power.schedule_energy` replaced, kept as the
-reference that tests/test_equivalence.py compares the fast code against:
-identical schedule JSON, the same violation strings in the same order,
+These are the Python loops and the matmul `candidate_grid` that the
+per-period `txsched.scheduler.solve` with its rank-histogram
+`_candidate_grid`, the vectorized `txsched.verifier` functions, the
+heap-based `txsched.scheduler.edf_fill`, the vectorized
+`_tau_from_segments` and the once-per-rate
+`txsched.power.schedule_energy` replaced, kept as the reference that
+tests/test_equivalence.py compares the fast code against: identical
+schedule JSON, the same violation strings in the same order,
 the same conditions and member sets, bit-identical multipliers, tables
 and energy, and identical segments.  `decompose_sets` builds the epoch
 containment relation as frozenset families, and `dense` the N x M
@@ -30,7 +33,6 @@ from txsched.scheduler import (
     IterationTrace,
     NoCandidates,
     _argmax_lex,
-    _candidate_grid,
     _check_solution_invariants,
     _positions,
     InternalDeadlineMiss,
@@ -49,6 +51,30 @@ from txsched.verifier import (
     NotOptimal,
     VerificationReport,
 )
+
+
+def candidate_grid(
+    arrivals: np.ndarray, deadlines: np.ndarray, bits: np.ndarray, tol: float
+):
+    """Rate matrix over (unique arrival) x (unique deadline) windows, by
+    two dense N x S by N x E matmuls.
+
+    Returns (starts, ends, in_start, in_end, rates, valid) where
+    in_start[p, s] marks packet p's window starting at or after
+    starts[s], in_end[p, e] likewise for deadlines, and valid marks
+    windows longer than the time tolerance `tol` containing at least
+    one packet.
+    """
+    starts = np.unique(arrivals)
+    ends = np.unique(deadlines)
+    in_start = arrivals[:, None] >= starts[None, :] - tol
+    in_end = deadlines[:, None] <= ends[None, :] + tol
+    counts = in_start.astype(float).T @ in_end.astype(float)
+    bitsum = (in_start * bits[:, None]).T @ in_end.astype(float)
+    lengths = ends[None, :] - starts[:, None]
+    valid = (lengths > tol) & (counts > 0.5)
+    rates = np.where(valid, bitsum / np.where(valid, lengths, 1.0), -np.inf)
+    return starts, ends, in_start, in_end, rates, valid
 
 
 def dense(table: PairTable) -> np.ndarray:
@@ -555,8 +581,9 @@ def schedule_energy(model: PowerModel, rates) -> float:
 
 def solve(instance: Instance, model: PowerModel) -> Schedule:
     """One round loop over all packets at once: every round scores the
-    windows of every still-active packet, whatever its busy period.  It
-    fills through `scheduler.edf_fill`, the name tests patch."""
+    windows of every still-active packet, whatever its busy period, on
+    the matmul `candidate_grid`.  It fills through `scheduler.edf_fill`,
+    the name tests patch."""
     decomp = decompose(instance)
     n = instance.n
     arrivals = instance.arrivals()
@@ -571,7 +598,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
 
     while active.any():
         idx = np.flatnonzero(active)
-        starts, ends, in_start, in_end, rate_grid, valid = _candidate_grid(
+        starts, ends, in_start, in_end, rate_grid, valid = candidate_grid(
             _positions(arrivals[idx], reserved),
             _positions(deadlines[idx], reserved),
             bits[idx],

@@ -1,6 +1,7 @@
-"""The per-period solver, the range-based decomposition, the vectorized
-verifier, the heap EDF fill and the sparse allocation table against
-the loop implementations in reference_impl.py.
+"""The per-period solver, the rank-histogram candidate grid, the
+range-based decomposition, the vectorized verifier, the heap EDF fill
+and the sparse allocation table against the loop and matmul
+implementations in reference_impl.py.
 
 Every comparison is exact: identical schedule JSON, the same violation
 strings in the same order, equal reports, epoch conditions and member
@@ -342,12 +343,16 @@ def split_families():
 
 
 def assert_same_solution(inst):
-    """The per-period solve against the global round loop, and the
-    allocation table rebuilt from its JSON against the loop table."""
+    """The per-period solve against the global round loop on the matmul
+    grid, and the allocation table rebuilt from its JSON against the
+    loop table.  In one busy period both examine the same windows."""
     new, old = solve(inst, MODEL), ref.solve(inst, MODEL)
     text = schedule_to_json(new)
     assert text == schedule_to_json(old)
     assert new.rates.tobytes() == old.rates.tobytes()
+    if len(scheduler._busy_periods(inst.arrivals(), inst.deadlines(), inst.time_tol)) == 1:
+        candidates = [st.candidates for st in new.trace.steps]
+        assert candidates == [st.candidates for st in old.trace.steps]
     assert_table_is(new.tau, dense(old.tau))
     back = schedule_from_json(text, inst)
     assert_table_is(back.tau, ref.tau_from_segments(inst, decompose(inst), back.segments))
@@ -392,6 +397,69 @@ def test_gap_splits_periods_beyond_time_tol(gap, periods):
     sched = assert_same_solution(inst)
     assert [set(st.members) for st in sched.trace.steps] == [{2}, {4}, {3}, {1}]
     extract_certificate(inst, sched, MODEL)
+
+
+def grid_inputs():
+    """(arrivals, deadlines, bits, tol) for the grid comparison."""
+    rng = np.random.default_rng(17)
+    cases = []
+    # a lattice of eighths with tol a quarter: repeated instants, and
+    # instants exactly tol and tol/2 apart, as exact floats
+    for _ in range(40):
+        k = int(rng.integers(1, 25))
+        a = rng.integers(0, 32, k) / 8.0
+        d = a + rng.integers(1, 24, k) / 8.0
+        cases.append((a, d, rng.uniform(0.1, 3.0, k), 0.25))
+    # instants just inside, at and just outside time_tol of each other
+    for _ in range(40):
+        k = int(rng.integers(2, 25))
+        tol = TIME_REL_TOL * 20.0
+        offsets = np.array([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0]) * tol
+        base = rng.uniform(0.0, 10.0, 4)
+        a = rng.choice(base, k) + rng.choice(offsets, k)
+        d = rng.choice(base + 10.0, k) - rng.choice(offsets, k)
+        cases.append((a, d, rng.uniform(0.1, 3.0, k), tol))
+    # positions after reservations: instants inside a reserved piece
+    # collapse onto its cut, and windows can shrink to nothing
+    for _ in range(40):
+        k = int(rng.integers(1, 25))
+        a = rng.uniform(0.0, 15.0, k)
+        d = a + rng.uniform(0.2, 5.0, k)
+        edges = np.sort(rng.uniform(0.0, 20.0, 2 * int(rng.integers(1, 6))))
+        reserved = [(float(edges[i]), float(edges[i + 1])) for i in range(0, len(edges), 2)]
+        tol = TIME_REL_TOL * 20.0
+        cases.append((
+            scheduler._positions(a, reserved),
+            scheduler._positions(d, reserved),
+            rng.uniform(0.1, 3.0, k),
+            tol,
+        ))
+    return cases
+
+
+def test_histogram_grid_matches_matmul_grid():
+    """The same windows, the same packets in each, the same rates to
+    1e-13 and the same selected cell as the dense matmul grid; the
+    same valid cells, so the same `IterationStep.candidates`."""
+    checked = 0
+    for arrivals, deadlines, bits, tol in grid_inputs():
+        starts, ends, start_rank, end_rank, rates, valid = scheduler._candidate_grid(
+            arrivals, deadlines, bits, tol
+        )
+        old = ref.candidate_grid(arrivals, deadlines, bits, tol)
+        assert np.array_equal(starts, old[0]) and np.array_equal(ends, old[1])
+        # packet p is in window (s, e) exactly when in_start[p, s] and
+        # in_end[p, e]: the same member set in every cell
+        assert np.array_equal(start_rank[:, None] >= np.arange(len(starts)), old[2])
+        assert np.array_equal(end_rank[:, None] <= np.arange(len(ends)), old[3])
+        assert np.array_equal(valid, old[5])
+        assert np.all(rates[~valid] == -np.inf) and np.all(old[4][~valid] == -np.inf)
+        np.testing.assert_allclose(rates[valid], old[4][valid], rtol=1e-13, atol=0)
+        if valid.any():
+            checked += 1
+            cell = scheduler._argmax_lex(rates, valid, starts, ends)
+            assert cell == scheduler._argmax_lex(old[4], old[5], starts, ends)
+    assert checked > 100
 
 
 def test_tau_from_segments_matches_loop():

@@ -44,11 +44,11 @@ def candidates(packets):
         np.array([p.bits for p in packets]),
         TIME_REL_TOL * max(p.deadline for p in packets),
     )
-    starts, ends, in_start, in_end, rates, valid = grid
+    starts, ends, start_rank, end_rank, rates, valid = grid
     table = {
         (float(starts[si]), float(ends[ei])): (
             float(rates[si, ei]),
-            set(ids[in_start[:, si] & in_end[:, ei]].tolist()),
+            set(ids[(start_rank >= si) & (end_rank <= ei)].tolist()),
         )
         for si, ei in zip(*np.nonzero(valid))
     }
@@ -80,6 +80,24 @@ class TestEnumerate:
         assert table[(0.0, 1.0)][0] == pytest.approx(3.0)
         assert table[(2.0, 3.0)][0] == pytest.approx(5.0)
         assert table[(0.0, 3.0)][0] == pytest.approx(8.0 / 3.0)
+
+    def test_arrival_within_tolerance_counts_in_both_starts(self):
+        # packet 2 arrives tol/2 after packet 1, so both packets count
+        # from either start: the later start's windows hold the same
+        # packets as the earlier start's
+        tol = TIME_REL_TOL * 4.0
+        table, (starts, _, start_rank, _, _, _) = candidates(
+            [P(1, 1.0, 1.0, 3.0), P(2, 2.0, 1.0 + tol / 2, 4.0)]
+        )
+        assert starts.tolist() == [1.0, 1.0 + tol / 2]
+        assert start_rank.tolist() == [1, 1]
+        assert set(table) == {
+            (1.0, 3.0), (1.0, 4.0), (1.0 + tol / 2, 3.0), (1.0 + tol / 2, 4.0)
+        }
+        assert table[(1.0, 3.0)] == (pytest.approx(0.5), {1})
+        assert table[(1.0, 4.0)] == (pytest.approx(1.0), {1, 2})
+        assert table[(1.0 + tol / 2, 3.0)][1] == {1}
+        assert table[(1.0 + tol / 2, 4.0)][1] == {1, 2}
 
     def test_at_most_n_squared(self):
         rng = np.random.default_rng(3)

@@ -193,7 +193,11 @@ def _cmd_compare(args) -> int:
     print(f"scheduler energy: {schedule.energy:.12g} J")
     print(f"oracle energy:    {sol.energy:.12g} J "
           f"({sol.iterations} iterations, converged={sol.converged})")
+    print(f"oracle residual:  {sol.residual:.3e}")
     print(f"relative gap:     {gap:.3e}")
+    if not sol.converged:
+        print("note: the oracle did not converge; the gap is measured against "
+              "an unconverged upper bound")
     return EXIT_OK
 
 

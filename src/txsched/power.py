@@ -40,7 +40,7 @@ class BracketOverflow(RuntimeError):
 
 def _check_rate(rate):
     arr = np.asarray(rate, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise NegativeRate(f"rate must be non-negative, got {rate}")
     return arr
 

@@ -114,6 +114,15 @@ class Schedule:
 # candidate windows
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """`np.unique` of a NaN-free 1-d array, without its generic set-up:
+    sort, then keep the first of each run of equal values."""
+    s = np.sort(values)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def _candidate_grid(
     arrivals: np.ndarray, deadlines: np.ndarray, bits: np.ndarray, tol: float
 ):
@@ -129,8 +138,8 @@ def _candidate_grid(
     starts and a prefix sum over ends give every window's contained
     bits in O(S * E).
     """
-    starts = np.unique(arrivals)
-    ends = np.unique(deadlines)
+    starts = _sorted_unique(arrivals)
+    ends = _sorted_unique(deadlines)
     start_rank = (starts - tol).searchsorted(arrivals, "right") - 1
     end_rank = (ends + tol).searchsorted(deadlines, "left")
     shape = (len(starts), len(ends))

@@ -1,31 +1,34 @@
 """Loop implementations of the solver round loop, the verifier, the EDF
-fill, the allocation table and the energy sum, and the dense window
-scoring.
+fill, the allocation table and the energy sum, the dense window
+scoring, and the projected-gradient oracle with its per-column packing.
 
 These are the Python loops and the matmul `candidate_grid` that the
 per-period `txsched.scheduler.solve` with its rank-histogram
 `_candidate_grid`, the vectorized `txsched.verifier` functions, the
 heap-based `txsched.scheduler.edf_fill`, the vectorized
-`_tau_from_segments` and the once-per-rate
-`txsched.power.schedule_energy` replaced, kept as the reference that
-tests/test_equivalence.py compares the fast code against: identical
-schedule JSON, the same violation strings in the same order,
-the same conditions and member sets, bit-identical multipliers, tables
-and energy, and identical segments.  `decompose_sets` builds the epoch
-containment relation as frozenset families, and `dense` the N x M
-table, the representations the loops were written for.  The loops add
-a table's rows and columns cell by cell in index order, the order the
-sparse table's sums take.
+`_tau_from_segments`, the once-per-rate
+`txsched.power.schedule_energy` and the gather/scatter projection of
+`txsched.oracle.solve_projected_gradient` replaced, kept as the
+reference that tests/test_equivalence.py compares the fast code
+against: identical schedule JSON, the same violation strings in the
+same order, the same conditions and member sets, bit-identical
+multipliers, tables, energy and oracle iterates, and identical
+segments.  `decompose_sets` builds the epoch containment relation as
+frozenset families, and `dense` the N x M table, the representations
+the loops were written for.  The loops add a table's rows and columns
+cell by cell in index order, the order the sparse table's sums take.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from txsched import _intervals, scheduler
 from txsched.model import TIME_REL_TOL, Instance, Packet, PairTable, decompose
+from txsched.oracle import ARMIJO_C, TIME_FLOOR, OracleSolution
 from txsched.power import NegativeRate, PowerModel, ZeroRate
 from txsched.scheduler import (
     _PIECE_EPS,
@@ -638,4 +641,161 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
             model, [(i + 1, rates[i], bits[i] / rates[i]) for i in range(n)]
         ),
         trace=trace,
+    )
+
+
+def project_columns(packed: np.ndarray, caps: np.ndarray, lens: np.ndarray):
+    """Batched capped-simplex projection of packed epoch columns, the
+    over-cap rows gathered by index even when every row is over.
+
+    packed[c, :lens[c]] holds the allocation of epoch column c; slots
+    past lens[c] are padding at a large negative value and project to 0.
+    The final rescale guarantees feasibility even when the inputs are
+    many orders of magnitude above the caps and theta loses precision.
+    """
+    clipped = np.clip(packed, 0.0, None)
+    sums = clipped.sum(axis=1)
+    over = sums > caps
+    if not np.any(over):
+        return clipped
+    rows = np.flatnonzero(over)
+    u = -np.sort(-packed[rows], axis=1)  # descending; padding sinks to the end
+    cssv = np.cumsum(u, axis=1) - caps[rows, None]
+    ks = np.arange(1, packed.shape[1] + 1)[None, :]
+    valid = (u - cssv / ks > 0) & (ks <= lens[rows, None])
+    k = np.where(valid, ks, 1).max(axis=1)
+    theta = cssv[np.arange(len(rows)), k - 1] / k
+    proj = np.clip(packed[rows] - theta[:, None], 0.0, None)
+    psums = proj.sum(axis=1)
+    bad = psums > caps[rows]
+    if np.any(bad):
+        proj[bad] *= (caps[rows][bad] / psums[bad])[:, None]
+    clipped[rows] = proj
+    return clipped
+
+
+def solve_projected_gradient(
+    instance: Instance,
+    model: PowerModel,
+    tol: float = 1e-10,
+    max_iters: int = 200_000,
+    track_history: bool = False,
+) -> OracleSolution:
+    """Projected gradient descent with Armijo backtracking, packing and
+    unpacking the epoch columns one column at a time.
+
+    Starts from the proportional split (each epoch shared equally among
+    its feasible packets), steps along the marginal-energy gradient,
+    and projects each epoch column back onto its capped simplex.  Stops
+    when an accepted step decreases energy by less than `tol`
+    relatively, or at `max_iters` (then flagged unconverged).
+    """
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    decomp = decompose(instance)
+    n, m = instance.n, decomp.m
+    bits = instance.bits()
+    lengths = decomp.epoch_lengths()
+    mask = np.zeros((n, m), dtype=bool)
+    mask[decomp.pairs()] = True
+
+    live_cols = [j for j in range(m) if mask[:, j].any()]
+    col_rows = [np.flatnonzero(mask[:, j]) for j in live_cols]
+    nmax = max((len(r) for r in col_rows), default=1)
+    pack_rows = np.zeros((len(live_cols), nmax), dtype=int)
+    pad = np.zeros((len(live_cols), nmax), dtype=bool)
+    lens = np.zeros(len(live_cols), dtype=int)
+    caps = np.zeros(len(live_cols))
+    for c, (j, rows) in enumerate(zip(live_cols, col_rows)):
+        pack_rows[c, : len(rows)] = rows
+        pad[c, len(rows):] = True
+        lens[c] = len(rows)
+        caps[c] = lengths[j]
+    live_idx = np.array(live_cols, dtype=int)
+
+    def energy_of(tau: np.ndarray) -> float:
+        T = tau.sum(axis=1)
+        if np.any(T < TIME_FLOOR):
+            return math.inf
+        with np.errstate(over="ignore"):
+            e = float(np.sum(T * model.power(bits / T)))
+        return e
+
+    def project(tau: np.ndarray) -> np.ndarray:
+        packed = tau[pack_rows, live_idx[:, None]]
+        packed[pad] = -1e300  # finite padding keeps the sort-based rule nan-free
+        projected = project_columns(packed, caps, lens)
+        out = np.zeros_like(tau)
+        for c in range(len(live_cols)):
+            out[pack_rows[c, : lens[c]], live_cols[c]] = projected[c, : lens[c]]
+        return out
+
+    tau = np.zeros((n, m))
+    for c, (j, rows) in enumerate(zip(live_cols, col_rows)):
+        tau[rows, j] = lengths[j] / len(rows)
+
+    energy = energy_of(tau)
+    history = [energy] if track_history else None
+    alpha = 1.0
+    iterations = 0
+    small_streak = 0
+
+    def gradient(tau: np.ndarray) -> np.ndarray:
+        T = np.maximum(tau.sum(axis=1), TIME_FLOOR)
+        gvals = np.asarray(model.g(bits / T))
+        return np.where(mask, -gvals[:, None], 0.0)
+
+    cap_scale = float(caps.max()) if len(caps) else 1.0
+    stalled = False
+    while iterations < max_iters:
+        grad = gradient(tau)
+        # First trial step: adaptive, but never so large that a single
+        # step moves an entry further than the biggest epoch.
+        gmax = float(np.abs(grad).max())
+        alpha = min(1.0, alpha * 2.0, cap_scale / gmax if gmax > 0 else 1.0)
+        accepted = False
+        for _ in range(200):
+            cand = project(tau - alpha * grad)
+            cand_energy = energy_of(cand)
+            decrease_bound = ARMIJO_C * float(np.sum(grad * (cand - tau)))
+            if cand_energy <= energy + decrease_bound:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            stalled = True  # no float-visible descent left
+            break
+        rel_decrease = (energy - cand_energy) / max(abs(cand_energy), 1e-300)
+        tau = cand
+        energy = cand_energy
+        iterations += 1
+        if history is not None:
+            history.append(energy)
+        # Terminate on sustained stalls, not a single slow step.
+        small_streak = small_streak + 1 if rel_decrease < tol else 0
+        if small_streak >= 5:
+            stalled = True
+            break
+
+    # Stationarity probe at a step size matched to the gradient scale:
+    # a true optimum is a fixed point of the projected step for any
+    # step size, while a float-starved stall (one packet's energy term
+    # drowning the others) leaves a visible displacement.
+    grad = gradient(tau)
+    gmax = float(np.abs(grad).max())
+    probe = min(1.0, cap_scale / gmax) if gmax > 0 else 1.0
+    pg_map = tau - project(tau - probe * grad)
+    residual = float(np.abs(pg_map).max() / (1.0 + np.abs(tau).max()))
+    converged = stalled and residual <= 1e-6
+    T = tau.sum(axis=1)
+    rates = np.where(T > 0, bits / np.maximum(T, TIME_FLOOR), np.inf)
+    return OracleSolution(
+        tau=tau,
+        total_times=T,
+        rates=rates,
+        energy=energy,
+        iterations=iterations,
+        residual=residual,
+        converged=converged,
+        energy_history=np.array(history) if history is not None else None,
     )

@@ -127,6 +127,19 @@ class TestOracleCompare:
         assert rc == 0
         out = capsys.readouterr().out
         assert "relative gap" in out
+        lines = out.splitlines()
+        residual = [ln for ln in lines if ln.startswith("oracle residual:")]
+        assert len(residual) == 1
+        assert 0.0 <= float(residual[0].split(":")[1]) <= 1e-6
+        assert "converged=True" in out
+        assert not any(ln.startswith("note:") for ln in lines)
+
+        # cut short, the oracle is an unconverged upper bound and says so
+        assert main(["compare", str(instance_file), "--max-iters", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(ln.startswith("oracle residual:") for ln in lines)
+        notes = [ln for ln in lines if ln.startswith("note:")]
+        assert len(notes) == 1 and "unconverged upper bound" in notes[0]
 
     def test_monomial_model_flag(self, instance_file, tmp_path):
         sched = tmp_path / "sched.json"

@@ -35,6 +35,30 @@ def project_capped_simplex(v, cap):
     return _project_columns(v[None, :], np.array([cap]), np.array([len(v)]))[0]
 
 
+PAD = -1e300  # the oracle's padding past each column's length
+
+
+def packed_batch(columns, width):
+    """Columns of different lengths as rows of a padded batch."""
+    packed = np.full((len(columns), width), PAD)
+    for c, col in enumerate(columns):
+        packed[c, : len(col)] = col
+    return packed, np.array([len(col) for col in columns])
+
+
+def assert_batch_is_one_at_a_time(packed, caps, lens):
+    """The batch equals each padded row projected on its own, bit for
+    bit, and every column lands in {x >= 0, sum(x) <= cap}."""
+    out = _project_columns(packed, caps, lens)
+    for c in range(len(packed)):
+        alone = _project_columns(packed[c : c + 1], caps[c : c + 1], lens[c : c + 1])
+        assert out[c].tobytes() == alone[0].tobytes(), c
+        col = out[c, : lens[c]]
+        assert np.all(col >= 0) and col.sum() <= caps[c], c
+        assert np.all(out[c, lens[c] :] == 0.0), c
+    return out
+
+
 class TestProjection:
     def test_under_cap_just_clips(self):
         out = project_capped_simplex(np.array([0.2, -0.5, 0.1]), 1.0)
@@ -66,6 +90,38 @@ class TestProjection:
                 y = rng.uniform(0, 1, 4)
                 y = y / y.sum() * rng.uniform(0, 1.5)
                 assert np.sum((y - v) ** 2) >= d_star - 1e-9
+
+    def test_mixed_batch_with_padding(self):
+        # under-cap and over-cap columns of different lengths in one batch
+        rng = np.random.default_rng(5)
+        columns = [rng.normal(scale=1.5, size=k) for k in (1, 4, 2, 7, 3, 5, 7, 1)]
+        packed, lens = packed_batch(columns, 7)
+        caps = rng.uniform(0.5, 3.0, size=len(columns))
+        clipped = np.maximum(packed, 0.0).sum(axis=1)
+        assert (clipped > caps).any() and (clipped <= caps).any()
+        out = assert_batch_is_one_at_a_time(packed, caps, lens)
+        under = clipped <= caps
+        assert np.array_equal(out[under], np.maximum(packed[under], 0.0))
+
+    def test_every_column_over_its_cap(self):
+        # the usual batch after a gradient step, with padding
+        rng = np.random.default_rng(6)
+        columns = [rng.uniform(0.5, 2.0, size=k) for k in (3, 1, 6, 2, 6)]
+        packed, lens = packed_batch(columns, 6)
+        caps = np.array([0.7, 0.3, 1.1, 0.2, 2.5])
+        assert (np.maximum(packed, 0.0).sum(axis=1) > caps).all()
+        out = assert_batch_is_one_at_a_time(packed, caps, lens)
+        for c in range(len(caps)):
+            assert out[c].sum() == pytest.approx(caps[c], rel=1e-12)
+
+    def test_inputs_far_above_the_caps_are_rescaled(self):
+        # theta loses every bit of the cap at 1e300 x the caps; only the
+        # final rescale keeps the columns feasible
+        columns = [[3e300, 1e300, 2e300], [5e299, 5e299], [1e300], [0.25, 0.5]]
+        packed, lens = packed_batch(columns, 3)
+        caps = np.array([1.0, 0.5, 2.0, 1.0])
+        assert_batch_is_one_at_a_time(packed, caps, lens)  # last column under
+        assert_batch_is_one_at_a_time(packed[:3], caps[:3], lens[:3])  # all over
 
 
 class TestProjectedGradient:

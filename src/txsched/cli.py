@@ -16,7 +16,6 @@ from .model import (
     EmptyInstance,
     InstanceFormatError,
     MalformedPacket,
-    decompose,
     instance_from_json,
     instance_to_json,
 )
@@ -166,7 +165,7 @@ def _cmd_validate(args) -> int:
         if not report.optimal:
             return EXIT_VALIDATION
         cert = extract_certificate(instance, schedule, model)
-        decomp = decompose(instance)
+        decomp = instance.decomposition
         rows, cols = decomp.pairs()
         doc = {
             "beta": [float(b) for b in cert.beta],
@@ -205,7 +204,7 @@ def _cmd_trace(args) -> int:
     instance, noise = instance_from_json(_read(args.instance))
     model = _model_from_args(args, noise)
     schedule = solve(instance, model)
-    decomp = decompose(instance)
+    decomp = instance.decomposition
     rows, cols = decomp.pairs()
     lines = ["packet,epoch,start,end,tau"]
     times = schedule.tau.on_pairs(decomp).tolist()

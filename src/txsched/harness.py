@@ -16,16 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _intervals
-from .model import Instance, Packet, PairTable, decompose, normalize_instance
-from .power import PowerModel, schedule_energy
+from .model import Instance, Packet, PairTable, normalize_instance
+from .power import PowerModel, Shannon
 from .scheduler import (
     InternalDeadlineMiss,
     InternalIdle,
     InternalInvariantViolation,
     Schedule,
     _PIECE_EPS,
+    _assemble,
     _schedule_from_table,
-    _tau_from_segments,
     edf_fill,
     solve,
 )
@@ -124,7 +124,6 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     layout fall back to per-epoch proportional sharing, which inflates
     rates just enough to stay feasible.
     """
-    decomp = decompose(instance)
     free: list[tuple[float, float]] = [(0.0, instance.horizon)]
     dust = _PIECE_EPS * instance.horizon
     segments = []
@@ -145,25 +144,12 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
             segments.extend(segs)
             free = _intervals.subtract(free, usable, dust)
     except (InternalIdle, InternalDeadlineMiss):
+        decomp = instance.decomposition
         rows, cols = decomp.pairs()
         share = decomp.epoch_lengths()[cols] / decomp.coverage()[cols]
         tau = PairTable(rows, cols, share, (instance.n, decomp.m))
-        return _schedule_from_table(instance, decomp, tau, model)
-
-    segments.sort(key=lambda s: (s.t_start, s.t_end))
-    tau = _tau_from_segments(instance, decomp, segments)
-    bits = instance.bits()
-    energy = schedule_energy(
-        model,
-        [(i + 1, rates[i], bits[i] / rates[i]) for i in range(instance.n)],
-    )
-    return Schedule(
-        rates=rates,
-        tau=tau,
-        segments=tuple(segments),
-        energy=energy,
-        trace=None,
-    )
+        return _schedule_from_table(instance, tau, model)
+    return _assemble(instance, model, rates, segments)
 
 
 @dataclass(frozen=True)
@@ -175,17 +161,16 @@ class BenchRow:
     total_candidates: int
 
 
-def bench_complexity(sizes: list[int], seed: int, model: PowerModel | None = None):
+def bench_complexity(sizes: list[int], seed: int):
     """Solve generated instances per size and report work counters.
 
     Enforces the structural bounds: at most n iterations, at most n^2
-    candidate windows per iteration.
+    candidate windows per iteration.  Rates do not depend on the power
+    law, so every solve uses Shannon(1.0).
     """
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
-    from .power import Shannon
-
-    model = model or Shannon(1.0)
+    model = Shannon(1.0)
     rows: list[BenchRow] = []
     for offset, n in enumerate(sizes):
         config = GeneratorConfig(

@@ -11,7 +11,9 @@ which makes the epoch the natural unit for time bookkeeping.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +52,12 @@ class Packet:
     deadline: float
 
     def __post_init__(self):
+        if not isinstance(self.id, (int, np.integer)) or isinstance(self.id, bool):
+            raise MalformedPacket(self.id, "id must be an integer")
+        for name in ("bits", "arrival", "deadline"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise MalformedPacket(self.id, f"{name} must be finite, got {value}")
         if not self.bits > 0:
             raise MalformedPacket(self.id, f"bits must be positive, got {self.bits}")
         if not self.deadline > self.arrival:
@@ -75,6 +83,9 @@ class Instance:
     `id_map` translates the dense ids back to the ids the caller
     supplied (new id -> original id); it does not participate in
     equality.
+
+    The packet arrays and the epoch decomposition are built on first
+    use and kept for the instance's lifetime; the arrays are read-only.
     """
 
     packets: tuple[Packet, ...]
@@ -90,14 +101,29 @@ class Instance:
         """Instants closer than this are the same instant."""
         return TIME_REL_TOL * self.horizon
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bits, arrivals and deadlines, as rows of one read-only array."""
+        ps = self.packets
+        table = np.array(
+            [[p.bits for p in ps], [p.arrival for p in ps], [p.deadline for p in ps]]
+        )
+        table.flags.writeable = False
+        return tuple(table)
+
     def bits(self) -> np.ndarray:
-        return np.array([p.bits for p in self.packets])
+        return self._columns[0]
 
     def arrivals(self) -> np.ndarray:
-        return np.array([p.arrival for p in self.packets])
+        return self._columns[1]
 
     def deadlines(self) -> np.ndarray:
-        return np.array([p.deadline for p in self.packets])
+        return self._columns[2]
+
+    @cached_property
+    def decomposition(self) -> EpochDecomposition:
+        """`decompose(self)`, built on first read."""
+        return decompose(self)
 
 
 @dataclass(frozen=True)
@@ -312,11 +338,15 @@ def instance_from_json(text: str) -> tuple[Instance, float]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "packets" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("packets"), list):
         raise InstanceFormatError("instance document must contain a 'packets' list")
     noise_power = doc.get("noise_power", 1.0)
-    if not isinstance(noise_power, (int, float)) or noise_power <= 0:
-        raise InstanceFormatError(f"noise_power must be positive, got {noise_power}")
+    if not isinstance(noise_power, (int, float)) or not (
+        math.isfinite(noise_power) and noise_power > 0
+    ):
+        raise InstanceFormatError(
+            f"noise_power must be positive and finite, got {noise_power}"
+        )
     raw = []
     for k, entry in enumerate(doc["packets"]):
         try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, decompose
+from .model import Instance
 from .power import PowerModel
 
 ARMIJO_C = 1e-4
@@ -106,7 +106,7 @@ def solve_projected_gradient(
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    decomp = decompose(instance)
+    decomp = instance.decomposition
     n, m = instance.n, decomp.m
     bits = instance.bits()
     mask = np.zeros((n, m), dtype=bool)
@@ -231,7 +231,7 @@ def solve_grid(instance: Instance, model: PowerModel, resolution: int) -> Oracle
     """
     if resolution < 10:
         raise ValueError(f"resolution must be at least 10, got {resolution}")
-    decomp = decompose(instance)
+    decomp = instance.decomposition
     n, m = instance.n, decomp.m
     if n > 3 or m > 5:
         raise TooLarge(f"grid oracle handles N <= 3, M <= 5; got N={n}, M={m}")

@@ -100,9 +100,6 @@ class PowerModel:
                 hi = mid
         return mid
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Shannon(PowerModel):
@@ -111,8 +108,10 @@ class Shannon(PowerModel):
     noise_power: float = 1.0
 
     def __post_init__(self):
-        if not self.noise_power > 0:
-            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
+            raise ValueError(
+                f"noise_power must be positive and finite, got {self.noise_power}"
+            )
 
     def power(self, rate):
         arr = _check_rate(rate)
@@ -125,9 +124,6 @@ class Shannon(PowerModel):
         with np.errstate(over="ignore"):
             out = 2.0 * LN2 * self.noise_power * np.exp2(2.0 * arr)
         return _scalarize(out, rate)
-
-    def describe(self) -> str:
-        return f"shannon(noise_power={self.noise_power})"
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,6 @@ class Monomial(PowerModel):
         if y < 0:
             raise NegativeInput(f"g is non-negative, cannot invert {y}")
         return (y / (self.scale * (self.exponent - 1.0))) ** (1.0 / self.exponent)
-
-    def describe(self) -> str:
-        return f"monomial(exponent={self.exponent}, scale={self.scale})"
 
 
 def schedule_energy(model: PowerModel, rates) -> float:

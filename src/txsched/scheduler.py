@@ -30,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _intervals
-from .model import (
-    TIME_REL_TOL,
-    EpochDecomposition,
-    Instance,
-    Packet,
-    PairTable,
-    decompose,
-)
+from .model import TIME_REL_TOL, Instance, Packet, PairTable
 from .power import PowerModel, schedule_energy
 
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
@@ -296,12 +289,11 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 # assembly
 
 
-def _tau_from_segments(
-    instance: Instance, decomp: EpochDecomposition, segments
-) -> PairTable:
+def _tau_from_segments(instance: Instance, segments) -> PairTable:
     """The epoch-time table of a segment list: each segment adds its
     overlap with every epoch it meets, in segment order.  Segments of
     unknown packets book nothing; the verifier names them."""
+    decomp = instance.decomposition
     grid = np.array(decomp.instants)
     segments = [seg for seg in segments if 1 <= seg.packet <= instance.n]
     rows = np.array([seg.packet - 1 for seg in segments], dtype=np.intp)
@@ -327,11 +319,7 @@ def _tau_from_segments(
 
 
 def _check_solution_invariants(
-    instance: Instance,
-    decomp: EpochDecomposition,
-    trace: IterationTrace,
-    segments,
-    rates: np.ndarray,
+    instance: Instance, trace: IterationTrace, segments, rates: np.ndarray
 ):
     steps = trace.steps
     tol = instance.time_tol
@@ -345,7 +333,7 @@ def _check_solution_invariants(
         if s1 < e0 - tol:
             raise InternalInvariantViolation("reserved pieces overlap across rounds")
     merged = _intervals.merge(all_pieces, tol)
-    live = decomp.live_region()
+    live = instance.decomposition.live_region()
     dust = _PIECE_EPS * instance.horizon
     gap = _intervals.measure(
         _intervals.subtract(live, merged, dust)
@@ -384,10 +372,9 @@ def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
     The head rate is the round's best grid rate, the value a loop over
     all periods at once would compare against the other periods.
     """
-    packets = [instance.packets[r] for r in rows]
-    arrivals = np.array([p.arrival for p in packets])
-    deadlines = np.array([p.deadline for p in packets])
-    bits = np.array([p.bits for p in packets])
+    arrivals = instance.arrivals()[rows]
+    deadlines = instance.deadlines()[rows]
+    bits = instance.bits()[rows]
     dust = _PIECE_EPS * instance.horizon
     active = np.ones(len(rows), dtype=bool)
     reserved: list[tuple[float, float]] = []
@@ -410,7 +397,7 @@ def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
         pieces = _intervals.subtract([span], reserved, dust)
         rate = float(bits[member].sum() / _intervals.measure(pieces))
         member_rows = rows[member]
-        member_packets = [packets[k] for k in member]
+        member_packets = [instance.packets[r] for r in member_rows.tolist()]
         step = IterationStep(
             rate=rate,
             members=frozenset(int(r) + 1 for r in member_rows),
@@ -458,10 +445,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     that of the better of its two sides, so each busy period is solved
     on its own and the periods' rounds are interleaved afterwards.
     """
-    decomp = decompose(instance)
-    n = instance.n
-    bits = instance.bits()
-    rates = np.zeros(n)
+    rates = np.zeros(instance.n)
     periods = [
         _solve_period(instance, rows, rates)
         for rows in _busy_periods(
@@ -474,21 +458,33 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         steps.append(step)
         segments.extend(segs)
 
-    segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
     trace = IterationTrace(tuple(steps))
-    _check_solution_invariants(instance, decomp, trace, segments, rates)
-    tau = _tau_from_segments(instance, decomp, segments)
+    return _assemble(instance, model, rates, segments, trace=trace)
+
+
+def _assemble(
+    instance: Instance,
+    model: PowerModel,
+    rates: np.ndarray,
+    segments: list[Segment],
+    tau: PairTable | None = None,
+    trace: IterationTrace | None = None,
+) -> Schedule:
+    """The schedule of constant `rates` over `segments`, sorted here by
+    time, priced under `model`.  A solver `trace` is first checked
+    against the schedule invariants; `tau` is booked from the segments
+    unless given."""
+    segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
+    if trace is not None:
+        _check_solution_invariants(instance, trace, segments, rates)
+    if tau is None:
+        tau = _tau_from_segments(instance, segments)
+    bits = instance.bits()
     energy = schedule_energy(
         model,
-        [(i + 1, rates[i], bits[i] / rates[i]) for i in range(n)],
+        [(i + 1, rates[i], bits[i] / rates[i]) for i in range(instance.n)],
     )
-    return Schedule(
-        rates=rates,
-        tau=tau,
-        segments=tuple(segments),
-        energy=energy,
-        trace=trace,
-    )
+    return Schedule(rates, tau, tuple(segments), energy, trace)
 
 
 def schedule_from_allocation(
@@ -502,22 +498,22 @@ def schedule_from_allocation(
     for turning oracle allocations or perturbed tables into verifiable
     schedules.
     """
-    decomp = decompose(instance)
     tau = np.asarray(tau, dtype=float)
-    if tau.shape != (instance.n, decomp.m):
-        raise ValueError(f"tau must be {(instance.n, decomp.m)}, got {tau.shape}")
-    return _schedule_from_table(instance, decomp, PairTable.from_dense(tau), model)
+    shape = (instance.n, instance.decomposition.m)
+    if tau.shape != shape:
+        raise ValueError(f"tau must be {shape}, got {tau.shape}")
+    return _schedule_from_table(instance, PairTable.from_dense(tau), model)
 
 
 def _schedule_from_table(
-    instance: Instance, decomp: EpochDecomposition, tau: PairTable, model: PowerModel
+    instance: Instance, tau: PairTable, model: PowerModel
 ) -> Schedule:
     """`schedule_from_allocation` on the table's cells."""
     totals = tau.row_sums()
     if np.any(totals <= 0):
         raise ValueError("every packet needs positive total time")
-    bits = instance.bits()
-    rates = bits / totals
+    rates = instance.bits() / totals
+    epochs = instance.decomposition.epochs
     dust = _PIECE_EPS * instance.horizon
     used = tau.values > dust
     rows, cols, values = tau.rows[used], tau.cols[used], tau.values[used]
@@ -527,21 +523,10 @@ def _schedule_from_table(
     cells = zip(rows[order].tolist(), cols[order].tolist(), values[order].tolist())
     for i, j, v in cells:
         if j != col:
-            col, t = j, decomp.epochs[j][0]
+            col, t = j, epochs[j][0]
         segments.append(Segment(i + 1, t, t + v, float(rates[i])))
         t += v
-    segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
-    energy = schedule_energy(
-        model,
-        [(i + 1, rates[i], bits[i] / rates[i]) for i in range(instance.n)],
-    )
-    return Schedule(
-        rates=rates,
-        tau=tau,
-        segments=tuple(segments),
-        energy=energy,
-        trace=None,
-    )
+    return _assemble(instance, model, rates, segments, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +563,6 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
     and pieces.
     """
     doc = json.loads(text)
-    decomp = decompose(instance)
     rates = np.zeros(instance.n)
     for entry in doc["rates"]:
         rates[int(entry["id"]) - 1] = float(entry["rate"])
@@ -595,7 +579,7 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
         for it in doc.get("iterations", [])
     )
     trace = IterationTrace(steps) if steps else None
-    tau = _tau_from_segments(instance, decomp, segments)
+    tau = _tau_from_segments(instance, segments)
     return Schedule(
         rates=rates,
         tau=tau,

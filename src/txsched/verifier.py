@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EpochDecomposition, Instance, PairTable, decompose
+from .model import EpochDecomposition, Instance, PairTable
 from .power import PowerModel
 from .scheduler import _PIECE_EPS, Schedule
 
@@ -191,18 +191,10 @@ def _flagged(flags: np.ndarray) -> list[int]:
     return np.flatnonzero(flags).tolist()
 
 
-def check_feasible(
-    instance: Instance,
-    schedule: Schedule,
-    decomp: EpochDecomposition | None = None,
-) -> FeasibilityReport:
+def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     """Causality, deadlines, non-overlap, bit conservation, and the
-    epoch-allocation constraints, with per-violation detail.
-
-    `decomp` is the instance's decomposition, when the caller has it.
-    """
-    if decomp is None:
-        decomp = decompose(instance)
+    epoch-allocation constraints, with per-violation detail."""
+    decomp = instance.decomposition
     n, m = instance.n, decomp.m
     if schedule.tau.shape != (n, m) or len(schedule.rates) != n:
         raise DimensionMismatch(
@@ -310,20 +302,15 @@ def check_feasible(
 
 
 def check_optimality(
-    instance: Instance,
-    schedule: Schedule,
-    model: PowerModel,
-    decomp: EpochDecomposition | None = None,
+    instance: Instance, schedule: Schedule, model: PowerModel
 ) -> VerificationReport:
     """The necessary-and-sufficient optimality conditions.
 
     Raises InfeasibleInput when the schedule is not feasible; otherwise
-    reports each condition and their conjunction.  `decomp` is the
-    instance's decomposition, when the caller has it.
+    reports each condition and their conjunction.
     """
-    if decomp is None:
-        decomp = decompose(instance)
-    feas = check_feasible(instance, schedule, decomp)
+    decomp = instance.decomposition
+    feas = check_feasible(instance, schedule)
     if not feas.ok:
         raise InfeasibleInput(
             "schedule is infeasible: " + "; ".join(feas.violations[:5])
@@ -442,8 +429,8 @@ def extract_certificate(
     instance: Instance, schedule: Schedule, model: PowerModel
 ) -> KKTCertificate:
     """Construct and validate the multipliers of an optimal schedule."""
-    decomp = decompose(instance)
-    report = check_optimality(instance, schedule, model, decomp)
+    decomp = instance.decomposition
+    report = check_optimality(instance, schedule, model)
     if not report.optimal:
         failed = []
         if not report.constant_rate_ok:

@@ -632,7 +632,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
 
     segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
     trace = IterationTrace(tuple(steps))
-    _check_solution_invariants(instance, decomp, trace, segments, rates)
+    _check_solution_invariants(instance, trace, segments, rates)
     return Schedule(
         rates=rates,
         tau=PairTable.from_dense(tau_from_segments(instance, decomp, segments)),

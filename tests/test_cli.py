@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,35 @@ class TestSolveValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "packets, noise, reason",
+        [
+            ([(1, 1.0, 0.0, math.inf)], 1.0, "deadline must be finite"),
+            ([(1, math.inf, 0.0, 2.0), (2, 1.0, 0.5, 1.0)], 1.0, "bits must be finite"),
+            ([(1, 1.0, -math.inf, 2.0)], 1.0, "arrival must be finite"),
+            ([("a", 1.0, 0.0, 2.0), (2, 1.0, 0.0, 2.0)], 1.0, "id must be an integer"),
+            ([(1, 1.0, 0.0, 2.0)], math.inf, "noise_power must be positive and finite"),
+        ],
+        ids=["deadline-inf", "bits-inf", "arrival-minus-inf", "str-id", "noise-inf"],
+    )
+    def test_non_finite_or_non_integer_input_exit_2(
+        self, tmp_path, capsys, packets, noise, reason
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "noise_power": noise,
+                    "packets": [
+                        {"id": i, "bits": b, "arrival": a, "deadline": d}
+                        for i, b, a, d in packets
+                    ],
+                }
+            )
+        )
+        assert main(["solve", str(bad)]) == 2
+        assert reason in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2

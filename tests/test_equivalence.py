@@ -481,10 +481,10 @@ def test_tau_from_segments_matches_loop():
             width = float(rng.choice([0.5 * dust, -1e-3, 5.0]) if rng.random() < 0.2
                           else rng.uniform(1e-4, 0.3))
             segments.append(Segment(int(rng.integers(1, 4)), t0, t0 + width, 1.0))
-        new = scheduler._tau_from_segments(inst, decomp, segments)
+        new = scheduler._tau_from_segments(inst, segments)
         assert_table_is(new, ref.tau_from_segments(inst, decomp, segments))
     assert_table_is(
-        scheduler._tau_from_segments(inst, decomp, []), np.zeros((inst.n, decomp.m))
+        scheduler._tau_from_segments(inst, []), np.zeros((inst.n, decomp.m))
     )
 
 

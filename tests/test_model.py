@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,19 @@ from txsched import (
     InstanceFormatError,
     MalformedPacket,
     Packet,
+    Shannon,
     decompose,
+    extract_certificate,
     instance_from_json,
     instance_to_json,
     is_non_fifo,
     normalize_instance,
+    schedule_from_json,
+    schedule_to_json,
+    solve,
+    solve_projected_gradient,
 )
+from txsched import model as model_module
 from txsched.model import TIME_REL_TOL
 
 
@@ -40,6 +48,27 @@ class TestPacket:
         with pytest.raises(MalformedPacket) as err:
             P(7, -1.0, 0.0, 1.0)
         assert err.value.packet_id == 7
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("bits", (math.inf, 0.0, 1.0)),
+            ("arrival", (1.0, -math.inf, 1.0)),
+            ("deadline", (1.0, 0.0, math.inf)),
+            ("bits", (math.nan, 0.0, 1.0)),
+        ],
+    )
+    def test_rejects_non_finite_values(self, field, fields):
+        with pytest.raises(MalformedPacket, match=f"{field} must be finite"):
+            P(1, *fields)
+
+    @pytest.mark.parametrize("pid", ["a", 1.0, True, None])
+    def test_rejects_non_integer_ids(self, pid):
+        with pytest.raises(MalformedPacket, match="id must be an integer"):
+            P(pid, 1.0, 0.0, 1.0)
+
+    def test_accepts_numpy_integer_ids(self):
+        assert P(np.int64(3), 1.0, 0.0, 1.0).id == 3
 
 
 class TestNormalize:
@@ -178,6 +207,47 @@ class TestDecompose:
         assert d1 == d2
 
 
+class TestInstanceCache:
+    def test_decomposition_is_built_once(self):
+        inst = normalize_instance([P(1, 1.0, 0.0, 3.0), P(2, 4.0, 1.0, 2.0)])
+        assert inst.decomposition == decompose(inst)
+        assert inst.decomposition is inst.decomposition
+
+    def test_pipeline_decomposes_once(self, monkeypatch):
+        calls = []
+        real = model_module.decompose
+
+        def counted(instance):
+            calls.append(instance)
+            return real(instance)
+
+        monkeypatch.setattr(model_module, "decompose", counted)
+        inst = normalize_instance(
+            [P(1, 1.0, 0.0, 3.0), P(2, 4.0, 1.0, 2.0), P(3, 2.0, 2.5, 5.0)]
+        )
+        model = Shannon(1.0)
+        back = schedule_from_json(schedule_to_json(solve(inst, model)), inst)
+        extract_certificate(inst, back, model)
+        solve_projected_gradient(inst, model, max_iters=50)
+        assert calls == [inst]
+
+    def test_arrays_are_read_only(self):
+        inst = normalize_instance([P(1, 1.0, 0.0, 3.0), P(2, 4.0, 1.0, 2.0)])
+        assert inst.bits() is inst.bits()
+        for arr in (inst.bits(), inst.arrivals(), inst.deadlines()):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+        assert inst.bits().tolist() == [1.0, 4.0]
+        assert inst.arrivals().tolist() == [0.0, 1.0]
+        assert inst.deadlines().tolist() == [3.0, 2.0]
+
+    def test_cache_is_outside_equality(self):
+        a = normalize_instance([P(1, 1.0, 0.0, 3.0)])
+        b = normalize_instance([P(1, 1.0, 0.0, 3.0)])
+        a.decomposition
+        assert a == b and hash(a) == hash(b)
+
+
 class TestNonFifo:
     def test_nested_is_flagged(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
@@ -227,6 +297,22 @@ class TestJson:
     def test_missing_packets_rejected(self):
         with pytest.raises(InstanceFormatError):
             instance_from_json("{}")
+
+    @pytest.mark.parametrize("packets", ["5", "null", '"abc"'])
+    def test_packets_not_a_list_rejected(self, packets):
+        with pytest.raises(InstanceFormatError):
+            instance_from_json(f'{{"packets": {packets}}}')
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_noise_power_rejected(self, noise):
+        text = json.dumps(
+            {
+                "noise_power": noise,
+                "packets": [{"id": 1, "bits": 1.0, "arrival": 0.0, "deadline": 1.0}],
+            }
+        )
+        with pytest.raises(InstanceFormatError, match="noise_power"):
+            instance_from_json(text)
 
     def test_missing_field_rejected(self):
         with pytest.raises(InstanceFormatError):

@@ -179,6 +179,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Shannon(0.0)
 
+    @pytest.mark.parametrize("noise", [math.inf, math.nan])
+    def test_shannon_noise_finite(self, noise):
+        with pytest.raises(ValueError):
+            Shannon(noise)
+
     def test_monomial_exponent_above_one(self):
         with pytest.raises(ValueError):
             Monomial(1.0, 1.0)

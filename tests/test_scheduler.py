@@ -333,7 +333,7 @@ class TestSolve:
         segs[0] = Segment(g.packet, g.t_start, g.t_start + 0.5 * g.duration, g.rate)
         with pytest.raises(InternalInvariantViolation, match="delivered bits"):
             scheduler._check_solution_invariants(
-                inst, decompose(inst), s.trace, segs, s.rates
+                inst, s.trace, segs, s.rates
             )
 
     def test_tau_matches_allocation_constraints(self):

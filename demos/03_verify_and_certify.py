@@ -14,6 +14,7 @@ from txsched import (
     Packet,
     Shannon,
     check_optimality,
+    epoch_times,
     extract_certificate,
     normalize_instance,
     schedule_from_allocation,
@@ -31,9 +32,11 @@ instance = normalize_instance(
 schedule = solve(instance, model)
 report = check_optimality(instance, schedule, model)
 print("solver output optimal:", report.optimal)
-for cond in report.epoch_rate_conditions:
-    print(f"  epoch {cond.epoch}: transmitting {sorted(cond.positive)} "
-          f"at {cond.common_rate:.4g}, waiting {sorted(cond.zero)}")
+conditions = report.epoch_rate_conditions
+for epoch, rate in zip(conditions.epoch.tolist(), conditions.rate.tolist()):
+    positive, zero = conditions.members(epoch)
+    print(f"  epoch {epoch}: transmitting {sorted(positive)} "
+          f"at {rate:.4g}, waiting {sorted(zero)}")
 
 cert = extract_certificate(instance, schedule, model)
 print("\nmultipliers:")
@@ -43,9 +46,11 @@ print("  gamma[packet 1, epoch 2] =  ", round(cert.gamma[0, 1], 4),
       "(the energy margin by which packet 2 outbids it there)")
 
 # Nudge the allocation: give the slow packet a slice of the busy epoch.
-# schedule.tau holds the table's nonzero cells; spread them out densely.
-tau = np.zeros(schedule.tau.shape)
-tau[schedule.tau.rows, schedule.tau.cols] = schedule.tau.values
+# epoch_times books each packet's time per epoch from the segments, as
+# a table of its nonzero cells; spread them out densely.
+booked = epoch_times(instance, schedule)
+tau = np.zeros(booked.shape)
+tau[booked.rows, booked.cols] = booked.values
 tau[0, 1] += 0.05
 tau[1, 1] -= 0.05
 worse = schedule_from_allocation(instance, tau, model)
@@ -53,8 +58,8 @@ report = check_optimality(instance, worse, model)
 print("\nafter moving 0.05 s of the busy epoch to the slow packet:")
 print(f"  energy {schedule.energy:.6f} -> {worse.energy:.6f} J")
 print("  still optimal?", report.optimal)
-for cond in report.epoch_rate_conditions:
-    if not (cond.equal_rates_ok and cond.dominance_ok):
-        print(f"  violated in epoch {cond.epoch}: rates "
-              f"{[round(float(worse.rates[i - 1]), 4) for i in sorted(cond.positive)]}"
-              " share the epoch but differ")
+for epoch in report.epoch_rate_conditions.failed():
+    positive, _ = report.epoch_rate_conditions.members(epoch)
+    print(f"  violated in epoch {epoch}: rates "
+          f"{[round(float(worse.rates[i - 1]), 4) for i in sorted(positive)]}"
+          " share the epoch but differ")

@@ -34,6 +34,7 @@ from .verifier import (
     DimensionMismatch,
     check_feasible,
     check_optimality,
+    epoch_times,
     extract_certificate,
 )
 
@@ -207,7 +208,7 @@ def _cmd_trace(args) -> int:
     decomp = instance.decomposition
     rows, cols = decomp.pairs()
     lines = ["packet,epoch,start,end,tau"]
-    times = schedule.tau.on_pairs(decomp).tolist()
+    times = epoch_times(instance, schedule).on_pairs(decomp).tolist()
     for i, j, t in zip(rows.tolist(), cols.tolist(), times):
         s, e = decomp.epochs[j]
         lines.append(f"{i + 1},{j + 1},{float(s)!r},{float(e)!r},{t!r}")

@@ -10,6 +10,7 @@ the optimal policy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _intervals
 from .model import Instance, Packet, PairTable, normalize_instance
-from .power import PowerModel, Shannon
+from .power import NonFiniteEnergy, PowerModel, Shannon
 from .scheduler import (
     InternalDeadlineMiss,
     InternalIdle,
@@ -25,7 +26,7 @@ from .scheduler import (
     Schedule,
     _PIECE_EPS,
     _assemble,
-    _schedule_from_table,
+    _segments_from_table,
     edf_fill,
     solve,
 )
@@ -122,7 +123,8 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     claims every still-free instant inside its window and transmits at
     bits / claimed time.  Pathological tie groups that defeat the EDF
     layout fall back to per-epoch proportional sharing, which inflates
-    rates just enough to stay feasible.
+    rates just enough to stay feasible.  Rates whose energy overflows
+    float64 give an energy of inf, where `solve` would refuse them.
     """
     free: list[tuple[float, float]] = [(0.0, instance.horizon)]
     dust = _PIECE_EPS * instance.horizon
@@ -148,8 +150,13 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
         rows, cols = decomp.pairs()
         share = decomp.epoch_lengths()[cols] / decomp.coverage()[cols]
         tau = PairTable(rows, cols, share, (instance.n, decomp.m))
-        return _schedule_from_table(instance, tau, model)
-    return _assemble(instance, model, rates, segments)
+        rates, segments = _segments_from_table(instance, tau)
+    try:
+        return _assemble(instance, model, rates, segments)
+    except NonFiniteEnergy:
+        # still feasible, only too fast for float64 to price: the
+        # baseline's overpayment is unbounded, which is no error
+        return Schedule(rates, tuple(segments), math.inf, None)
 
 
 @dataclass(frozen=True)

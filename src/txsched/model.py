@@ -341,9 +341,9 @@ def instance_from_json(text: str) -> tuple[Instance, float]:
     if not isinstance(doc, dict) or not isinstance(doc.get("packets"), list):
         raise InstanceFormatError("instance document must contain a 'packets' list")
     noise_power = doc.get("noise_power", 1.0)
-    if not isinstance(noise_power, (int, float)) or not (
-        math.isfinite(noise_power) and noise_power > 0
-    ):
+    # a bool is an int, but true is no noise power
+    number = isinstance(noise_power, (int, float)) and not isinstance(noise_power, bool)
+    if not (number and math.isfinite(noise_power) and noise_power > 0):
         raise InstanceFormatError(
             f"noise_power must be positive and finite, got {noise_power}"
         )

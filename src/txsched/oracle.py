@@ -50,11 +50,13 @@ class OracleSolution:
     energy_history: np.ndarray | None = None
 
 
-def _project_columns(packed: np.ndarray, caps: np.ndarray, lens: np.ndarray):
+def _project_columns(packed: np.ndarray, caps: np.ndarray):
     """Batched capped-simplex projection of packed epoch columns.
 
-    packed[c, :lens[c]] holds the allocation of epoch column c; slots
-    past lens[c] are padding at a large negative value and project to 0.
+    Row c of `packed` holds the allocation of epoch column c, padded at
+    its end with a large negative value.  Padding projects to 0: on a
+    row over its cap theta is positive, so no slot at or below 0 passes
+    the threshold test.
     The final rescale guarantees feasibility even when the inputs are
     many orders of magnitude above the caps and theta loses precision.
     """
@@ -64,11 +66,11 @@ def _project_columns(packed: np.ndarray, caps: np.ndarray, lens: np.ndarray):
         return clipped
     every = over.all()  # the usual case after a gradient step
     rows = slice(None) if every else over
-    x, cap, ln = packed[rows], caps[rows], lens[rows]
+    x, cap = packed[rows], caps[rows]
     u = np.sort(x, axis=1)[:, ::-1]  # descending; padding sinks to the end
     cssv = np.add.accumulate(u, axis=1) - cap[:, None]
     ks = np.arange(1, x.shape[1] + 1)
-    valid = (u - cssv / ks > 0) & (ks <= ln[:, None])
+    valid = u - cssv / ks > 0
     k = np.where(valid, ks, 1).max(axis=1)
     theta = cssv[np.arange(len(x)), k - 1] / k
     proj = np.maximum(x - theta[:, None], 0.0)
@@ -133,7 +135,7 @@ def solve_projected_gradient(
         packed = fill.copy()
         packed[slot] = tau.ravel()[flat]
         out = np.zeros(n * m)
-        out[flat] = _project_columns(packed, caps, lens)[slot]
+        out[flat] = _project_columns(packed, caps)[slot]
         return out.reshape(n, m)
 
     tau = np.zeros((n, m))

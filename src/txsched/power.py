@@ -34,6 +34,11 @@ class ZeroRate(ValueError):
     """A packet transmitted at rate 0 never finishes."""
 
 
+class NonFiniteEnergy(ValueError):
+    """A schedule's energy overflows float64: its rates are too fast
+    for the power law."""
+
+
 class BracketOverflow(RuntimeError):
     """g never reached the requested value; the model is inconsistent."""
 
@@ -172,6 +177,7 @@ def schedule_energy(model: PowerModel, rates) -> float:
     `rates` is an iterable of (packet id, rate, total transmission
     time); the energy is sum(time * f(rate)), with f evaluated once per
     distinct rate, since the packets of one solve round share theirs.
+    Raises NonFiniteEnergy, naming the packet, once the sum is not finite.
     """
     total = 0.0
     power: dict[float, float] = {}
@@ -185,4 +191,9 @@ def schedule_energy(model: PowerModel, rates) -> float:
         if rate not in power:
             power[rate] = model.power(rate)
         total += time * power[rate]
+        if not math.isfinite(total):
+            raise NonFiniteEnergy(
+                f"packet {pid}: energy is not finite ({time} s at rate {rate}, "
+                f"power {power[rate]})"
+            )
     return total

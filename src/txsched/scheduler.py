@@ -91,13 +91,12 @@ class IterationTrace:
 class Schedule:
     """A complete transmission plan.
 
-    rates[i-1] is packet i's constant rate; tau[i-1, j-1] its
-    transmission time inside epoch j, held as the table's nonzero cells;
-    segments the flattened timeline.
+    rates[i-1] is packet i's constant rate; segments the flattened
+    timeline, from which the verifier books each packet's time per
+    epoch (`verifier.epoch_times`).
     """
 
     rates: np.ndarray
-    tau: PairTable
     segments: tuple[Segment, ...]
     energy: float
     trace: IterationTrace | None
@@ -289,35 +288,6 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 # assembly
 
 
-def _tau_from_segments(instance: Instance, segments) -> PairTable:
-    """The epoch-time table of a segment list: each segment adds its
-    overlap with every epoch it meets, in segment order.  Segments of
-    unknown packets book nothing; the verifier names them."""
-    decomp = instance.decomposition
-    grid = np.array(decomp.instants)
-    segments = [seg for seg in segments if 1 <= seg.packet <= instance.n]
-    rows = np.array([seg.packet - 1 for seg in segments], dtype=np.intp)
-    t0 = np.array([seg.t_start for seg in segments], dtype=float)
-    t1 = np.array([seg.t_end for seg in segments], dtype=float)
-    # a segment meets the epochs from the one holding its start up to,
-    # not including, the first whose left instant reaches its end
-    first = np.maximum(np.searchsorted(grid, t0, side="right") - 1, 0)
-    count = np.maximum(
-        np.minimum(np.searchsorted(grid, t1, side="left"), decomp.m) - first, 0
-    )
-    seg = np.repeat(np.arange(len(segments)), count)
-    cols = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-    overlap = np.minimum(t1[seg], grid[cols + 1]) - np.maximum(t0[seg], grid[cols])
-    # sub-dust overlaps are float artifacts of segments touching an
-    # epoch boundary, not allocations
-    keep = overlap > _PIECE_EPS * instance.horizon
-    m = decomp.m
-    cells, where = np.unique(rows[seg[keep]] * m + cols[keep], return_inverse=True)
-    values = np.zeros(len(cells))
-    np.add.at(values, where, overlap[keep])
-    return PairTable(cells // m, cells % m, values, (instance.n, m))
-
-
 def _check_solution_invariants(
     instance: Instance, trace: IterationTrace, segments, rates: np.ndarray
 ):
@@ -467,48 +437,46 @@ def _assemble(
     model: PowerModel,
     rates: np.ndarray,
     segments: list[Segment],
-    tau: PairTable | None = None,
     trace: IterationTrace | None = None,
 ) -> Schedule:
     """The schedule of constant `rates` over `segments`, sorted here by
     time, priced under `model`.  A solver `trace` is first checked
-    against the schedule invariants; `tau` is booked from the segments
-    unless given."""
+    against the schedule invariants."""
     segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
     if trace is not None:
         _check_solution_invariants(instance, trace, segments, rates)
-    if tau is None:
-        tau = _tau_from_segments(instance, segments)
     bits = instance.bits()
     energy = schedule_energy(
         model,
         [(i + 1, rates[i], bits[i] / rates[i]) for i in range(instance.n)],
     )
-    return Schedule(rates, tau, tuple(segments), energy, trace)
+    return Schedule(rates, tuple(segments), energy, trace)
 
 
 def schedule_from_allocation(
     instance: Instance, tau: np.ndarray, model: PowerModel
 ) -> Schedule:
     """Materialize a schedule from a dense N x M epoch-time allocation
-    table, such as the oracle's, keeping its nonzero cells.
+    table, such as the oracle's.
 
     Rates follow from each packet's total time; inside each epoch the
-    allocated packets transmit sequentially in deadline order.  Useful
-    for turning oracle allocations or perturbed tables into verifiable
-    schedules.
+    allocated packets transmit back to back from the epoch's start, in
+    deadline order.  Only these segments are kept: booked back into
+    epochs they give the table again, up to rounding, unless a column
+    overfills its epoch and spills into the next.  Useful for turning
+    oracle allocations or perturbed tables into verifiable schedules.
     """
     tau = np.asarray(tau, dtype=float)
     shape = (instance.n, instance.decomposition.m)
     if tau.shape != shape:
         raise ValueError(f"tau must be {shape}, got {tau.shape}")
-    return _schedule_from_table(instance, PairTable.from_dense(tau), model)
+    rates, segments = _segments_from_table(instance, PairTable.from_dense(tau))
+    return _assemble(instance, model, rates, segments)
 
 
-def _schedule_from_table(
-    instance: Instance, tau: PairTable, model: PowerModel
-) -> Schedule:
-    """`schedule_from_allocation` on the table's cells."""
+def _segments_from_table(instance: Instance, tau: PairTable):
+    """The rates and segments of `schedule_from_allocation`, from the
+    table's cells."""
     totals = tau.row_sums()
     if np.any(totals <= 0):
         raise ValueError("every packet needs positive total time")
@@ -526,7 +494,7 @@ def _schedule_from_table(
             col, t = j, epochs[j][0]
         segments.append(Segment(i + 1, t, t + v, float(rates[i])))
         t += v
-    return _assemble(instance, model, rates, segments, tau=tau)
+    return rates, segments
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +524,8 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str, instance: Instance) -> Schedule:
-    """Rebuild a schedule from its JSON form.
-
-    The allocation table is reconstructed by intersecting segments with
-    the instance's epoch grid; the iteration trace keeps rates, members
-    and pieces.
-    """
+    """Rebuild a schedule from its JSON form; the iteration trace keeps
+    rates, members and pieces."""
     doc = json.loads(text)
     rates = np.zeros(instance.n)
     for entry in doc["rates"]:
@@ -579,11 +543,4 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
         for it in doc.get("iterations", [])
     )
     trace = IterationTrace(steps) if steps else None
-    tau = _tau_from_segments(instance, segments)
-    return Schedule(
-        rates=rates,
-        tau=tau,
-        segments=segments,
-        energy=float(doc["energy"]),
-        trace=trace,
-    )
+    return Schedule(rates, segments, float(doc["energy"]), trace)

@@ -11,12 +11,11 @@ witness optimality of the underlying convex program.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import EpochDecomposition, Instance, PairTable
+from .model import Instance, PairTable
 from .power import PowerModel
 from .scheduler import _PIECE_EPS, Schedule
 
@@ -29,7 +28,7 @@ CERT_TOL = 1e-8
 
 
 class DimensionMismatch(ValueError):
-    """Schedule arrays do not match the instance's packet/epoch counts."""
+    """A schedule's rates do not match the instance's packet count."""
 
 
 class InfeasibleInput(ValueError):
@@ -42,128 +41,65 @@ class NotOptimal(ValueError):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """The feasibility verdict, and `tau`, the epoch-time table booked
+    from the schedule's segments (`epoch_times`), which the table checks
+    ran on and the optimality conditions and the certificate read."""
+
     ok: bool
     violations: tuple[str, ...]
+    tau: PairTable = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class PairTimes:
-    """A schedule's time at every feasible (packet, epoch) pair.
+@dataclass(frozen=True, eq=False)
+class EpochConditions:
+    """The rate-ordering conditions of the live epochs, as arrays.
 
-    rows, cols and tau follow `decomp.pairs()`: packet-major, epochs
-    ascending within a packet.  `positive` marks the pairs whose time
-    counts as positive, POSITIVE_TIME_REL of the epoch or more.
+    Per live epoch, ascending: `epoch`, its number; `n_positive` and
+    `n_zero`, how many of its feasible packets have positive and zero
+    time there; `equal_ok`, whether the transmitting packets share one
+    rate; `dominance_ok`, whether no waiting packet is faster than a
+    transmitting one; and `rate`, the fastest transmitting rate, the
+    common rate where the epoch passes (-inf where nothing transmits).
+
+    Per feasible (packet, epoch) pair, in `decomp.pairs()` order: the
+    0-based `rows` and `cols`, the packet's `times` in the epoch, and
+    `positive`, whether that time exceeds POSITIVE_TIME_REL of the epoch.
     """
 
-    decomp: EpochDecomposition
+    epoch: np.ndarray
+    n_positive: np.ndarray
+    n_zero: np.ndarray
+    equal_ok: np.ndarray
+    dominance_ok: np.ndarray
+    rate: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    tau: np.ndarray
+    times: np.ndarray
     positive: np.ndarray
-
-    def members(self, col: int, positive: bool) -> frozenset[int]:
-        """Ids of the packets feasible in epoch column `col` whose time
-        there is positive, or zero."""
-        rows = np.arange(len(self.decomp.lo))
-        pos = self.decomp.pair_positions(rows, np.full(len(rows), col))
-        rows, pos = rows[pos >= 0], pos[pos >= 0]
-        return frozenset((rows[self.positive[pos] == positive] + 1).tolist())
-
-
-def _pair_times(decomp: EpochDecomposition, tau: PairTable) -> PairTimes:
-    rows, cols = decomp.pairs()
-    values = tau.on_pairs(decomp)
-    positive = values > POSITIVE_TIME_REL * decomp.epoch_lengths()[cols]
-    return PairTimes(decomp, rows, cols, values, positive)
-
-
-@dataclass(frozen=True)
-class EpochCondition:
-    """Rate-ordering conditions for one epoch.
-
-    The packets feasible here split into those with positive time
-    (`positive`) and those with zero time (`zero`); the report keeps
-    their counts, and the member sets are built when asked for.
-    """
-
-    epoch: int
-    n_positive: int
-    n_zero: int
-    equal_rates_ok: bool
-    dominance_ok: bool
-    common_rate: float | None
-    pairs: PairTimes = field(compare=False, repr=False)
-
-    @property
-    def positive(self) -> frozenset[int]:
-        """Packets with positive time here."""
-        return self.pairs.members(self.epoch - 1, True)
-
-    @property
-    def zero(self) -> frozenset[int]:
-        """Feasible packets with zero time here."""
-        return self.pairs.members(self.epoch - 1, False)
-
-
-class EpochConditions(Sequence):
-    """The live epochs' rate-ordering conditions, in epoch order.
-
-    They are held as arrays over the live epochs: `cols` (ascending),
-    the counts, both flags and `rate`, the fastest transmitting rate,
-    which is the common rate where anything transmits.  `optimal` and
-    the certificate read the arrays; the `EpochCondition` objects are
-    built when the sequence is first read.  Equal to a tuple of the
-    same conditions.
-    """
-
-    def __init__(self, cols, n_positive, n_zero, equal_ok, dominance_ok, rate, pairs):
-        self.cols = cols
-        self.n_positive = n_positive
-        self.n_zero = n_zero
-        self.equal_ok = equal_ok
-        self.dominance_ok = dominance_ok
-        self.rate = rate
-        self._pairs = pairs
-        self._built: tuple[EpochCondition, ...] | None = None
 
     def failed(self) -> list[int]:
         """Numbers of the epochs whose conditions fail, ascending."""
-        return (self.cols[~(self.equal_ok & self.dominance_ok)] + 1).tolist()
+        return self.epoch[~(self.equal_ok & self.dominance_ok)].tolist()
 
     def common_rates(self) -> dict[int, float]:
         """Epoch column -> common rate, over the epochs that transmit."""
         on = self.n_positive > 0
-        return dict(zip(self.cols[on].tolist(), self.rate[on].tolist()))
+        return dict(zip((self.epoch[on] - 1).tolist(), self.rate[on].tolist()))
 
-    def _conditions(self) -> tuple[EpochCondition, ...]:
-        if self._built is None:
-            per_epoch = (
-                self.n_positive, self.n_zero, self.equal_ok, self.dominance_ok, self.rate
-            )
-            self._built = tuple(
-                EpochCondition(col + 1, n_p, n_z, eq, dom, r if n_p else None, self._pairs)
-                for col, n_p, n_z, eq, dom, r in zip(
-                    self.cols.tolist(), *(a.tolist() for a in per_epoch)
-                )
-            )
-        return self._built
-
-    def __len__(self) -> int:
-        return len(self.cols)
-
-    def __getitem__(self, k):
-        return self._conditions()[k]
-
-    def __iter__(self):
-        return iter(self._conditions())
+    def members(self, epoch: int) -> tuple[frozenset[int], frozenset[int]]:
+        """Ids of the packets feasible in epoch number `epoch` with
+        positive time there, and with zero time."""
+        here = self.cols == epoch - 1
+        ids, positive = self.rows[here] + 1, self.positive[here]
+        return frozenset(ids[positive].tolist()), frozenset(ids[~positive].tolist())
 
     def __eq__(self, other):
-        if not isinstance(other, (tuple, EpochConditions)):
+        if not isinstance(other, EpochConditions):
             return NotImplemented
-        return self._conditions() == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(self._conditions())
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
 
 
 @dataclass(frozen=True)
@@ -175,8 +111,6 @@ class VerificationReport:
     monotone_iteration_rates_ok: bool | None
     optimal: bool
     warnings: tuple[str, ...] = field(default=())
-    # the pair times the conditions were checked on
-    pairs: PairTimes | None = field(default=None, compare=False, repr=False)
 
 
 def _per_epoch(ufunc, fill: float, cols: np.ndarray, values: np.ndarray, m: int):
@@ -191,16 +125,44 @@ def _flagged(flags: np.ndarray) -> list[int]:
     return np.flatnonzero(flags).tolist()
 
 
+def epoch_times(instance: Instance, schedule: Schedule) -> PairTable:
+    """tau, the schedule's time per (packet, epoch), booked from its
+    segments: each segment adds its overlap with every epoch it meets,
+    in segment order.  Segments of unknown packets book nothing;
+    `check_feasible` names them."""
+    decomp = instance.decomposition
+    grid = np.array(decomp.instants)
+    segments = [seg for seg in schedule.segments if 1 <= seg.packet <= instance.n]
+    rows = np.array([seg.packet - 1 for seg in segments], dtype=np.intp)
+    t0 = np.array([seg.t_start for seg in segments], dtype=float)
+    t1 = np.array([seg.t_end for seg in segments], dtype=float)
+    # a segment meets the epochs from the one holding its start up to,
+    # not including, the first whose left instant reaches its end
+    first = np.maximum(np.searchsorted(grid, t0, side="right") - 1, 0)
+    count = np.maximum(
+        np.minimum(np.searchsorted(grid, t1, side="left"), decomp.m) - first, 0
+    )
+    seg = np.repeat(np.arange(len(segments)), count)
+    cols = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    overlap = np.minimum(t1[seg], grid[cols + 1]) - np.maximum(t0[seg], grid[cols])
+    # sub-dust overlaps are float artifacts of segments touching an
+    # epoch boundary, not allocations
+    keep = overlap > _PIECE_EPS * instance.horizon
+    m = decomp.m
+    cells, where = np.unique(rows[seg[keep]] * m + cols[keep], return_inverse=True)
+    values = np.zeros(len(cells))
+    np.add.at(values, where, overlap[keep])
+    return PairTable(cells // m, cells % m, values, (instance.n, m))
+
+
 def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     """Causality, deadlines, non-overlap, bit conservation, and the
-    epoch-allocation constraints, with per-violation detail."""
+    epoch-allocation constraints on the table booked from the segments,
+    with per-violation detail."""
     decomp = instance.decomposition
-    n, m = instance.n, decomp.m
-    if schedule.tau.shape != (n, m) or len(schedule.rates) != n:
-        raise DimensionMismatch(
-            f"expected tau {(n, m)} and {n} rates, "
-            f"got {schedule.tau.shape} and {len(schedule.rates)}"
-        )
+    n = instance.n
+    if len(schedule.rates) != n:
+        raise DimensionMismatch(f"expected {n} rates, got {len(schedule.rates)}")
     violations: list[str] = []
     segments = schedule.segments
     bits = instance.bits()
@@ -216,9 +178,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     early = seg_start < instance.arrivals()[row] - tol
     late = seg_end > instance.deadlines()[row] + tol
     empty = ~(seg_end > seg_start)
-    off_rate = np.abs(seg_rate - assigned) > RATE_REL_TOL * np.maximum(
-        np.abs(assigned), 1.0
-    )
+    off_rate = np.abs(seg_rate - assigned) > RATE_REL_TOL * np.abs(assigned)
     for k in _flagged(~known | early | late | empty | off_rate):
         seg = segments[k]
         if not known[k]:
@@ -263,8 +223,9 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
             f"of {bits[i]} bits"
         )
 
-    # Only the table's cells can be negative or lie outside a window.
-    tau = schedule.tau
+    # A segment outside its window books time outside it, and
+    # overlapping ones overfill an epoch.
+    tau = epoch_times(instance, schedule)
     dust = _PIECE_EPS * instance.horizon
     if np.any(tau.values < -dust):
         violations.append("negative epoch allocation in tau")
@@ -298,7 +259,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
             f"epoch {j + 1} allocates {used[j]} of its {lengths[j]} seconds"
         )
 
-    return FeasibilityReport(ok=not violations, violations=tuple(violations))
+    return FeasibilityReport(not violations, tuple(violations), tau)
 
 
 def check_optimality(
@@ -338,17 +299,19 @@ def check_optimality(
     lengths = decomp.epoch_lengths()
     coverage = decomp.coverage()
     live = coverage > 0
-    used = schedule.tau.col_sums()
+    used = feas.tau.col_sums()
     idle_ok = ~live | (np.abs(used - lengths) <= instance.time_tol)
     non_idling = dict(enumerate(idle_ok.tolist(), start=1))
 
     rates = schedule.rates
     rmax = float(rates.max()) if len(rates) else 0.0
     # Per-epoch rate extremes of the positive and of the zero pairs.
-    pairs = _pair_times(decomp, schedule.tau)
-    pos, zero = pairs.positive, ~pairs.positive
-    pos_cols, zero_cols = pairs.cols[pos], pairs.cols[zero]
-    pos_rate, zero_rate = rates[pairs.rows[pos]], rates[pairs.rows[zero]]
+    rows, cols = decomp.pairs()
+    times = feas.tau.on_pairs(decomp)
+    pos = times > POSITIVE_TIME_REL * lengths[cols]
+    zero = ~pos
+    pos_cols, zero_cols = cols[pos], cols[zero]
+    pos_rate, zero_rate = rates[rows[pos]], rates[rows[zero]]
     n_pos = np.bincount(pos_cols, minlength=m)
     n_zero = coverage - n_pos
     pos_max = _per_epoch(np.maximum, -np.inf, pos_cols, pos_rate, m)
@@ -356,13 +319,13 @@ def check_optimality(
     zero_max = _per_epoch(np.maximum, -np.inf, zero_cols, zero_rate, m)
     equal_ok = (n_pos == 0) | (pos_max - pos_min <= RATE_REL_TOL * pos_max)
     dominance_ok = (n_pos == 0) | (n_zero == 0) | (
-        pos_min >= zero_max - RATE_REL_TOL * max(rmax, 1.0)
+        pos_min >= zero_max - RATE_REL_TOL * rmax
     )
 
     conditions = EpochConditions(
-        np.flatnonzero(live),
+        np.flatnonzero(live) + 1,
         *(a[live] for a in (n_pos, n_zero, equal_ok, dominance_ok, pos_max)),
-        pairs,
+        rows, cols, times, pos,
     )
 
     monotone: bool | None = None
@@ -383,7 +346,7 @@ def check_optimality(
         warnings.append(
             f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
         )
-    elif not abs(recomputed - schedule.energy) <= 1e-9 * max(abs(recomputed), 1.0):
+    elif not abs(recomputed - schedule.energy) <= 1e-9 * abs(recomputed):
         warnings.append(
             f"stored energy {schedule.energy} differs from recomputed {recomputed}"
         )
@@ -403,7 +366,6 @@ def check_optimality(
         monotone_iteration_rates_ok=monotone,
         optimal=optimal,
         warnings=tuple(warnings),
-        pairs=pairs,
     )
 
 
@@ -459,8 +421,8 @@ def extract_certificate(
     beta = np.zeros(m)
     for col, r in common.items():
         beta[col] = g_of[r]
-    pairs = report.pairs
-    rows, cols, positive = pairs.rows, pairs.cols, pairs.positive
+    conditions = report.epoch_rate_conditions
+    rows, cols, positive = conditions.rows, conditions.cols, conditions.positive
     transmitting = np.bincount(cols[positive], minlength=m) > 0
     waiting = ~positive & transmitting[cols]
     target = g_rates[rows]
@@ -486,7 +448,7 @@ def extract_certificate(
     identity_bad[suspect] = residual[suspect] > 2.0 * np.spacing(
         np.maximum(pair_beta[suspect], 1.0)
     )
-    slack = pair_gamma * pairs.tau
+    slack = pair_gamma * conditions.times
     scale = np.maximum(pair_gamma, 1.0) * lengths[cols]
     slack_bad = np.abs(slack) > CERT_TOL * scale
     bad = _flagged(identity_bad | slack_bad)
@@ -500,7 +462,7 @@ def extract_certificate(
                 f"g(rate) = {target[k]}"
             )
         raise RuntimeError(f"complementary slackness failed for packet {i}, epoch {j}")
-    cap_slack = beta * (schedule.tau.col_sums() - lengths)
+    cap_slack = beta * (report.feasible.tau.col_sums() - lengths)
     bad = _flagged(np.abs(cap_slack) > np.maximum(beta, 1.0) * instance.time_tol)
     if bad:
         raise RuntimeError(f"epoch {bad[0] + 1} capacity slackness failed")

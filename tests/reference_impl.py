@@ -6,7 +6,7 @@ These are the Python loops and the matmul `candidate_grid` that the
 per-period `txsched.scheduler.solve` with its rank-histogram
 `_candidate_grid`, the vectorized `txsched.verifier` functions, the
 heap-based `txsched.scheduler.edf_fill`, the vectorized
-`_tau_from_segments`, the once-per-rate
+`txsched.verifier.epoch_times`, the once-per-rate
 `txsched.power.schedule_energy` and the gather/scatter projection of
 `txsched.oracle.solve_projected_gradient` replaced, kept as the
 reference that tests/test_equivalence.py compares the fast code
@@ -29,7 +29,7 @@ import numpy as np
 from txsched import _intervals, scheduler
 from txsched.model import TIME_REL_TOL, Instance, Packet, PairTable, decompose
 from txsched.oracle import ARMIJO_C, TIME_FLOOR, OracleSolution
-from txsched.power import NegativeRate, PowerModel, ZeroRate
+from txsched.power import NegativeRate, NonFiniteEnergy, PowerModel, ZeroRate
 from txsched.scheduler import (
     _PIECE_EPS,
     IterationStep,
@@ -185,11 +185,8 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     epoch-allocation constraints, with per-violation detail."""
     decomp = decompose_sets(instance)
     n, m = instance.n, decomp.m
-    if schedule.tau.shape != (n, m) or len(schedule.rates) != n:
-        raise DimensionMismatch(
-            f"expected tau {(n, m)} and {n} rates, "
-            f"got {schedule.tau.shape} and {len(schedule.rates)}"
-        )
+    if len(schedule.rates) != n:
+        raise DimensionMismatch(f"expected {n} rates, got {len(schedule.rates)}")
     violations: list[str] = []
     tol = instance.time_tol
 
@@ -211,7 +208,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
         if not seg.t_end > seg.t_start:
             violations.append(f"segment of packet {p.id} has non-positive length")
         rate = schedule.rates[seg.packet - 1]
-        if abs(seg.rate - rate) > RATE_REL_TOL * max(abs(rate), 1.0):
+        if abs(seg.rate - rate) > RATE_REL_TOL * abs(rate):
             violations.append(
                 f"segment of packet {p.id} runs at {seg.rate}, "
                 f"assigned rate is {rate}"
@@ -238,7 +235,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
             )
 
     dust = _PIECE_EPS * instance.horizon
-    tau = dense(schedule.tau)
+    tau = tau_from_segments(instance, decomp, schedule.segments)
     if np.any(tau < -dust):
         violations.append("negative epoch allocation in tau")
     for i in range(n):
@@ -263,7 +260,9 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
                 f"epoch {j} allocates {used} of its {lengths[j - 1]} seconds"
             )
 
-    return FeasibilityReport(ok=not violations, violations=tuple(violations))
+    return FeasibilityReport(
+        ok=not violations, violations=tuple(violations), tau=PairTable.from_dense(tau)
+    )
 
 
 def check_optimality(
@@ -298,7 +297,7 @@ def check_optimality(
             constant_rate_ok = False
 
     lengths = decomp.epoch_lengths()
-    tau = dense(schedule.tau)
+    tau = tau_from_segments(instance, decomp, schedule.segments)
     non_idling: dict[int, bool] = {}
     for j in range(1, decomp.m + 1):
         if not decomp.packet_sets_per_epoch[j - 1]:
@@ -325,7 +324,7 @@ def check_optimality(
         if pos_rates and zero:
             lo = min(pos_rates)
             hi = max(rates[k - 1] for k in zero)
-            dominance_ok = lo >= hi - RATE_REL_TOL * max(rmax, 1.0)
+            dominance_ok = lo >= hi - RATE_REL_TOL * rmax
         conditions.append(
             LoopCondition(
                 epoch=j,
@@ -354,7 +353,7 @@ def check_optimality(
         warnings.append(
             f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
         )
-    elif not abs(recomputed - schedule.energy) <= 1e-9 * max(abs(recomputed), 1.0):
+    elif not abs(recomputed - schedule.energy) <= 1e-9 * abs(recomputed):
         warnings.append(
             f"stored energy {schedule.energy} differs from recomputed {recomputed}"
         )
@@ -427,7 +426,7 @@ def extract_certificate(
     # much faster, so the residual is measured additively at beta's
     # scale instead.
     lengths = decomp.epoch_lengths()
-    tau = dense(schedule.tau)
+    tau = tau_from_segments(instance, decomp, schedule.segments)
     for i in range(1, n + 1):
         for j in decomp.epoch_sets_per_packet[i - 1]:
             target = g_rates[i - 1]
@@ -551,11 +550,14 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
 
 def tau_from_segments(instance: Instance, decomp, segments) -> np.ndarray:
-    """The epoch-time table, one segment and one epoch at a time."""
+    """The epoch-time table, one segment and one epoch at a time;
+    segments of unknown packets book nothing."""
     grid = np.array(decomp.instants)
     tau = np.zeros((instance.n, decomp.m))
     dust = _PIECE_EPS * instance.horizon
     for seg in segments:
+        if not 1 <= seg.packet <= instance.n:
+            continue
         i = seg.packet - 1
         j0 = max(int(np.searchsorted(grid, seg.t_start, side="right")) - 1, 0)
         for j in range(j0, decomp.m):
@@ -578,7 +580,13 @@ def schedule_energy(model: PowerModel, rates) -> float:
             raise ZeroRate(f"packet {pid}: rate 0 never finishes")
         if not time > 0:
             raise ValueError(f"packet {pid}: transmission time {time} must be positive")
-        total += time * model.power(rate)
+        power = model.power(rate)
+        total += time * power
+        if not math.isfinite(total):
+            raise NonFiniteEnergy(
+                f"packet {pid}: energy is not finite ({time} s at rate {rate}, "
+                f"power {power})"
+            )
     return total
 
 
@@ -587,7 +595,6 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     windows of every still-active packet, whatever its busy period, on
     the matmul `candidate_grid`.  It fills through `scheduler.edf_fill`,
     the name tests patch."""
-    decomp = decompose(instance)
     n = instance.n
     arrivals = instance.arrivals()
     deadlines = instance.deadlines()
@@ -635,7 +642,6 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     _check_solution_invariants(instance, trace, segments, rates)
     return Schedule(
         rates=rates,
-        tau=PairTable.from_dense(tau_from_segments(instance, decomp, segments)),
         segments=tuple(segments),
         energy=schedule_energy(
             model, [(i + 1, rates[i], bits[i] / rates[i]) for i in range(n)]

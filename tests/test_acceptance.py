@@ -20,6 +20,7 @@ from txsched import (
     check_feasible,
     check_optimality,
     decompose,
+    epoch_times,
     extract_certificate,
     generate,
     is_non_fifo,
@@ -166,12 +167,13 @@ def test_criterion_3_necessary_conditions(big_corpus):
 def _perturbable_epoch(inst, sched, move_frac=0.01):
     d = decompose(inst)
     lengths = d.epoch_lengths()
+    tau = epoch_times(inst, sched)
     for j in range(1, d.m + 1):
         feas = sorted(d.packet_sets_per_epoch[j - 1])
         if len(feas) < 2:
             continue
         delta = move_frac * lengths[j - 1]
-        taus = [(sched.tau[i - 1, j - 1], i) for i in feas]
+        taus = [(tau[i - 1, j - 1], i) for i in feas]
         taus.sort(reverse=True)
         donor = taus[0][1]
         if taus[0][0] < delta * 1.1:
@@ -203,7 +205,7 @@ def test_criterion_4_sufficiency_perturbations():
         if pick is None:
             continue
         j, donor, recipient, delta = pick
-        tau = dense(sched.tau)
+        tau = dense(epoch_times(inst, sched))
         tau[donor - 1, j - 1] -= delta
         tau[recipient - 1, j - 1] += delta
         perturbed = schedule_from_allocation(inst, tau, MODEL)

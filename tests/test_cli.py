@@ -102,8 +102,14 @@ class TestSolveValidate:
             ([(1, 1.0, -math.inf, 2.0)], 1.0, "arrival must be finite"),
             ([("a", 1.0, 0.0, 2.0), (2, 1.0, 0.0, 2.0)], 1.0, "id must be an integer"),
             ([(1, 1.0, 0.0, 2.0)], math.inf, "noise_power must be positive and finite"),
+            ([(1, 1.0, 0.0, 2.0)], True, "noise_power must be positive and finite"),
+            # valid, but its optimal rate needs 2^6000 W of Shannon power
+            ([(1, 3000.0, 0.0, 1.0)], 1.0, "packet 1: energy is not finite"),
         ],
-        ids=["deadline-inf", "bits-inf", "arrival-minus-inf", "str-id", "noise-inf"],
+        ids=[
+            "deadline-inf", "bits-inf", "arrival-minus-inf", "str-id", "noise-inf",
+            "noise-bool", "energy-inf",
+        ],
     )
     def test_non_finite_or_non_integer_input_exit_2(
         self, tmp_path, capsys, packets, noise, reason

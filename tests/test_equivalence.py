@@ -25,7 +25,6 @@ from txsched import (
     GeneratorConfig,
     Monomial,
     Packet,
-    PairTable,
     Schedule,
     Segment,
     Shannon,
@@ -34,6 +33,7 @@ from txsched import (
     check_optimality,
     decompose,
     edf_fill,
+    epoch_times,
     extract_certificate,
     generate,
     harness,
@@ -104,17 +104,35 @@ def assert_same_certificate(new, old, waiting, where=""):
         assert a.tobytes() == b.tobytes(), (where, name)
 
 
-def condition_key(c):
-    return (c.epoch, c.positive, c.zero, c.equal_rates_ok, c.dominance_ok, c.common_rate)
+def loop_condition_keys(conditions):
+    """(epoch, positive, zero, equal_ok, dominance_ok, common rate) of
+    each of the loop's epoch conditions."""
+    return [
+        (c.epoch, c.positive, c.zero, c.equal_rates_ok, c.dominance_ok, c.common_rate)
+        for c in conditions
+    ]
 
 
-def report_key(report):
+def condition_keys(conditions):
+    """The same keys from the arrays, with the member sets from `members`."""
+    per_epoch = (
+        conditions.n_positive, conditions.equal_ok, conditions.dominance_ok, conditions.rate
+    )
+    return [
+        (epoch, *conditions.members(epoch), eq, dom, rate if n_pos else None)
+        for epoch, n_pos, eq, dom, rate in zip(
+            conditions.epoch.tolist(), *(a.tolist() for a in per_epoch)
+        )
+    ]
+
+
+def report_key(report, keys):
     """Every field of a report, with each epoch condition's member sets."""
     return (
         report.feasible,
         report.constant_rate_ok,
         list(report.non_idling_ok.items()),
-        [condition_key(c) for c in report.epoch_rate_conditions],
+        keys(report.epoch_rate_conditions),
         report.monotone_iteration_rates_ok,
         report.optimal,
         report.warnings,
@@ -129,9 +147,13 @@ def assert_same_verdicts(inst, sched, model=MODEL, where=""):
     assert new[0] == old[0], (where, new, old)
     waiting = set()
     if new[0] == "value":
-        assert report_key(new[1]) == report_key(old[1]), where
-        for c in new[1].epoch_rate_conditions:
-            assert (c.n_positive, c.n_zero) == (len(c.positive), len(c.zero)), where
+        assert report_key(new[1], condition_keys) == report_key(
+            old[1], loop_condition_keys
+        ), where
+        conds = new[1].epoch_rate_conditions
+        for k, epoch in enumerate(conds.epoch.tolist()):
+            positive, zero = conds.members(epoch)
+            assert (conds.n_positive[k], conds.n_zero[k]) == (len(positive), len(zero))
         waiting = {
             (i, c.epoch)
             for c in old[1].epoch_rate_conditions
@@ -168,7 +190,7 @@ def assert_sums_match_dense(table):
 
 
 def replaced(schedule, **kwargs):
-    """The schedule with some fields replaced; a `tau` is a dense table."""
+    """The schedule with some fields replaced."""
     fields = dict(
         rates=schedule.rates.copy(),
         segments=schedule.segments,
@@ -176,8 +198,12 @@ def replaced(schedule, **kwargs):
         trace=schedule.trace,
     )
     fields.update(kwargs)
-    fields["tau"] = PairTable.from_dense(kwargs["tau"]) if "tau" in kwargs else schedule.tau
     return Schedule(**fields)
+
+
+def booked(inst, segments):
+    """`epoch_times` of a bare segment list."""
+    return epoch_times(inst, Schedule(np.zeros(inst.n), tuple(segments), 0.0, None))
 
 
 def with_segment(schedule, k, seg):
@@ -194,7 +220,7 @@ def mutations(inst, s, seed=0):
     d = decompose(inst)
     lengths = d.epoch_lengths()
     segs = list(s.segments)
-    table = dense(s.tau)
+    table = dense(epoch_times(inst, s))
     out = {}
 
     late = [k for k, g in enumerate(segs) if inst.packets[g.packet - 1].arrival > 0]
@@ -223,14 +249,14 @@ def mutations(inst, s, seed=0):
     ]
     if outside:
         i, c = outside[rng.integers(len(outside))]
-        tau = table.copy()
-        tau[i, c] = 0.1 * lengths[c]
-        out["outside window"] = replaced(s, tau=tau)
+        t0 = d.epochs[c][0]
+        extra = Segment(i + 1, t0, t0 + 0.1 * lengths[c], float(s.rates[i]))
+        out["outside window"] = replaced(s, segments=s.segments + (extra,))
 
     k = int(rng.integers(len(rows)))
-    tau = table.copy()
-    tau[rows[k], cols[k]] += lengths[cols[k]]
-    out["over capacity"] = replaced(s, tau=tau)
+    i, c = rows[k], cols[k]
+    extra = Segment(int(i) + 1, *d.epochs[c], float(s.rates[i]))
+    out["over capacity"] = replaced(s, segments=s.segments + (extra,))
 
     pos_r, pos_c = np.nonzero(table > 1e-6)
     k = int(rng.integers(len(pos_r)))
@@ -318,15 +344,15 @@ def test_solver_schedules_and_mutations_match_loops(inst, compare_edf):
     back = schedule_from_json(schedule_to_json(sched), inst)
     assert_same_verdicts(inst, back)
     loop_tau = ref.tau_from_segments(inst, decompose(inst), sched.segments)
-    assert_table_is(sched.tau, loop_tau)
-    assert_table_is(back.tau, loop_tau)
+    assert_table_is(epoch_times(inst, sched), loop_tau)
+    assert_table_is(epoch_times(inst, back), loop_tau)
     baseline = baseline_constant_edf(inst, MODEL)
     assert_same_verdicts(inst, baseline)
-    assert_sums_match_dense(sched.tau)
-    assert_sums_match_dense(baseline.tau)
+    assert_sums_match_dense(epoch_times(inst, sched))
+    assert_sums_match_dense(epoch_times(inst, baseline))
     for name, mutated in mutations(inst, sched).items():
         assert_same_verdicts(inst, mutated, where=name)
-        assert_sums_match_dense(mutated.tau)
+        assert_sums_match_dense(epoch_times(inst, mutated))
 
 
 def split_families():
@@ -355,9 +381,10 @@ def assert_same_solution(inst):
     if len(scheduler._busy_periods(inst.arrivals(), inst.deadlines(), inst.time_tol)) == 1:
         candidates = [st.candidates for st in new.trace.steps]
         assert candidates == [st.candidates for st in old.trace.steps]
-    assert_table_is(new.tau, dense(old.tau))
+    loop_tau = ref.tau_from_segments(inst, decompose(inst), old.segments)
+    assert_table_is(epoch_times(inst, new), loop_tau)
     back = schedule_from_json(text, inst)
-    assert_table_is(back.tau, ref.tau_from_segments(inst, decompose(inst), back.segments))
+    assert_table_is(epoch_times(inst, back), loop_tau)
     return new
 
 
@@ -481,11 +508,9 @@ def test_tau_from_segments_matches_loop():
             width = float(rng.choice([0.5 * dust, -1e-3, 5.0]) if rng.random() < 0.2
                           else rng.uniform(1e-4, 0.3))
             segments.append(Segment(int(rng.integers(1, 4)), t0, t0 + width, 1.0))
-        new = scheduler._tau_from_segments(inst, segments)
+        new = booked(inst, segments)
         assert_table_is(new, ref.tau_from_segments(inst, decomp, segments))
-    assert_table_is(
-        scheduler._tau_from_segments(inst, []), np.zeros((inst.n, decomp.m))
-    )
+    assert_table_is(booked(inst, []), np.zeros((inst.n, decomp.m)))
 
 
 def test_mutations_cover_every_tampering():

@@ -32,7 +32,7 @@ def project_capped_simplex(v, cap):
     """The oracle's batched projection onto {x >= 0, sum(x) <= cap},
     run on a batch of one epoch column."""
     v = np.asarray(v, dtype=float)
-    return _project_columns(v[None, :], np.array([cap]), np.array([len(v)]))[0]
+    return _project_columns(v[None, :], np.array([cap]))[0]
 
 
 PAD = -1e300  # the oracle's padding past each column's length
@@ -49,9 +49,9 @@ def packed_batch(columns, width):
 def assert_batch_is_one_at_a_time(packed, caps, lens):
     """The batch equals each padded row projected on its own, bit for
     bit, and every column lands in {x >= 0, sum(x) <= cap}."""
-    out = _project_columns(packed, caps, lens)
+    out = _project_columns(packed, caps)
     for c in range(len(packed)):
-        alone = _project_columns(packed[c : c + 1], caps[c : c + 1], lens[c : c + 1])
+        alone = _project_columns(packed[c : c + 1], caps[c : c + 1])
         assert out[c].tobytes() == alone[0].tobytes(), c
         col = out[c, : lens[c]]
         assert np.all(col >= 0) and col.sum() <= caps[c], c

@@ -8,6 +8,7 @@ from txsched import (
     Monomial,
     NegativeInput,
     NegativeRate,
+    NonFiniteEnergy,
     PowerModel,
     Shannon,
     ZeroRate,
@@ -172,6 +173,19 @@ class TestScheduleEnergy:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
             schedule_energy(Shannon(1.0), [(1, 1.0, 0.0)])
+
+    def test_non_finite_energy_names_the_packet(self):
+        # 3000 bits in one second need 2^6000 W under Shannon; the error
+        # names packet 2, the first whose term is not finite
+        entries = [(1, 1.0, 1.0), (2, 3000.0, 1.0), (3, 4000.0, 1.0)]
+        with pytest.raises(NonFiniteEnergy, match="packet 2: energy is not finite"):
+            schedule_energy(Shannon(1.0), entries)
+        assert issubclass(NonFiniteEnergy, ValueError)
+        # finite terms whose sum overflows name the packet that tips it
+        entries = [(1, 1e154, 1.0), (2, 1e154, 1.0)]
+        assert math.isfinite(Monomial(2.0, 1.5).power(1e154))
+        with pytest.raises(NonFiniteEnergy, match="packet 2:"):
+            schedule_energy(Monomial(2.0, 1.5), entries)
 
 
 class TestModelValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ from txsched import (
     DimensionMismatch,
     GeneratorConfig,
     InfeasibleInput,
+    Monomial,
     NotOptimal,
     Packet,
-    PairTable,
     Schedule,
     Segment,
     Shannon,
@@ -19,11 +20,15 @@ from txsched import (
     check_feasible,
     check_optimality,
     decompose,
+    epoch_times,
     extract_certificate,
     generate,
     normalize_instance,
     schedule_from_allocation,
+    schedule_from_json,
+    schedule_to_json,
     solve,
+    verifier,
 )
 
 
@@ -39,10 +44,9 @@ MODEL = Shannon(1.0)
 
 
 def tampered(schedule, **kwargs):
-    """The schedule with some fields replaced; a `tau` is a dense table."""
+    """The schedule with some fields replaced."""
     return Schedule(
         rates=kwargs.get("rates", schedule.rates.copy()),
-        tau=PairTable.from_dense(kwargs["tau"]) if "tau" in kwargs else schedule.tau,
         segments=kwargs.get("segments", schedule.segments),
         energy=kwargs.get("energy", schedule.energy),
         trace=kwargs.get("trace", schedule.trace),
@@ -70,8 +74,7 @@ class TestCheckFeasible:
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0)])
         s = solve(inst, MODEL)
         short = (Segment(1, 0.0, 0.9, 1.0),)
-        tau = np.array([[0.9]])
-        rep = check_feasible(inst, tampered(s, segments=short, tau=tau))
+        rep = check_feasible(inst, tampered(s, segments=short))
         assert not rep.ok
         assert any("bit conservation" in v for v in rep.violations)
 
@@ -87,30 +90,37 @@ class TestCheckFeasible:
     def test_allocation_outside_window_flagged(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = dense(s.tau)
-        tau[1, 0] = 0.1  # packet 2 cannot use the first epoch
-        rep = check_feasible(inst, tampered(s, tau=tau))
+        # packet 2 cannot use the first epoch, [0, 0.5]
+        extra = Segment(2, 0.2, 0.3, 2.0)
+        rep = check_feasible(inst, tampered(s, segments=s.segments + (extra,)))
         assert not rep.ok
         assert any("outside its window" in v for v in rep.violations)
 
     def test_epoch_overcommit_flagged(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = dense(s.tau)
-        tau[0, 1] = 0.4  # middle epoch is only 0.5 long and already full
-        rep = check_feasible(inst, tampered(s, tau=tau))
+        # the middle epoch is only 0.5 long and already full
+        extra = Segment(1, 0.5, 0.9, 4.0 / 3.0)
+        rep = check_feasible(inst, tampered(s, segments=s.segments + (extra,)))
         assert not rep.ok
         assert any("allocates" in v for v in rep.violations)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12])
     def test_halved_tau_row_refused_at_any_scale(self, scale):
         # the tau-total tolerance scales with the packet's own time, so a
-        # halved row is refused when time and bits shrink to 1e-12 too
+        # halved row is refused when time and bits shrink to 1e-12 too;
+        # halving each of packet 6's segments halves its row
         inst = chain_instance(n=60, seed=0, horizon=60.0, scale=scale)
         s = solve(inst, MODEL)
-        tau = dense(s.tau)
-        tau[5] *= 0.5
-        rep = check_feasible(inst, tampered(s, tau=tau))
+        segs = tuple(
+            Segment(g.packet, g.t_start, g.t_start + 0.5 * g.duration, g.rate)
+            if g.packet == 6 else g
+            for g in s.segments
+        )
+        assert dense(epoch_times(inst, tampered(s, segments=segs)))[5].sum() == (
+            pytest.approx(0.5 * dense(epoch_times(inst, s))[5].sum(), rel=1e-12, abs=0)
+        )
+        rep = check_feasible(inst, tampered(s, segments=segs))
         assert [v for v in rep.violations if "tau total" in v] == [
             v for v in rep.violations if v.startswith("packet 6 tau total")
         ] != []
@@ -119,7 +129,7 @@ class TestCheckFeasible:
         inst = nested_instance()
         s = solve(inst, MODEL)
         with pytest.raises(DimensionMismatch):
-            check_feasible(inst, tampered(s, tau=np.zeros((5, 7))))
+            check_feasible(inst, tampered(s, rates=np.zeros(5)))
 
 
 class TestCheckOptimality:
@@ -135,18 +145,17 @@ class TestCheckOptimality:
         # the middle epoch: inner packet transmits at 2, outer waits at 4/3
         inst = nested_instance()
         rep = check_optimality(inst, solve(inst, MODEL), MODEL)
-        middle = [c for c in rep.epoch_rate_conditions if c.epoch == 2][0]
-        assert middle.positive == frozenset({2})
-        assert middle.zero == frozenset({1})
-        assert middle.common_rate == pytest.approx(2.0)
-        assert middle.equal_rates_ok and middle.dominance_ok
+        conds = rep.epoch_rate_conditions
+        assert conds.members(2) == (frozenset({2}), frozenset({1}))
+        assert conds.common_rates()[1] == pytest.approx(2.0)
+        assert conds.failed() == []
 
     def test_perturbed_allocation_fails(self):
         # moving time between the packets of a shared epoch breaks the
         # equal-rate condition
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = dense(s.tau)
+        tau = dense(epoch_times(inst, s))
         tau[0, 1] += 0.1
         tau[1, 1] -= 0.1
         perturbed = schedule_from_allocation(inst, tau, MODEL)
@@ -159,10 +168,7 @@ class TestCheckOptimality:
         s = solve(inst, MODEL)
         # hand-build a schedule that leaves half the epoch idle
         segs = (Segment(1, 0.0, 0.25, 4.0), Segment(2, 0.25, 0.5, 4.0))
-        tau = np.array([[0.25], [0.25]])
-        sched = tampered(
-            s, segments=segs, tau=tau, rates=np.array([4.0, 4.0]), trace=None
-        )
+        sched = tampered(s, segments=segs, rates=np.array([4.0, 4.0]), trace=None)
         sched.energy = 0.5 * MODEL.power(4.0)
         rep = check_optimality(inst, sched, MODEL)
         assert not rep.optimal
@@ -215,6 +221,68 @@ class TestCheckOptimality:
         assert any("not finite" in w for w in rep.warnings)
 
 
+class TestEpochTimes:
+    def test_booked_once_per_pipeline(self, monkeypatch):
+        # a schedule is its segments: solving and the JSON round trip
+        # book no epoch table, and the certificate books one
+        assert "tau" not in {f.name for f in dataclasses.fields(Schedule)}
+        calls = []
+        booking = verifier.epoch_times
+
+        def counted(*args):
+            calls.append(args)
+            return booking(*args)
+
+        monkeypatch.setattr(verifier, "epoch_times", counted)
+        inst = chain_instance(n=60, seed=0, horizon=60.0)
+        s = solve(inst, MODEL)
+        back = schedule_from_json(schedule_to_json(s), inst)
+        assert calls == []
+        extract_certificate(inst, back, MODEL)
+        assert len(calls) == 1
+
+    def test_report_carries_the_booked_table(self):
+        inst = nested_instance()
+        s = solve(inst, MODEL)
+        rep = check_feasible(inst, s)
+        assert np.array_equal(dense(rep.tau), dense(epoch_times(inst, s)))
+        assert np.allclose(dense(rep.tau), [[0.5, 0.0, 1.0], [0.0, 0.5, 0.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+@pytest.mark.parametrize("model", [Monomial(2.0), MODEL], ids=["monomial", "shannon"])
+class TestRateTolerancesScaleFree:
+    """The rate and energy tolerances are relative to the instance's own
+    rates and energy, so shrinking the bits changes no verdict."""
+
+    def instance(self, scale):
+        return normalize_instance([P(1, 1.0 * scale, 0.0, 1.0), P(2, 3.0 * scale, 0.0, 2.0)])
+
+    def test_dominance_inversion_refused(self, scale, model):
+        # packet 1 alone in epoch 1 at rate 1, packet 2 alone in epoch 2
+        # at rate 3 while it could run in epoch 1 too: the optimum runs
+        # both at rate 2
+        inst = self.instance(scale)
+        sched = schedule_from_allocation(inst, [[1.0, 0.0], [0.0, 1.0]], model)
+        assert check_feasible(inst, sched).ok
+        rep = check_optimality(inst, sched, model)
+        assert not rep.optimal
+        assert rep.epoch_rate_conditions.failed() == [1]
+        with pytest.raises(NotOptimal):
+            extract_certificate(inst, sched, model)
+        assert sched.energy > solve(inst, model).energy
+
+    def test_off_rate_segment_and_stored_energy_flagged(self, scale, model):
+        inst = self.instance(scale)
+        s = solve(inst, model)
+        g = s.segments[0]
+        segs = (dataclasses.replace(g, rate=g.rate * 1.001),) + s.segments[1:]
+        rep = check_feasible(inst, tampered(s, segments=segs))
+        assert any("assigned rate" in v for v in rep.violations)
+        rep = check_optimality(inst, tampered(s, energy=s.energy * 1.001), model)
+        assert any("stored energy" in w for w in rep.warnings)
+
+
 class TestConditionsTrackOptimality:
     def test_pass_iff_energy_optimal_at_desk_scale(self):
         # solver, baseline and perturbed schedules on random instances:
@@ -238,8 +306,8 @@ class TestConditionsTrackOptimality:
             oracle = solve_projected_gradient(inst, MODEL, tol=1e-13)
             candidates = [solve(inst, MODEL), baseline_constant_edf(inst, MODEL)]
             s = candidates[0]
-            if inst.n >= 2 and np.any(s.tau.col_sums() > 0):
-                tau = dense(s.tau)
+            if inst.n >= 2 and np.any(epoch_times(inst, s).col_sums() > 0):
+                tau = dense(epoch_times(inst, s))
                 j = int(np.argmax((tau > 1e-6).sum(axis=0)))
                 rows = np.flatnonzero(tau[:, j] > 1e-6)
                 if len(rows) >= 2:
@@ -303,7 +371,7 @@ class TestCertificate:
     def test_suboptimal_schedule_rejected(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        tau = dense(s.tau)
+        tau = dense(epoch_times(inst, s))
         tau[0, 1] += 0.1
         tau[1, 1] -= 0.1
         with pytest.raises(NotOptimal):

@@ -31,8 +31,9 @@ for p in instance.packets:
 # The timeline splits at every arrival and deadline.
 decomp = decompose(instance)
 print("\nepoch grid:", decomp.instants)
+# Packet i can transmit in the epoch columns lo[i-1] <= c < hi[i-1].
 for j, (s, e) in enumerate(decomp.epochs, start=1):
-    feas = sorted(decomp.packet_sets_per_epoch[j - 1])
+    feas = [i for i, (a, d) in enumerate(zip(decomp.lo, decomp.hi), start=1) if a < j <= d]
     print(f"  epoch {j} = [{s}, {e}]  transmittable: {feas}")
 
 schedule = solve(instance, model)

@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .harness import ConfigInvalid, GeneratorConfig, bench_complexity, generate
 from .model import (
     EmptyInstance,
@@ -26,6 +28,7 @@ from .scheduler import (
     InternalIdle,
     InternalInvariantViolation,
     NoCandidates,
+    ScheduleFormatError,
     schedule_from_json,
     schedule_to_json,
     solve,
@@ -49,6 +52,7 @@ _INPUT_ERRORS = (
     InstanceFormatError,
     ConfigInvalid,
     DimensionMismatch,
+    ScheduleFormatError,
     json.JSONDecodeError,
     KeyError,
     ValueError,
@@ -166,16 +170,18 @@ def _cmd_validate(args) -> int:
         if not report.optimal:
             return EXIT_VALIDATION
         cert = extract_certificate(instance, schedule, model)
-        decomp = instance.decomposition
-        rows, cols = decomp.pairs()
+        # every feasible pair, evaluated a packet's epoch range at a time
+        gamma = []
+        for i, (lo, hi) in enumerate(zip(*instance.decomposition.ranges)):
+            cols = np.arange(lo, hi)
+            values = cert.gamma.at(np.full(len(cols), i), cols)
+            gamma.extend(
+                {"packet": i + 1, "epoch": j + 1, "value": v}
+                for j, v in zip(cols.tolist(), values.tolist())
+            )
         doc = {
             "beta": [float(b) for b in cert.beta],
-            "gamma": [
-                {"packet": i + 1, "epoch": j + 1, "value": v}
-                for i, j, v in zip(
-                    rows.tolist(), cols.tolist(), cert.gamma.on_pairs(decomp).tolist()
-                )
-            ],
+            "gamma": gamma,
             "lambda": [float(v) for v in cert.lam],
         }
         print(json.dumps(doc, indent=2))

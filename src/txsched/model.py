@@ -136,10 +136,8 @@ class EpochDecomposition:
     so packet i is stored as the half-open column range
     [lo[i-1], hi[i-1]): lo is the grid index of its arrival and hi the
     grid index of its deadline.  The ranges are tuples of ints, so two
-    decompositions compare equal exactly when their grids and ranges do.
-
-    `epoch_sets_per_packet` and `packet_sets_per_epoch` are the same
-    containment relation as 1-based frozensets, derived on demand.
+    decompositions compare equal exactly when their grids and ranges do;
+    `ranges` holds them as read-only arrays.
     """
 
     instants: tuple[float, ...]
@@ -154,24 +152,31 @@ class EpochDecomposition:
     def epoch_lengths(self) -> np.ndarray:
         return np.diff(np.array(self.instants))
 
+    @cached_property
+    def ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """`lo` and `hi` as read-only index arrays."""
+        table = np.array([self.lo, self.hi], dtype=np.intp).reshape(2, -1)
+        table.flags.writeable = False
+        return tuple(table)
+
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every feasible (packet row, epoch column) pair, 0-based, in
         packet order and ascending epoch order within a packet."""
-        lo = np.array(self.lo, dtype=np.intp)
-        counts = np.array(self.hi, dtype=np.intp) - lo
+        return self.pairs_in(np.ones(self.m, dtype=bool))
+
+    def pairs_in(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The feasible pairs whose epoch column is set in the boolean
+        mask `columns`, in `pairs()` order."""
+        # rank[c] counts the set columns left of c, so packet i meets the
+        # set columns rank[lo[i]] to rank[hi[i]] of the flattened mask
+        rank = np.concatenate(([0], np.cumsum(columns)))
+        lo, hi = self.ranges
+        start = rank[lo]
+        counts = rank[hi] - start
         rows = np.repeat(np.arange(len(lo)), counts)
         first = np.cumsum(counts) - counts  # position of each packet's first pair
-        cols = np.arange(counts.sum()) + np.repeat(lo - first, counts)
-        return rows, cols
-
-    def pair_positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Where each (row, column) cell sits in `pairs()`, or -1 for a
-        cell outside its packet's epoch range."""
-        lo = np.array(self.lo, dtype=np.intp)
-        hi = np.array(self.hi, dtype=np.intp)
-        first = np.cumsum(hi - lo) - (hi - lo)
-        inside = (cols >= lo[rows]) & (cols < hi[rows])
-        return np.where(inside, first[rows] + cols - lo[rows], -1)
+        picked = np.arange(counts.sum()) + np.repeat(start - first, counts)
+        return rows, np.flatnonzero(columns)[picked]
 
     def coverage(self) -> np.ndarray:
         """Number of packets that can transmit in each epoch column."""
@@ -179,18 +184,6 @@ class EpochDecomposition:
             self.hi, minlength=self.m + 1
         )
         return np.cumsum(steps)[: self.m]
-
-    @property
-    def epoch_sets_per_packet(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(range(a + 1, d + 1)) for a, d in zip(self.lo, self.hi))
-
-    @property
-    def packet_sets_per_epoch(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.m)]
-        for i, (a, d) in enumerate(zip(self.lo, self.hi), start=1):
-            for col in range(a, d):
-                sets[col].add(i)
-        return tuple(frozenset(s) for s in sets)
 
     def live_epochs(self) -> list[int]:
         """1-based indices of epochs some packet can transmit in."""
@@ -231,8 +224,18 @@ class PairTable:
 
     def __getitem__(self, cell: tuple[int, int]) -> float:
         i, j = cell
-        hit = np.flatnonzero((self.rows == i) & (self.cols == j))
-        return float(self.values[hit[0]]) if hit.size else 0.0
+        return float(self.at([i], [j])[0])
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The values in cells (rows[k], cols[k]), 0 where none is held,
+        found by binary search in the cells' row-major order."""
+        m = self.shape[1]
+        keys = self.rows * m + self.cols
+        if not len(keys):
+            return np.zeros(len(rows))
+        want = np.asarray(rows) * m + np.asarray(cols)
+        k = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[k] == want, self.values[k], 0.0)
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.values, minlength=self.shape[0])
@@ -243,11 +246,7 @@ class PairTable:
     def on_pairs(self, decomp: EpochDecomposition) -> np.ndarray:
         """The table's value at every feasible pair, in `decomp.pairs()`
         order; cells outside the packets' ranges are left out."""
-        out = np.zeros(sum(decomp.hi) - sum(decomp.lo))
-        pos = decomp.pair_positions(self.rows, self.cols)
-        inside = pos >= 0
-        out[pos[inside]] = self.values[inside]
-        return out
+        return self.at(*decomp.pairs())
 
 
 def normalize_instance(raw_packets) -> Instance:

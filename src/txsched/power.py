@@ -171,29 +171,44 @@ class Monomial(PowerModel):
         return (y / (self.scale * (self.exponent - 1.0))) ** (1.0 / self.exponent)
 
 
+def per_distinct_rate(fn, rates: np.ndarray) -> np.ndarray:
+    """fn at every rate, from one array call of fn over the distinct
+    rates: the packets of one solve round share their rate."""
+    distinct, which = np.unique(rates, return_inverse=True)
+    return np.asarray(fn(distinct), dtype=float)[which]
+
+
 def schedule_energy(model: PowerModel, rates) -> float:
     """Total energy of constant-rate transmissions.
 
     `rates` is an iterable of (packet id, rate, total transmission
-    time); the energy is sum(time * f(rate)), with f evaluated once per
-    distinct rate, since the packets of one solve round share theirs.
-    Raises NonFiniteEnergy, naming the packet, once the sum is not finite.
+    time); the energy is sum(time * f(rate)), added in that order, with
+    f evaluated in one call over the distinct rates.  Entries are
+    checked in order; raises NonFiniteEnergy, naming the packet, once
+    the running sum is not finite.
     """
-    total = 0.0
-    power: dict[float, float] = {}
-    for pid, rate, time in rates:
-        if rate < 0:
-            raise NegativeRate(f"packet {pid}: rate {rate} is negative")
-        if rate == 0:
+    entries = list(rates)
+    rate = np.array([e[1] for e in entries], dtype=float)
+    time = np.array([e[2] for e in entries], dtype=float)
+    valid = ~(rate <= 0) & (time > 0)  # NaN rates are priced, as NaN
+    # the entries up to the first invalid one are priced and summed
+    stop = int(np.argmin(valid)) if not valid.all() else len(entries)
+    power = per_distinct_rate(model.power, rate[:stop])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.accumulate(time[:stop] * power)
+    overflow = np.flatnonzero(~np.isfinite(total))
+    if overflow.size:
+        k = int(overflow[0])
+        pid, r, t = entries[k]
+        raise NonFiniteEnergy(
+            f"packet {pid}: energy is not finite ({t} s at rate {r}, "
+            f"power {power[k]})"
+        )
+    if stop < len(entries):
+        pid, r, t = entries[stop]
+        if r < 0:
+            raise NegativeRate(f"packet {pid}: rate {r} is negative")
+        if r == 0:
             raise ZeroRate(f"packet {pid}: rate 0 never finishes")
-        if not time > 0:
-            raise ValueError(f"packet {pid}: transmission time {time} must be positive")
-        if rate not in power:
-            power[rate] = model.power(rate)
-        total += time * power[rate]
-        if not math.isfinite(total):
-            raise NonFiniteEnergy(
-                f"packet {pid}: energy is not finite ({time} s at rate {rate}, "
-                f"power {power[rate]})"
-            )
-    return total
+        raise ValueError(f"packet {pid}: transmission time {t} must be positive")
+    return float(total[-1]) if stop else 0.0

@@ -37,6 +37,10 @@ RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
 _PIECE_EPS = 1e-12
 
 
+class ScheduleFormatError(ValueError):
+    """Schedule JSON does not fit its instance."""
+
+
 class NoCandidates(RuntimeError):
     """No sub-interval exists among the active packets (internal bug)."""
 
@@ -142,8 +146,10 @@ def _candidate_grid(
     np.add.accumulate(suffix, axis=0, out=suffix)
     np.add.accumulate(bitsum, axis=1, out=bitsum)
     lengths = ends - starts[:, None]
-    valid = (lengths > tol) & (bitsum > 0)
+    valid = lengths > tol
+    valid &= bitsum > 0
     rates = np.divide(bitsum, lengths, out=bitsum, where=valid)
+    del lengths
     np.copyto(rates, -np.inf, where=~valid)
     return starts, ends, start_rank, end_rank, rates, valid
 
@@ -151,7 +157,8 @@ def _candidate_grid(
 def _argmax_lex(rates: np.ndarray, valid: np.ndarray, starts, ends):
     """Index of the max-rate cell; ties go to smallest start, then end."""
     rmax = rates.max()
-    tied = valid & (rates >= rmax - RATE_TIE_REL * abs(rmax))
+    tied = rates >= rmax - RATE_TIE_REL * abs(rmax)
+    tied &= valid
     si, ei = np.nonzero(tied)
     order = np.lexsort((ends[ei], starts[si]))
     return int(si[order[0]]), int(ei[order[0]])
@@ -362,6 +369,11 @@ def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
                 "no sub-interval among active packets; windows degenerate"
             )
         si, ei = _argmax_lex(rate_grid, valid, starts, ends)
+        # Free the S x E tables before the round allocates anything that
+        # may outlive them, so no such block is left above them on the
+        # heap and the next instance's tables reuse their memory whole.
+        head, candidates = float(rate_grid.max()), int(valid.sum())
+        del rate_grid, valid
         member = idx[(start_rank >= si) & (end_rank <= ei)]
         span = (float(arrivals[member].min()), float(deadlines[member].max()))
         pieces = _intervals.subtract([span], reserved, dust)
@@ -372,11 +384,9 @@ def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
             rate=rate,
             members=frozenset(int(r) + 1 for r in member_rows),
             pieces=tuple(pieces),
-            candidates=int(valid.sum()),
+            candidates=candidates,
         )
-        rounds.append(
-            (float(rate_grid.max()), step, edf_fill(pieces, member_packets, rate))
-        )
+        rounds.append((head, step, edf_fill(pieces, member_packets, rate)))
         rates[member_rows] = rate
         reserved = _intervals.merge(reserved + pieces, dust)
         active[member] = False
@@ -415,6 +425,11 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     that of the better of its two sides, so each busy period is solved
     on its own and the periods' rounds are interleaved afterwards.
     """
+    # The decomposition lives as long as the instance, and the verifier
+    # reads it.  Built before the rounds' transient S x E tables, it does
+    # not split the heap they free, which the next instance's tables
+    # then reuse whole instead of taking fresh pages.
+    instance.decomposition.ranges
     rates = np.zeros(instance.n)
     periods = [
         _solve_period(instance, rows, rates)
@@ -529,7 +544,12 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
     doc = json.loads(text)
     rates = np.zeros(instance.n)
     for entry in doc["rates"]:
-        rates[int(entry["id"]) - 1] = float(entry["rate"])
+        pid = int(entry["id"])
+        if not 1 <= pid <= instance.n:
+            raise ScheduleFormatError(
+                f"rate entry for packet {pid}: ids run from 1 to {instance.n}"
+            )
+        rates[pid - 1] = float(entry["rate"])
     segments = tuple(
         Segment(int(e["id"]), float(e["start"]), float(e["end"]), float(e["rate"]))
         for e in doc["segments"]

@@ -11,12 +11,13 @@ witness optimality of the underlying convex program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .model import Instance, PairTable
-from .power import PowerModel
+from .model import EpochDecomposition, Instance, PairTable
+from .power import PowerModel, per_distinct_rate
 from .scheduler import _PIECE_EPS, Schedule
 
 # Instants, idle time and epoch capacity are compared within the
@@ -61,9 +62,11 @@ class EpochConditions:
     transmitting one; and `rate`, the fastest transmitting rate, the
     common rate where the epoch passes (-inf where nothing transmits).
 
-    Per feasible (packet, epoch) pair, in `decomp.pairs()` order: the
-    0-based `rows` and `cols`, the packet's `times` in the epoch, and
-    `positive`, whether that time exceeds POSITIVE_TIME_REL of the epoch.
+    `cells` holds the transmitting pairs: the booked (packet, epoch)
+    cells whose time exceeds POSITIVE_TIME_REL of the epoch.  Every
+    other pair in the decomposition's epoch ranges has zero time, so
+    the members of an epoch and the waiting pairs follow from `cells`
+    and `decomp` without a list of all feasible pairs.
     """
 
     epoch: np.ndarray
@@ -72,10 +75,8 @@ class EpochConditions:
     equal_ok: np.ndarray
     dominance_ok: np.ndarray
     rate: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    times: np.ndarray
-    positive: np.ndarray
+    cells: PairTable = field(repr=False)
+    decomp: EpochDecomposition = field(repr=False)
 
     def failed(self) -> list[int]:
         """Numbers of the epochs whose conditions fail, ascending."""
@@ -89,16 +90,42 @@ class EpochConditions:
     def members(self, epoch: int) -> tuple[frozenset[int], frozenset[int]]:
         """Ids of the packets feasible in epoch number `epoch` with
         positive time there, and with zero time."""
-        here = self.cols == epoch - 1
-        ids, positive = self.rows[here] + 1, self.positive[here]
-        return frozenset(ids[positive].tolist()), frozenset(ids[~positive].tolist())
+        col = epoch - 1
+        lo, hi = self.decomp.ranges
+        feasible = frozenset((np.flatnonzero((lo <= col) & (col < hi)) + 1).tolist())
+        positive = frozenset((self.cells.rows[self.cells.cols == col] + 1).tolist())
+        return positive, feasible - positive
+
+    @cached_property
+    def transmitting(self) -> np.ndarray:
+        """Per epoch column, whether some packet has positive time there."""
+        out = np.zeros(self.decomp.m, dtype=bool)
+        out[self.cells.cols] = True
+        out.flags.writeable = False
+        return out
+
+    def waiting(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Whether each (packet row, epoch column) pair waits: the epoch
+        is in the packet's range and others transmit there, but it does
+        not."""
+        lo, hi = self.decomp.ranges
+        return (
+            (cols >= lo[rows])
+            & (cols < hi[rows])
+            & self.transmitting[cols]
+            & (self.cells.at(rows, cols) == 0)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, EpochConditions):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
+
+        def arrays(c):
+            return (c.epoch, c.n_positive, c.n_zero, c.equal_ok, c.dominance_ok, c.rate,
+                    c.cells.rows, c.cells.cols, c.cells.values)
+
+        return self.decomp == other.decomp and all(
+            map(np.array_equal, arrays(self), arrays(other))
         )
 
 
@@ -118,6 +145,29 @@ def _per_epoch(ufunc, fill: float, cols: np.ndarray, values: np.ndarray, m: int)
     out = np.full(m, fill)
     ufunc.at(out, cols, values)
     return out
+
+
+def _range_max(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, m: int):
+    """out[c] = the largest values[i] over the ranges [lo[i], hi[i]) that
+    hold column c; -inf where none does.
+
+    A sparse table: a range of length L >= 2^k is the union of its two
+    blocks of length 2^k, at lo and at hi - 2^k, so each range enters
+    level k at both; each level then passes its maxima down to the two
+    halves of its blocks.  NaN propagates like np.maximum's.
+    """
+    length = hi - lo
+    keep = length > 0
+    lo, hi, values = lo[keep], hi[keep], values[keep]
+    level = np.frexp(length[keep])[1] - 1  # floor(log2(length)), exactly
+    table = np.full((int(level.max(initial=0)) + 1, m), -np.inf)
+    np.maximum.at(table, (level, lo), values)
+    np.maximum.at(table, (level, hi - (1 << level)), values)
+    for k in range(len(table) - 1, 0, -1):
+        half = 1 << (k - 1)
+        np.maximum(table[k - 1], table[k], out=table[k - 1])
+        np.maximum(table[k - 1, half:], table[k, : m - half], out=table[k - 1, half:])
+    return table[0]
 
 
 def _flagged(flags: np.ndarray) -> list[int]:
@@ -226,17 +276,14 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     # A segment outside its window books time outside it, and
     # overlapping ones overfill an epoch.
     tau = epoch_times(instance, schedule)
-    dust = _PIECE_EPS * instance.horizon
-    if np.any(tau.values < -dust):
-        violations.append("negative epoch allocation in tau")
-    outside = (np.abs(tau.values) > dust) & (
-        decomp.pair_positions(tau.rows, tau.cols) < 0
-    )
+    lo, hi = decomp.ranges
+    outside = (tau.cols < lo[tau.rows]) | (tau.cols >= hi[tau.rows])
     totals = tau.row_sums()
     rates = schedule.rates
     with np.errstate(divide="ignore", invalid="ignore"):
         span = np.where(rates > 0, bits / rates, np.inf)
     # A total may also miss the sub-dust overlaps the table leaves out.
+    dust = _PIECE_EPS * instance.horizon
     mismatch = np.abs(totals - span) > np.maximum(BIT_REL_TOL * span, dust)
     outside_by_row: dict[int, list[int]] = {}
     for i, j in zip(tau.rows[outside].tolist(), tau.cols[outside].tolist()):
@@ -305,27 +352,36 @@ def check_optimality(
 
     rates = schedule.rates
     rmax = float(rates.max()) if len(rates) else 0.0
-    # Per-epoch rate extremes of the positive and of the zero pairs.
-    rows, cols = decomp.pairs()
-    times = feas.tau.on_pairs(decomp)
-    pos = times > POSITIVE_TIME_REL * lengths[cols]
-    zero = ~pos
-    pos_cols, zero_cols = cols[pos], cols[zero]
-    pos_rate, zero_rate = rates[rows[pos]], rates[rows[zero]]
-    n_pos = np.bincount(pos_cols, minlength=m)
+    # The transmitting pairs are the booked cells above the threshold;
+    # every other feasible pair has zero time.
+    tau = feas.tau
+    pos = tau.values > POSITIVE_TIME_REL * lengths[tau.cols]
+    cells = PairTable(tau.rows[pos], tau.cols[pos], tau.values[pos], tau.shape)
+    pos_rate = rates[cells.rows]
+    n_pos = np.bincount(cells.cols, minlength=m)
     n_zero = coverage - n_pos
-    pos_max = _per_epoch(np.maximum, -np.inf, pos_cols, pos_rate, m)
-    pos_min = _per_epoch(np.minimum, np.inf, pos_cols, pos_rate, m)
-    zero_max = _per_epoch(np.maximum, -np.inf, zero_cols, zero_rate, m)
+    pos_max = _per_epoch(np.maximum, -np.inf, cells.cols, pos_rate, m)
+    pos_min = _per_epoch(np.minimum, np.inf, cells.cols, pos_rate, m)
     equal_ok = (n_pos == 0) | (pos_max - pos_min <= RATE_REL_TOL * pos_max)
+    # No waiting packet outruns the slowest transmitting one where no
+    # feasible packet does.  Elsewhere the fastest feasible packet may be
+    # a transmitting one, so those epochs take their waiting maximum from
+    # their own pairs.
+    lo, hi = decomp.ranges
     dominance_ok = (n_pos == 0) | (n_zero == 0) | (
-        pos_min >= zero_max - RATE_REL_TOL * rmax
+        pos_min >= _range_max(lo, hi, rates, m) - RATE_REL_TOL * rmax
     )
+    recheck = ~dominance_ok
+    if recheck.any():
+        rows, cols = decomp.pairs_in(recheck)
+        zero = ~(tau.at(rows, cols) > POSITIVE_TIME_REL * lengths[cols])
+        zero_max = _per_epoch(np.maximum, -np.inf, cols[zero], rates[rows[zero]], m)
+        dominance_ok[recheck] = (pos_min >= zero_max - RATE_REL_TOL * rmax)[recheck]
 
     conditions = EpochConditions(
         np.flatnonzero(live) + 1,
         *(a[live] for a in (n_pos, n_zero, equal_ok, dominance_ok, pos_max)),
-        rows, cols, times, pos,
+        cells, decomp,
     )
 
     monotone: bool | None = None
@@ -336,12 +392,12 @@ def check_optimality(
             if b > a * (1.0 + RATE_REL_TOL):
                 monotone = False
 
-    # f is evaluated once per distinct rate; the terms add up in packet order.
-    power_of = {r: model.power(r) for r in set(rates[rates > 0].tolist())}
-    recomputed = 0.0
-    for b, r in zip(instance.bits().tolist(), rates.tolist()):
-        if r > 0:
-            recomputed += b / r * power_of[r]
+    # The terms add up in packet order, as a running sum.
+    on = rates > 0
+    power = per_distinct_rate(model.power, rates[on])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = instance.bits()[on] / rates[on] * power
+        recomputed = float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
     if not np.isfinite(recomputed):
         warnings.append(
             f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
@@ -369,21 +425,47 @@ def check_optimality(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Gamma:
+    """The multipliers of the zero allocations, computed on demand.
+
+    gamma[i-1, j-1] is max(beta[j-1] - lam[i-1], 0) on a waiting pair
+    (packet i feasible in epoch j, with zero time there while others
+    transmit; `EpochConditions.waiting`) and 0 on every other pair;
+    lam[i-1] is g of packet i's rate.  Nothing is stored per pair.
+    """
+
+    beta: np.ndarray
+    lam: np.ndarray
+    conditions: EpochConditions = field(repr=False)
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """gamma at the 0-based (packet row, epoch column) pairs."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        waiting = self.conditions.waiting(rows, cols)
+        return np.where(waiting, np.maximum(self.beta[cols] - self.lam[rows], 0.0), 0.0)
+
+    def __getitem__(self, cell: tuple[int, int]) -> float:
+        i, j = cell
+        return float(self.at([i], [j])[0])
+
+
 @dataclass(frozen=True)
 class KKTCertificate:
     """Multipliers witnessing optimality.
 
-    beta[j-1] prices epoch j's time; gamma[i-1, j-1] prices packet i's
-    zero allocation in epoch j, and is held on the waiting pairs only
-    (zero time in an epoch where others transmit); lam[i-1] prices
-    packet i's bit constraint.  The rates' own multipliers are
-    identically 0, because optimal rates are positive, and are not
-    stored.  The defining identity is rate_i = g_inverse(beta_j -
-    gamma_ij) for every epoch j in packet i's window.
+    beta[j-1] prices epoch j's time; lam[i-1] prices packet i's bit
+    constraint, and equals g of its rate; gamma prices packet i's zero
+    allocation in epoch j, and is positive only on waiting pairs.  It is
+    a function of beta, lam and the transmitting pairs, evaluated on the
+    pairs asked for (`Gamma.at`, `gamma[i-1, j-1]`).  The rates' own
+    multipliers are identically 0, because optimal rates are positive,
+    and are not stored.  The defining identity is rate_i =
+    g_inverse(beta_j - gamma_ij) for every epoch j in packet i's window.
     """
 
     beta: np.ndarray
-    gamma: PairTable
+    gamma: Gamma
     lam: np.ndarray
 
 
@@ -411,26 +493,16 @@ def extract_certificate(
     rates = schedule.rates
     if np.any(rates <= 0):
         raise NotOptimal("certificate requires strictly positive rates")
-    # Rates take one value per solver round, so g is evaluated per value.
-    common = report.epoch_rate_conditions.common_rates()
-    rate_list = rates.tolist()
-    g_of = {r: model.g(r) for r in set(rate_list) | set(common.values())}
-    g_rates = np.array([g_of[r] for r in rate_list])
-
-    # An epoch without transmission keeps beta 0: its cap is slack.
-    beta = np.zeros(m)
-    for col, r in common.items():
-        beta[col] = g_of[r]
     conditions = report.epoch_rate_conditions
-    rows, cols, positive = conditions.rows, conditions.cols, conditions.positive
-    transmitting = np.bincount(cols[positive], minlength=m) > 0
-    waiting = ~positive & transmitting[cols]
-    target = g_rates[rows]
-    pair_beta = beta[cols]
-    pair_gamma = np.where(waiting, np.maximum(pair_beta - target, 0.0), 0.0)
-    gamma = PairTable(rows[waiting], cols[waiting], pair_gamma[waiting], (n, m))
-
-    lam = g_rates.copy()
+    # An epoch's common rate is one of the rates, so g is evaluated over
+    # the distinct rates once.  An epoch without transmission keeps
+    # beta 0: its cap is slack.
+    on = conditions.n_positive > 0
+    g = per_distinct_rate(model.g, np.concatenate([rates, conditions.rate[on]]))
+    lam = g[:n]
+    beta = np.zeros(m)
+    beta[conditions.epoch[on] - 1] = g[n:]
+    gamma = Gamma(beta, lam, conditions)
 
     # Validate the construction before handing it out.  The defining
     # identity rate = g_inverse(beta - gamma) is checked through g
@@ -438,22 +510,49 @@ def extract_certificate(
     # evaluating the subtraction directly would lose the small g(rate)
     # under beta's float quantum whenever the epoch's common rate is
     # much faster, so the residual is measured additively at beta's
-    # scale instead.  Pairs are checked in packet order, then epoch order.
-    # The tolerance is the larger of CERT_TOL relative to g(rate) and two
-    # quanta of beta; the quanta are only taken where the first is exceeded.
+    # scale instead.  The first failing pair in packet order, then epoch
+    # order, is named.  The tolerance is the larger of CERT_TOL relative
+    # to g(rate) and two quanta of beta; the quanta are only taken where
+    # the first is exceeded.
+    #
+    # A transmitting pair's gamma is 0, so it is checked on the cells.
+    # In a transmitting epoch with a finite beta where every feasible
+    # packet has 0 <= g(rate) <= beta, a waiting pair's gamma, beta -
+    # g(rate) rounded, lies in [0, beta]; beta - gamma then comes back to
+    # g(rate) within one quantum of beta, under the tolerance, and its
+    # slackness gamma * time, with time at most POSITIVE_TIME_REL of the
+    # epoch, stays under CERT_TOL.  Those epochs are settled.  The pairs
+    # of every other live epoch are checked one by one.
     lengths = decomp.epoch_lengths()
+    lo, hi = decomp.ranges
+    g_key = np.where(lam >= 0, lam, np.inf)  # NaN, too, rules an epoch out
+    settled = (
+        conditions.transmitting
+        & np.isfinite(beta)
+        & (_range_max(lo, hi, g_key, m) <= beta)
+    )
+    cells = conditions.cells
+    keep = settled[cells.cols]
+    rows, cols = decomp.pairs_in(~settled)
+    rows = np.concatenate([cells.rows[keep], rows])
+    cols = np.concatenate([cells.cols[keep], cols])
+    tau = report.feasible.tau
+    times = tau.at(rows, cols)
+    target = lam[rows]
+    pair_beta = beta[cols]
+    pair_gamma = gamma.at(rows, cols)
     residual = np.abs(pair_beta - pair_gamma - target)
     identity_bad = residual > CERT_TOL * np.maximum(1.0, target)
     suspect = np.flatnonzero(identity_bad)
     identity_bad[suspect] = residual[suspect] > 2.0 * np.spacing(
         np.maximum(pair_beta[suspect], 1.0)
     )
-    slack = pair_gamma * conditions.times
+    slack = pair_gamma * times
     scale = np.maximum(pair_gamma, 1.0) * lengths[cols]
     slack_bad = np.abs(slack) > CERT_TOL * scale
-    bad = _flagged(identity_bad | slack_bad)
-    if bad:
-        k = bad[0]
+    bad = np.flatnonzero(identity_bad | slack_bad)
+    if bad.size:
+        k = bad[np.argmin(rows[bad] * m + cols[bad])]
         i, j = int(rows[k]) + 1, int(cols[k]) + 1
         if identity_bad[k]:
             raise RuntimeError(
@@ -462,12 +561,13 @@ def extract_certificate(
                 f"g(rate) = {target[k]}"
             )
         raise RuntimeError(f"complementary slackness failed for packet {i}, epoch {j}")
-    cap_slack = beta * (report.feasible.tau.col_sums() - lengths)
+    cap_slack = beta * (tau.col_sums() - lengths)
     bad = _flagged(np.abs(cap_slack) > np.maximum(beta, 1.0) * instance.time_tol)
     if bad:
         raise RuntimeError(f"epoch {bad[0] + 1} capacity slackness failed")
-    if np.any(beta < 0) or np.any(gamma.values < 0):
+    # The settled epochs' gammas are finite and non-negative.
+    if np.any(beta < 0) or np.any(pair_gamma < 0):
         raise RuntimeError("multiplier sign constraints failed")
-    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma.values))):
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(pair_gamma))):
         raise RuntimeError("non-finite multipliers")
     return KKTCertificate(beta=beta, gamma=gamma, lam=lam)

@@ -14,9 +14,11 @@ against: identical schedule JSON, the same violation strings in the
 same order, the same conditions and member sets, bit-identical
 multipliers, tables, energy and oracle iterates, and identical
 segments.  `decompose_sets` builds the epoch containment relation as
-frozenset families, and `dense` the N x M table, the representations
-the loops were written for.  The loops add a table's rows and columns
-cell by cell in index order, the order the sparse table's sums take.
+frozenset families (`epoch_sets_per_packet` and `packet_sets_per_epoch`
+read the same families off a range decomposition), and `dense` the
+N x M table, the representations the loops were written for.  The
+loops add a table's rows and columns cell by cell in index order, the
+order the sparse table's sums take.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from txsched import _intervals, scheduler
-from txsched.model import TIME_REL_TOL, Instance, Packet, PairTable, decompose
+from txsched.model import (
+    TIME_REL_TOL,
+    EpochDecomposition,
+    Instance,
+    Packet,
+    PairTable,
+    decompose,
+)
 from txsched.oracle import ARMIJO_C, TIME_FLOOR, OracleSolution
 from txsched.power import NegativeRate, NonFiniteEnergy, PowerModel, ZeroRate
 from txsched.scheduler import (
@@ -123,6 +132,20 @@ class SetDecomposition:
 
     def epoch_lengths(self) -> np.ndarray:
         return np.diff(np.array(self.instants))
+
+
+def epoch_sets_per_packet(decomp: EpochDecomposition) -> tuple[frozenset[int], ...]:
+    """Each packet's epoch numbers, read off a decomposition's ranges."""
+    return tuple(frozenset(range(a + 1, d + 1)) for a, d in zip(decomp.lo, decomp.hi))
+
+
+def packet_sets_per_epoch(decomp: EpochDecomposition) -> tuple[frozenset[int], ...]:
+    """The ids of each epoch's feasible packets, read off the ranges."""
+    sets: list[set[int]] = [set() for _ in range(decomp.m)]
+    for i, (a, d) in enumerate(zip(decomp.lo, decomp.hi), start=1):
+        for col in range(a, d):
+            sets[col].add(i)
+    return tuple(frozenset(s) for s in sets)
 
 
 def decompose_sets(instance: Instance) -> SetDecomposition:

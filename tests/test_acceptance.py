@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from reference_impl import dense
+from reference_impl import dense, packet_sets_per_epoch
 
 from txsched import (
     GeneratorConfig,
@@ -157,7 +157,7 @@ def test_criterion_3_necessary_conditions(big_corpus):
             continue
         if not (
             np.all(cert.beta >= 0)
-            and np.all(cert.gamma.values >= 0)
+            and np.all(cert.gamma.at(*decompose(inst).pairs()) >= 0)
             and np.all(np.isfinite(cert.lam))
         ):
             failures.append((k, "multiplier signs"))
@@ -168,8 +168,9 @@ def _perturbable_epoch(inst, sched, move_frac=0.01):
     d = decompose(inst)
     lengths = d.epoch_lengths()
     tau = epoch_times(inst, sched)
+    feasible = packet_sets_per_epoch(d)
     for j in range(1, d.m + 1):
-        feas = sorted(d.packet_sets_per_epoch[j - 1])
+        feas = sorted(feasible[j - 1])
         if len(feas) < 2:
             continue
         delta = move_frac * lengths[j - 1]

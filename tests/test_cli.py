@@ -129,6 +129,18 @@ class TestSolveValidate:
         assert main(["solve", str(bad)]) == 2
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pid", [0, -1, 5], ids=["id-0", "id-minus-1", "id-n-plus-1"])
+    def test_out_of_range_rate_id_exit_2(self, instance_file, tmp_path, capsys, pid):
+        # the instance has 4 packets
+        sched = tmp_path / "sched.json"
+        main(["solve", str(instance_file), "-o", str(sched)])
+        doc = json.loads(sched.read_text())
+        doc["rates"].append({"id": pid, "rate": 1.0})
+        sched.write_text(json.dumps(doc))
+        assert main(["validate", str(instance_file), str(sched)]) == 2
+        err = capsys.readouterr().err
+        assert f"rate entry for packet {pid}: ids run from 1 to 4" in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 

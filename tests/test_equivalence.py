@@ -22,6 +22,7 @@ from reference_impl import dense
 from test_chain_family import chain_instance
 
 from txsched import (
+    EpochDecomposition,
     GeneratorConfig,
     Monomial,
     Packet,
@@ -40,6 +41,7 @@ from txsched import (
     instance_from_json,
     normalize_instance,
     schedule_from_allocation,
+    schedule_energy,
     schedule_from_json,
     schedule_to_json,
     scheduler,
@@ -88,18 +90,20 @@ def outcome(fn, *args):
 
 
 def assert_same_certificate(new, old, waiting, where=""):
-    """`waiting` holds the (packet, epoch) pairs gamma must be held on."""
+    """`waiting` holds the (packet, epoch) pairs gamma must be positive
+    on; gamma is evaluated at every cell of the N x M table."""
     assert new[0] == old[0], (where, new, old)
     if new[0] == "raised":
         assert new == old, where
         return
     gamma = new[1].gamma
-    cells = set(zip((gamma.rows + 1).tolist(), (gamma.cols + 1).tolist()))
-    assert cells == waiting, where
-    assert len(gamma.values) == len(waiting), where
+    n, m = old[1].gamma.shape
+    rows, cols = (a.ravel() for a in np.indices((n, m)))
+    held = gamma.conditions.waiting(rows, cols)
+    assert set(zip((rows[held] + 1).tolist(), (cols[held] + 1).tolist())) == waiting, where
     for name in ("beta", "gamma", "lam"):
         a, b = getattr(new[1], name), getattr(old[1], name)
-        a = dense(a) if name == "gamma" else a
+        a = gamma.at(rows, cols).reshape(n, m) if name == "gamma" else a
         assert a.dtype == b.dtype and a.shape == b.shape, (where, name)
         assert a.tobytes() == b.tobytes(), (where, name)
 
@@ -542,6 +546,99 @@ def test_mutations_cover_every_tampering():
     assert any("stored energy" in w for w in rep.warnings)
 
 
+def staircase_instance(n, scale=1.0):
+    """Packet i (0-based) in [i, i + 2.5] with bits U(0.2, 2), time and
+    bits multiplied by `scale`: one busy period of about n/6 rounds."""
+    bits = np.random.default_rng(3).uniform(0.2, 2.0, n)
+    return normalize_instance(
+        Packet(i + 1, float(b * scale), float(i * scale), float((i + 2.5) * scale))
+        for i, b in enumerate(bits)
+    )
+
+
+@pytest.fixture
+def pair_scans(monkeypatch):
+    """The number of pairs each `pairs_in` call returns: the epochs the
+    verifier checks pair by pair."""
+    counts = []
+    pairs_in = EpochDecomposition.pairs_in
+
+    def counted(self, columns):
+        rows, cols = pairs_in(self, columns)
+        counts.append(len(rows))
+        return rows, cols
+
+    monkeypatch.setattr(EpochDecomposition, "pairs_in", counted)
+    return counts
+
+
+def unequal_rates(inst, sched):
+    """A tenth of the smaller share moved between two packets that
+    transmit in one epoch, so their rates part there."""
+    table = dense(epoch_times(inst, sched))
+    busy = table > 1e-3 * decompose(inst).epoch_lengths()
+    shared = np.flatnonzero(busy.sum(axis=0) >= 2)
+    c = shared[len(shared) // 2]
+    a, b = np.flatnonzero(busy[:, c])[:2]
+    delta = 0.1 * min(table[a, c], table[b, c])
+    table[a, c] += delta
+    table[b, c] -= delta
+    return schedule_from_allocation(inst, table, MODEL)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+@pytest.mark.parametrize("n", [13, 60])
+def test_staircase_matches_loops(n, scale, pair_scans):
+    """Solved and tampered staircases at three time and bit scales; an
+    epoch whose transmitting rates part is checked pair by pair."""
+    inst = staircase_instance(n, scale)
+    sched = solve(inst, MODEL)
+    assert_same_verdicts(inst, sched)
+    parted = unequal_rates(inst, sched)
+    pair_scans.clear()
+    assert_same_verdicts(inst, parted, where="unequal rates")
+    assert any(pair_scans)
+    if scale != 1e-12:  # the mutations' offsets are absolute
+        for name, mutated in mutations(inst, sched).items():
+            assert_same_verdicts(inst, mutated, where=name)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+@pytest.mark.parametrize("excess", [-1e-3, 0.0, 1e-9, 2e-8, 1e-6])
+def test_waiting_packet_near_beta_matches_loops(excess, scale, pair_scans):
+    """Packet 1 waits in epoch 2 while packet 2 transmits there, at a
+    rate `excess` (relative) above packet 2's.  The dominance check
+    allows RATE_REL_TOL of packet 3's rate 50, 5e-8 relative to packet
+    2's; the identity allows CERT_TOL of g.  So g of packet 1's rate
+    sits within CERT_TOL above beta at 1e-9, the identity fails at
+    2e-8, and dominance fails at 1e-6."""
+    rate = 1.0 + excess
+    inst = normalize_instance([
+        Packet(1, 2.0 * rate * scale, 0.0, 3.0 * scale),
+        Packet(2, 1.0 * scale, 1.0 * scale, 2.0 * scale),
+        Packet(3, 1.0 * scale, 3.0 * scale, 3.02 * scale),
+    ])
+    rates = np.array([rate, 1.0, 1.0 / 0.02])
+    segments = (
+        Segment(1, 0.0, 1.0 * scale, rate),
+        Segment(2, 1.0 * scale, 2.0 * scale, 1.0),
+        Segment(1, 2.0 * scale, 3.0 * scale, rate),
+        Segment(3, 3.0 * scale, 3.02 * scale, rates[2]),
+    )
+    energy = schedule_energy(MODEL, [(i + 1, r, b / r) for i, (r, b) in
+                                     enumerate(zip(rates, inst.bits()))])
+    sched = Schedule(rates, segments, energy, None)
+    report = assert_same_verdicts(inst, sched)
+    assert report[0] == "value" and report[1].optimal == (excess < 5e-8)
+    if excess > 0 and report[1].optimal:
+        assert any(pair_scans)  # g of packet 1 exceeds beta of epoch 2
+    if excess == 1e-9:
+        assert extract_certificate(inst, sched, MODEL).gamma[0, 1] == 0.0
+    if excess == 2e-8:
+        with pytest.raises(RuntimeError, match="identity failed for packet 1, epoch 2"):
+            extract_certificate(inst, sched, MODEL)
+
+
 def test_monomial_certificate_matches_loops():
     inst = nested_instance(n=60, seed=5)
     model = Monomial(exponent=1.5, scale=1.0)
@@ -641,8 +738,8 @@ def test_ranges_match_set_families():
         for i in range(inst.n):
             epochs = frozenset(range(d.lo[i] + 1, d.hi[i] + 1))
             assert sets.epoch_sets_per_packet[i] == epochs
-        assert d.epoch_sets_per_packet == sets.epoch_sets_per_packet
-        assert d.packet_sets_per_epoch == sets.packet_sets_per_epoch
+        assert ref.epoch_sets_per_packet(d) == sets.epoch_sets_per_packet
+        assert ref.packet_sets_per_epoch(d) == sets.packet_sets_per_epoch
         assert d.live_epochs() == [
             j for j in range(1, d.m + 1) if sets.packet_sets_per_epoch[j - 1]
         ]

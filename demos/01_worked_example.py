@@ -24,9 +24,11 @@ instance = normalize_instance(
 )
 model = Shannon(noise_power=1.0)
 
+# The instance holds its packets as columns, packet i at position i-1.
 print("packets:")
-for p in instance.packets:
-    print(f"  #{p.id}: {p.bits} bits in [{p.arrival}, {p.deadline}]")
+for i, (b, a, d) in enumerate(zip(instance.bits(), instance.arrivals(),
+                                  instance.deadlines()), start=1):
+    print(f"  #{i}: {b} bits in [{a}, {d}]")
 
 # The timeline splits at every arrival and deadline.
 decomp = decompose(instance)
@@ -44,10 +46,11 @@ for g, step in enumerate(schedule.trace.steps, start=1):
     print(f"  round {g}: packets {sorted(step.members)} at rate "
           f"{step.rate:.6g} on {pieces}")
 
+# The timeline is a table of four columns, one row per segment.
+seg = schedule.segments
 print("\ntimeline:")
-for seg in schedule.segments:
-    print(f"  [{seg.t_start:.3f}, {seg.t_end:.3f}] packet {seg.packet} "
-          f"at {seg.rate:.6g} bit/s")
+for pid, start, end, rate in zip(seg.packet, seg.start, seg.end, seg.rate):
+    print(f"  [{start:.3f}, {end:.3f}] packet {pid} at {rate:.6g} bit/s")
 
 print("\nrates:", np.round(schedule.rates, 12))
 print(f"energy: {schedule.energy:.6f} J")

@@ -14,6 +14,8 @@ from .model import (
     instance_from_json,
     instance_to_json,
     is_non_fifo,
+    check_packets,
+    normalize_columns,
     normalize_instance,
 )
 from .power import (
@@ -36,7 +38,7 @@ from .scheduler import (
     NoCandidates,
     Schedule,
     ScheduleFormatError,
-    Segment,
+    SegmentTable,
     edf_fill,
     schedule_from_allocation,
     schedule_from_json,
@@ -75,63 +77,3 @@ from .harness import (
 __version__ = "0.1.0"
 
 _heap.fix_thresholds()
-
-__all__ = [
-    "BenchRow",
-    "BracketOverflow",
-    "ConfigInvalid",
-    "DimensionMismatch",
-    "EmptyInstance",
-    "EpochConditions",
-    "EpochDecomposition",
-    "FeasibilityReport",
-    "Gamma",
-    "GeneratorConfig",
-    "InfeasibleInput",
-    "Instance",
-    "InstanceFormatError",
-    "InternalDeadlineMiss",
-    "InternalIdle",
-    "InternalInvariantViolation",
-    "IterationStep",
-    "IterationTrace",
-    "KKTCertificate",
-    "MalformedPacket",
-    "Monomial",
-    "NegativeInput",
-    "NegativeRate",
-    "NoCandidates",
-    "NonFiniteEnergy",
-    "NotOptimal",
-    "OracleSolution",
-    "Packet",
-    "PairTable",
-    "PowerModel",
-    "Schedule",
-    "ScheduleFormatError",
-    "Segment",
-    "Shannon",
-    "TooLarge",
-    "VerificationReport",
-    "ZeroRate",
-    "baseline_constant_edf",
-    "bench_complexity",
-    "check_feasible",
-    "check_optimality",
-    "decompose",
-    "edf_fill",
-    "epoch_times",
-    "extract_certificate",
-    "generate",
-    "instance_from_json",
-    "instance_to_json",
-    "is_non_fifo",
-    "normalize_instance",
-    "schedule_energy",
-    "schedule_from_allocation",
-    "schedule_from_json",
-    "schedule_to_json",
-    "solve",
-    "solve_grid",
-    "solve_projected_gradient",
-]

@@ -11,60 +11,24 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .harness import ConfigInvalid, GeneratorConfig, bench_complexity, generate
-from .model import (
-    EmptyInstance,
-    InstanceFormatError,
-    MalformedPacket,
-    instance_from_json,
-    instance_to_json,
-)
+from .harness import GeneratorConfig, bench_complexity, generate
+from .model import instance_from_json, instance_to_json
 from .oracle import solve_projected_gradient
-from .power import BracketOverflow, Monomial, PowerModel, Shannon
-from .scheduler import (
-    InternalDeadlineMiss,
-    InternalIdle,
-    InternalInvariantViolation,
-    NoCandidates,
-    ScheduleFormatError,
-    schedule_from_json,
-    schedule_to_json,
-    solve,
-)
-from .verifier import (
-    DimensionMismatch,
-    check_feasible,
-    check_optimality,
-    epoch_times,
-    extract_certificate,
-)
+from .power import Monomial, PowerModel, Shannon
+from .scheduler import _floats, schedule_from_json, schedule_to_json, solve
+from .verifier import check_feasible, check_optimality, epoch_times, extract_certificate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_MALFORMED = 2
 EXIT_INTERNAL = 3
 
-_INPUT_ERRORS = (
-    MalformedPacket,
-    EmptyInstance,
-    InstanceFormatError,
-    ConfigInvalid,
-    DimensionMismatch,
-    ScheduleFormatError,
-    json.JSONDecodeError,
-    KeyError,
-    ValueError,
-)
-_INTERNAL_ERRORS = (
-    NoCandidates,
-    InternalIdle,
-    InternalDeadlineMiss,
-    InternalInvariantViolation,
-    BracketOverflow,
-    RuntimeError,
-)
+# Each input error txsched raises is a ValueError (MalformedPacket,
+# InstanceFormatError, ScheduleFormatError, JSONDecodeError, ...), and
+# each internal one a RuntimeError (NoCandidates, InternalIdle,
+# BracketOverflow, ...).
+_INPUT_ERRORS = (KeyError, ValueError)
+_INTERNAL_ERRORS = (RuntimeError,)
 
 
 def _add_power_flags(parser: argparse.ArgumentParser):
@@ -141,6 +105,22 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _certificate_json(instance, cert) -> str:
+    """The text `json.dumps(..., indent=2)` writes for beta, gamma at
+    every feasible (packet, epoch) pair and lambda, formatted straight
+    from the arrays."""
+    rows, cols = instance.decomposition.pairs()
+    gamma = [
+        f'{{\n      "packet": {i},\n      "epoch": {j},\n      "value": {v}\n    }}'
+        for i, j, v in zip(
+            (rows + 1).tolist(), (cols + 1).tolist(), _floats(cert.gamma.at(rows, cols))
+        )
+    ]
+    parts = {"beta": _floats(cert.beta), "gamma": gamma, "lambda": _floats(cert.lam)}
+    lists = (f'  "{k}": [\n    ' + ",\n    ".join(v) + "\n  ]" for k, v in parts.items())
+    return "{\n" + ",\n".join(lists) + "\n}"
+
+
 def _cmd_validate(args) -> int:
     instance, noise = instance_from_json(_read(args.instance))
     model = _model_from_args(args, noise)
@@ -170,21 +150,7 @@ def _cmd_validate(args) -> int:
         if not report.optimal:
             return EXIT_VALIDATION
         cert = extract_certificate(instance, schedule, model)
-        # every feasible pair, evaluated a packet's epoch range at a time
-        gamma = []
-        for i, (lo, hi) in enumerate(zip(*instance.decomposition.ranges)):
-            cols = np.arange(lo, hi)
-            values = cert.gamma.at(np.full(len(cols), i), cols)
-            gamma.extend(
-                {"packet": i + 1, "epoch": j + 1, "value": v}
-                for j, v in zip(cols.tolist(), values.tolist())
-            )
-        doc = {
-            "beta": [float(b) for b in cert.beta],
-            "gamma": gamma,
-            "lambda": [float(v) for v in cert.lam],
-        }
-        print(json.dumps(doc, indent=2))
+        print(_certificate_json(instance, cert))
     return EXIT_OK if report.optimal else EXIT_VALIDATION
 
 

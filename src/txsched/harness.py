@@ -17,16 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _intervals
-from .model import Instance, Packet, PairTable, normalize_instance
+from .model import Instance, PairTable, normalize_columns
 from .power import NonFiniteEnergy, PowerModel, Shannon
 from .scheduler import (
     InternalDeadlineMiss,
     InternalIdle,
     InternalInvariantViolation,
     Schedule,
+    SegmentTable,
     _PIECE_EPS,
     _assemble,
     _segments_from_table,
+    _time_order,
     edf_fill,
     solve,
 )
@@ -109,11 +111,8 @@ def generate(config: GeneratorConfig) -> Instance:
             d = min(a + min_len, config.horizon)
         windows.append((a, d))
 
-    packets = [
-        Packet(i + 1, float(bits[i]), windows[i][0], windows[i][1])
-        for i in range(config.n)
-    ]
-    return normalize_instance(packets)
+    starts, ends = zip(*windows)
+    return normalize_columns(list(range(1, config.n + 1)), bits, starts, ends)
 
 
 def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
@@ -128,23 +127,24 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     """
     free: list[tuple[float, float]] = [(0.0, instance.horizon)]
     dust = _PIECE_EPS * instance.horizon
-    segments = []
+    bits, arrivals, deadlines = instance.columns
+    segment_rows: list[tuple[int, float, float, float]] = []
     rates = np.zeros(instance.n)
     try:
-        deadlines = sorted({p.deadline for p in instance.packets})
-        for d in deadlines:
-            members = [p for p in instance.packets if p.deadline == d]
-            win_union = _intervals.merge([p.window for p in members], dust)
+        for d in np.unique(deadlines).tolist():
+            members = np.flatnonzero(deadlines == d)
+            starts, member_bits = arrivals[members].tolist(), bits[members].tolist()
+            win_union = _intervals.merge([(a, d) for a in starts], dust)
             usable = _intervals.intersect(free, win_union, dust)
             claimed = _intervals.measure(usable)
             if claimed <= instance.time_tol:
                 raise InternalIdle("tie group found no free time")
-            rate = sum(p.bits for p in members) / claimed
-            segs = edf_fill(usable, members, rate)
-            for p in members:
-                rates[p.id - 1] = rate
-            segments.extend(segs)
+            rate = sum(member_bits) / claimed
+            columns = ((members + 1).tolist(), member_bits, starts, [d] * len(members))
+            segment_rows.extend(edf_fill(usable, columns, rate))
+            rates[members] = rate
             free = _intervals.subtract(free, usable, dust)
+        segments = SegmentTable.from_rows(segment_rows)
     except (InternalIdle, InternalDeadlineMiss):
         decomp = instance.decomposition
         rows, cols = decomp.pairs()
@@ -156,7 +156,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     except NonFiniteEnergy:
         # still feasible, only too fast for float64 to price: the
         # baseline's overpayment is unbounded, which is no error
-        return Schedule(rates, tuple(segments), math.inf, None)
+        return Schedule(rates, _time_order(segments), math.inf, None)
 
 
 @dataclass(frozen=True)

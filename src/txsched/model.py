@@ -52,73 +52,97 @@ class Packet:
     deadline: float
 
     def __post_init__(self):
-        if not isinstance(self.id, (int, np.integer)) or isinstance(self.id, bool):
-            raise MalformedPacket(self.id, "id must be an integer")
-        for name in ("bits", "arrival", "deadline"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise MalformedPacket(self.id, f"{name} must be finite, got {value}")
-        if not self.bits > 0:
-            raise MalformedPacket(self.id, f"bits must be positive, got {self.bits}")
-        if not self.deadline > self.arrival:
+        check_packets([self.id], [self.bits], [self.arrival], [self.deadline])
+
+
+def check_packets(ids, bits, arrivals, deadlines, tolerance: bool = True) -> np.ndarray:
+    """Bits, arrivals and deadlines as the rows of one float array, once
+    every packet rule holds; the one place the rules live.
+
+    The rules are checked packet by packet, in input order: an integer id
+    that is no bool, finite bits, arrival and deadline, positive bits, and
+    a deadline after the arrival.  Then, unless `tolerance` is False,
+    every window must span at least the time tolerance of the packets'
+    own horizon.  Raises MalformedPacket naming the first offender.
+    """
+    table = np.array([bits, arrivals, deadlines], dtype=float).reshape(3, -1)
+    b, a, d = table
+    integer = [isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids]
+    finite = np.isfinite(table)
+    with np.errstate(invalid="ignore"):
+        bad = ~np.array(integer, dtype=bool) | ~finite.all(axis=0) | ~(b > 0) | ~(d > a)
+    if bad.any():
+        k = int(np.argmax(bad))
+        fields = zip(("bits", "arrival", "deadline"), (bits[k], arrivals[k], deadlines[k]))
+        reasons = [] if integer[k] else ["id must be an integer"]
+        reasons += [f"{n} must be finite, got {v}" for (n, v), ok in zip(fields, finite[:, k]) if not ok]
+        reasons += [] if b[k] > 0 else [f"bits must be positive, got {bits[k]}"]
+        reasons.append(f"deadline {deadlines[k]} must exceed arrival {arrivals[k]}")
+        raise MalformedPacket(ids[k], reasons[0])
+    if tolerance and len(ids):
+        tol = TIME_REL_TOL * float(d.max() - a.min())
+        short = np.flatnonzero(d - a < tol)
+        if short.size:
+            k = int(short[0])
             raise MalformedPacket(
-                self.id,
-                f"deadline {self.deadline} must exceed arrival {self.arrival}",
+                ids[k],
+                f"window [{arrivals[k]}, {deadlines[k]}] is shorter than the "
+                f"instance's {tol} time tolerance",
             )
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.arrival, self.deadline)
-
-    @property
-    def window_length(self) -> float:
-        return self.deadline - self.arrival
+    return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """A normalized packet set: sorted by arrival, ids dense 1..N,
-    earliest arrival at 0, horizon = latest deadline.
+    """A normalized packet set, held as columns: sorted by arrival, ids
+    dense 1..N, earliest arrival at 0, horizon = latest deadline.
 
-    `id_map` translates the dense ids back to the ids the caller
-    supplied (new id -> original id); it does not participate in
-    equality.
+    `columns` holds the bits, arrivals and deadlines, read-only, as the
+    rows of one array; packet i is column i-1.  `id_map` translates the
+    dense ids back to the ids the caller supplied (new id -> original
+    id); it does not participate in equality.
 
-    The packet arrays and the epoch decomposition are built on first
-    use and kept for the instance's lifetime; the arrays are read-only.
+    The `Packet` records and the epoch decomposition are built on first
+    use and kept for the instance's lifetime.
     """
 
-    packets: tuple[Packet, ...]
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
     horizon: float
-    id_map: dict[int, int] = field(compare=False, repr=False, default_factory=dict)
+    id_map: dict[int, int] = field(repr=False, default_factory=dict)
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self.horizon == other.horizon and all(
+            map(np.array_equal, self.columns, other.columns)
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.horizon))
 
     @property
     def n(self) -> int:
-        return len(self.packets)
+        return len(self.columns[0])
 
     @property
     def time_tol(self) -> float:
         """Instants closer than this are the same instant."""
         return TIME_REL_TOL * self.horizon
 
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bits, arrivals and deadlines, as rows of one read-only array."""
-        ps = self.packets
-        table = np.array(
-            [[p.bits for p in ps], [p.arrival for p in ps], [p.deadline for p in ps]]
-        )
-        table.flags.writeable = False
-        return tuple(table)
-
     def bits(self) -> np.ndarray:
-        return self._columns[0]
+        return self.columns[0]
 
     def arrivals(self) -> np.ndarray:
-        return self._columns[1]
+        return self.columns[1]
 
     def deadlines(self) -> np.ndarray:
-        return self._columns[2]
+        return self.columns[2]
+
+    @cached_property
+    def packets(self) -> tuple[Packet, ...]:
+        """The packets as `Packet` records, in id order."""
+        rows = zip(*(c.tolist() for c in self.columns))
+        return tuple(Packet(i + 1, b, a, d) for i, (b, a, d) in enumerate(rows))
 
     @cached_property
     def decomposition(self) -> EpochDecomposition:
@@ -250,32 +274,31 @@ class PairTable:
 
 
 def normalize_instance(raw_packets) -> Instance:
-    """Sort, shift, and relabel packets into canonical form.
-
-    Packets are sorted by (arrival, deadline, id), all times are shifted
-    so the earliest arrival is 0, and ids are reassigned 1..N in sorted
-    order; the original ids are kept in the returned instance's id_map.
-    """
+    """`normalize_columns` of records with `id`, `bits`, `arrival` and
+    `deadline` attributes, such as `Packet`s."""
     packets = list(raw_packets)
-    if not packets:
+    return normalize_columns(
+        *([getattr(p, name) for p in packets] for name in ("id", "bits", "arrival", "deadline"))
+    )
+
+
+def normalize_columns(ids, bits, arrivals, deadlines) -> Instance:
+    """Check, sort, shift, and relabel packets given as columns.
+
+    The packets must pass `check_packets`.  They are sorted by (arrival,
+    deadline, id), all times are shifted so the earliest arrival is 0,
+    and ids are reassigned 1..N in sorted order; the original ids are
+    kept in the returned instance's id_map.
+    """
+    if not len(ids):
         raise EmptyInstance("no packets")
-    t0 = min(p.arrival for p in packets)
-    horizon = max(p.deadline for p in packets) - t0
-    tol = TIME_REL_TOL * horizon
-    for p in packets:
-        if p.deadline - p.arrival < tol:
-            raise MalformedPacket(
-                p.id,
-                f"window [{p.arrival}, {p.deadline}] is shorter than the "
-                f"instance's {tol} time tolerance",
-            )
-    packets.sort(key=lambda p: (p.arrival, p.deadline, p.id))
-    shifted = [
-        Packet(i + 1, p.bits, p.arrival - t0, p.deadline - t0)
-        for i, p in enumerate(packets)
-    ]
-    id_map = {i + 1: p.id for i, p in enumerate(packets)}
-    return Instance(tuple(shifted), horizon, id_map)
+    b, a, d = check_packets(ids, bits, arrivals, deadlines)
+    order = np.lexsort((np.asarray(ids), d, a))
+    t0 = a.min()
+    table = np.stack([b[order], a[order] - t0, d[order] - t0])
+    table.flags.writeable = False
+    id_map = {k + 1: ids[i] for k, i in enumerate(order.tolist())}
+    return Instance(tuple(table), float(d.max() - t0), id_map)
 
 
 def decompose(instance: Instance) -> EpochDecomposition:
@@ -308,20 +331,17 @@ def is_non_fifo(instance: Instance) -> set[int]:
     earlier-arriving packet's window (deadline order inversion)."""
     a = instance.arrivals()
     d = instance.deadlines()
-    out = set()
-    for i, p in enumerate(instance.packets):
-        if np.any((a < p.arrival) & (d > p.deadline)):
-            out.add(p.id)
-    return out
+    return {i + 1 for i in range(instance.n) if np.any((a < a[i]) & (d > d[i]))}
 
 
 def instance_to_json(instance: Instance, noise_power: float = 1.0) -> str:
     """Serialize to the on-disk instance format."""
+    rows = zip(*(c.tolist() for c in instance.columns))
     doc = {
         "noise_power": noise_power,
         "packets": [
-            {"id": p.id, "bits": p.bits, "arrival": p.arrival, "deadline": p.deadline}
-            for p in instance.packets
+            {"id": i + 1, "bits": b, "arrival": a, "deadline": d}
+            for i, (b, a, d) in enumerate(rows)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -346,17 +366,22 @@ def instance_from_json(text: str) -> tuple[Instance, float]:
         raise InstanceFormatError(
             f"noise_power must be positive and finite, got {noise_power}"
         )
-    raw = []
+    columns = ([], [], [], [])
     for k, entry in enumerate(doc["packets"]):
         try:
-            raw.append(
-                Packet(
-                    id=entry["id"],
-                    bits=float(entry["bits"]),
-                    arrival=float(entry["arrival"]),
-                    deadline=float(entry["deadline"]),
-                )
+            row = (
+                entry["id"],
+                float(entry["bits"]),
+                float(entry["arrival"]),
+                float(entry["deadline"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
+            # entries are read in order: a packet before this entry that
+            # breaks a rule is named first
+            check_packets(*columns, tolerance=False)
+            if isinstance(exc, ValueError):
+                raise
             raise InstanceFormatError(f"packet entry {k} is malformed: {exc}") from exc
-    return normalize_instance(raw), float(noise_power)
+        for column, value in zip(columns, row):
+            column.append(value)
+    return normalize_columns(*columns), float(noise_power)

@@ -178,37 +178,36 @@ def per_distinct_rate(fn, rates: np.ndarray) -> np.ndarray:
     return np.asarray(fn(distinct), dtype=float)[which]
 
 
-def schedule_energy(model: PowerModel, rates) -> float:
+def schedule_energy(model: PowerModel, rates, times) -> float:
     """Total energy of constant-rate transmissions.
 
-    `rates` is an iterable of (packet id, rate, total transmission
-    time); the energy is sum(time * f(rate)), added in that order, with
-    f evaluated in one call over the distinct rates.  Entries are
-    checked in order; raises NonFiniteEnergy, naming the packet, once
-    the running sum is not finite.
+    `rates` and `times` hold each packet's rate and total transmission
+    time, packet i at position i-1; the energy is sum(time * f(rate)),
+    added in packet order, with f evaluated in one call over the
+    distinct rates.  Packets are checked in order; raises
+    NonFiniteEnergy, naming the packet, once the running sum is not
+    finite.
     """
-    entries = list(rates)
-    rate = np.array([e[1] for e in entries], dtype=float)
-    time = np.array([e[2] for e in entries], dtype=float)
+    rate = np.asarray(rates, dtype=float)
+    time = np.asarray(times, dtype=float)
     valid = ~(rate <= 0) & (time > 0)  # NaN rates are priced, as NaN
-    # the entries up to the first invalid one are priced and summed
-    stop = int(np.argmin(valid)) if not valid.all() else len(entries)
+    # the packets up to the first invalid one are priced and summed
+    stop = int(np.argmin(valid)) if not valid.all() else len(rate)
     power = per_distinct_rate(model.power, rate[:stop])
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.add.accumulate(time[:stop] * power)
     overflow = np.flatnonzero(~np.isfinite(total))
     if overflow.size:
         k = int(overflow[0])
-        pid, r, t = entries[k]
         raise NonFiniteEnergy(
-            f"packet {pid}: energy is not finite ({t} s at rate {r}, "
+            f"packet {k + 1}: energy is not finite ({time[k]} s at rate {rate[k]}, "
             f"power {power[k]})"
         )
-    if stop < len(entries):
-        pid, r, t = entries[stop]
+    if stop < len(rate):
+        r, t = rate[stop], time[stop]
         if r < 0:
-            raise NegativeRate(f"packet {pid}: rate {r} is negative")
+            raise NegativeRate(f"packet {stop + 1}: rate {r} is negative")
         if r == 0:
-            raise ZeroRate(f"packet {pid}: rate 0 never finishes")
-        raise ValueError(f"packet {pid}: transmission time {t} must be positive")
+            raise ZeroRate(f"packet {stop + 1}: rate 0 never finishes")
+        raise ValueError(f"packet {stop + 1}: transmission time {t} must be positive")
     return float(total[-1]) if stop else 0.0

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _intervals
-from .model import TIME_REL_TOL, Instance, Packet, PairTable
+from .model import TIME_REL_TOL, Instance, PairTable
 from .power import PowerModel, schedule_energy
 
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
@@ -57,18 +57,31 @@ class InternalInvariantViolation(RuntimeError):
     """A schedule invariant failed after assembly (internal bug)."""
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A maximal run of one packet transmitting, in original time."""
+@dataclass(frozen=True, eq=False)
+class SegmentTable:
+    """The flattened timeline, one row per maximal run of one packet
+    transmitting, in original time: packet `packet[k]` transmits from
+    `start[k]` to `end[k]` at `rate[k]`.  The columns are read-only
+    arrays, packet ids as integers and the rest as floats."""
 
-    packet: int
-    t_start: float
-    t_end: float
-    rate: float
+    packet: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    rate: np.ndarray
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
+    def __post_init__(self):
+        for name, dtype in zip(("packet", "start", "end", "rate"), (np.intp, float, float, float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows) -> "SegmentTable":
+        """The table of (packet, start, end, rate) rows."""
+        return cls(*np.array(rows, dtype=float).reshape(-1, 4).T)
+
+    def __len__(self) -> int:
+        return len(self.packet)
 
 
 @dataclass(frozen=True)
@@ -101,7 +114,7 @@ class Schedule:
     """
 
     rates: np.ndarray
-    segments: tuple[Segment, ...]
+    segments: SegmentTable
     energy: float
     trace: IterationTrace | None
 
@@ -181,8 +194,12 @@ def _positions(times: np.ndarray, reserved) -> np.ndarray:
 # EDF fill
 
 
-def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
+def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, float]]:
     """Earliest-deadline-first fill of disjoint time pieces at one rate.
+
+    `members` holds the packets' columns as four lists: ids, bits,
+    arrivals and deadlines.  Returns the segments as (packet, start, end,
+    rate) rows.
 
     Each member transmits bits/rate seconds in total, always the
     arrived, unfinished member with the earliest deadline (ties to the
@@ -204,46 +221,45 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     waiting; otherwise the running step ends at the arrival, so no
     member transmits before its arrival instant while another could.
     """
-    if not members:
+    ids, bits, arrivals, deadlines = members
+    if not ids:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
     eps = _PIECE_EPS * max(
         (abs(float(x)) for piece in pieces for x in piece), default=0.0
     )
-    tol = TIME_REL_TOL * max(abs(p.deadline) for p in members)
+    tol = TIME_REL_TOL * max(abs(d) for d in deadlines)
     pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
         if s1 < e0 - eps:
             raise ValueError("pieces must be disjoint and ascending")
 
-    need = {p.id: p.bits / rate for p in members}
-    total_need = sum(need.values())
-    need_tol = max(1e-12 * total_need, eps)
+    need = [b / rate for b in bits]
+    need_tol = max(1e-12 * sum(need), eps)
     # Member positions by arrival; a position also breaks (deadline, id)
     # ties.  Admission times never decrease: a piece ends its steps
     # eps before its end, and the next piece starts no earlier.
-    by_arrival = sorted(range(len(members)), key=lambda k: members[k].arrival)
+    by_arrival = sorted(range(len(ids)), key=arrivals.__getitem__)
     heap: list[tuple[float, int, int]] = []
     admitted = 0  # by_arrival[:admitted] have been pushed
 
-    segments: list[Segment] = []
+    segments: list[tuple[int, float, float, float]] = []
 
     def emit(pid: int, t0: float, t1: float):
-        if segments and segments[-1].packet == pid and abs(segments[-1].t_end - t0) <= eps:
-            last = segments[-1]
-            segments[-1] = Segment(pid, last.t_start, t1, rate)
+        if segments and segments[-1][0] == pid and abs(segments[-1][2] - t0) <= eps:
+            segments[-1] = (pid, segments[-1][1], t1, rate)
         else:
-            segments.append(Segment(pid, t0, t1, rate))
+            segments.append((pid, t0, t1, rate))
 
     def admit(until: float):
         nonlocal admitted
-        while admitted < len(members):
-            p = members[by_arrival[admitted]]
-            if p.arrival > until:
+        while admitted < len(ids):
+            k = by_arrival[admitted]
+            if arrivals[k] > until:
                 break
-            if need[p.id] > need_tol:
-                heapq.heappush(heap, (p.deadline, p.id, by_arrival[admitted]))
+            if need[k] > need_tol:
+                heapq.heappush(heap, (deadlines[k], ids[k], k))
             admitted += 1
 
     for ps, pe in pieces:
@@ -256,37 +272,37 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
                 # A member past its deadline has arrived, so the heap holds
                 # every unfinished one; name the first in member order.
                 late = next(
-                    p for p in members
-                    if need[p.id] > need_tol and p.deadline < t - tol
+                    k for k in range(len(ids))
+                    if need[k] > need_tol and deadlines[k] < t - tol
                 )
                 raise InternalDeadlineMiss(
-                    f"packet {late.id} unfinished at its deadline {late.deadline}"
+                    f"packet {ids[late]} unfinished at its deadline {deadlines[late]}"
                 )
             if not heap:
                 raise InternalIdle(f"no transmittable packet at time {t}")
-            cur = members[heap[0][2]]
-            dur = min(pe - t, need[cur.id])
-            if cur.deadline - t < dur - tol:
-                dur = max(cur.deadline - t, 0.0)
+            deadline, pid, cur = heap[0]
+            dur = min(pe - t, need[cur])
+            if deadline - t < dur - tol:
+                dur = max(deadline - t, 0.0)
                 if dur <= eps:
                     raise InternalDeadlineMiss(
-                        f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
+                        f"packet {pid} cannot finish by its deadline {deadline}"
                     )
-            if admitted < len(members):
-                arrival = members[by_arrival[admitted]].arrival
+            if admitted < len(ids):
+                arrival = arrivals[by_arrival[admitted]]
                 if arrival < t + dur - eps:
                     dur = arrival - t
-            emit(cur.id, t, t + dur)
-            need[cur.id] -= dur
-            if need[cur.id] <= need_tol:
-                need[cur.id] = 0.0
+            emit(pid, t, t + dur)
+            need[cur] -= dur
+            if need[cur] <= need_tol:
+                need[cur] = 0.0
                 heapq.heappop(heap)
             t += dur
 
-    leftovers = {pid: v for pid, v in need.items() if v > need_tol}
+    leftovers = sorted(ids[k] for k in range(len(ids)) if need[k] > need_tol)
     if leftovers:
         raise InternalDeadlineMiss(
-            f"packets left unfinished after all pieces: {sorted(leftovers)}"
+            f"packets left unfinished after all pieces: {leftovers}"
         )
     return segments
 
@@ -296,7 +312,7 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
 
 
 def _check_solution_invariants(
-    instance: Instance, trace: IterationTrace, segments, rates: np.ndarray
+    instance: Instance, trace: IterationTrace, segments: SegmentTable, rates: np.ndarray
 ):
     steps = trace.steps
     tol = instance.time_tol
@@ -319,9 +335,11 @@ def _check_solution_invariants(
         raise InternalInvariantViolation(
             f"reserved pieces do not tile the live region (mismatch {gap})"
         )
-    delivered = np.zeros(instance.n)
-    for seg in segments:
-        delivered[seg.packet - 1] += seg.duration * seg.rate
+    delivered = np.bincount(
+        segments.packet - 1,
+        weights=(segments.end - segments.start) * segments.rate,
+        minlength=instance.n,
+    )
     bits = instance.bits()
     if np.any(np.abs(delivered - bits) > 1e-9 * bits):
         raise InternalInvariantViolation("delivered bits do not match packet sizes")
@@ -344,7 +362,7 @@ def _busy_periods(arrivals: np.ndarray, deadlines: np.ndarray, tol: float):
 
 def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
     """The rounds of one busy period, in order, as (head rate, step,
-    segments) triples; sets `rates` at the period's rows.
+    segment rows) triples; sets `rates` at the period's rows.
 
     The head rate is the round's best grid rate, the value a loop over
     all periods at once would compare against the other periods.
@@ -379,14 +397,13 @@ def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
         pieces = _intervals.subtract([span], reserved, dust)
         rate = float(bits[member].sum() / _intervals.measure(pieces))
         member_rows = rows[member]
-        member_packets = [instance.packets[r] for r in member_rows.tolist()]
+        ids = (member_rows + 1).tolist()
+        columns = (ids, bits[member].tolist(), arrivals[member].tolist(),
+                   deadlines[member].tolist())
         step = IterationStep(
-            rate=rate,
-            members=frozenset(int(r) + 1 for r in member_rows),
-            pieces=tuple(pieces),
-            candidates=candidates,
+            rate=rate, members=frozenset(ids), pieces=tuple(pieces), candidates=candidates
         )
-        rounds.append((head, step, edf_fill(pieces, member_packets, rate)))
+        rounds.append((head, step, edf_fill(pieces, columns, rate)))
         rates[member_rows] = rate
         reserved = _intervals.merge(reserved + pieces, dust)
         active[member] = False
@@ -438,34 +455,39 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         )
     ]
     steps: list[IterationStep] = []
-    segments: list[Segment] = []
-    for _, step, segs in _interleave(periods):
+    segments: list[tuple[int, float, float, float]] = []
+    for _, step, rows in _interleave(periods):
         steps.append(step)
-        segments.extend(segs)
+        segments.extend(rows)
 
     trace = IterationTrace(tuple(steps))
-    return _assemble(instance, model, rates, segments, trace=trace)
+    return _assemble(
+        instance, model, rates, SegmentTable.from_rows(segments), trace=trace
+    )
+
+
+def _time_order(segments: SegmentTable) -> SegmentTable:
+    """The segments sorted by start, then end; ties keep their order."""
+    order = np.lexsort((segments.end, segments.start))
+    columns = (segments.packet, segments.start, segments.end, segments.rate)
+    return SegmentTable(*(column[order] for column in columns))
 
 
 def _assemble(
     instance: Instance,
     model: PowerModel,
     rates: np.ndarray,
-    segments: list[Segment],
+    segments: SegmentTable,
     trace: IterationTrace | None = None,
 ) -> Schedule:
     """The schedule of constant `rates` over `segments`, sorted here by
     time, priced under `model`.  A solver `trace` is first checked
     against the schedule invariants."""
-    segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
+    segments = _time_order(segments)
     if trace is not None:
         _check_solution_invariants(instance, trace, segments, rates)
-    bits = instance.bits()
-    energy = schedule_energy(
-        model,
-        [(i + 1, rates[i], bits[i] / rates[i]) for i in range(instance.n)],
-    )
-    return Schedule(rates, tuple(segments), energy, trace)
+    energy = schedule_energy(model, rates, instance.bits() / rates)
+    return Schedule(rates, segments, energy, trace)
 
 
 def schedule_from_allocation(
@@ -496,19 +518,24 @@ def _segments_from_table(instance: Instance, tau: PairTable):
     if np.any(totals <= 0):
         raise ValueError("every packet needs positive total time")
     rates = instance.bits() / totals
-    epochs = instance.decomposition.epochs
     dust = _PIECE_EPS * instance.horizon
     used = tau.values > dust
     rows, cols, values = tau.rows[used], tau.cols[used], tau.values[used]
     order = np.lexsort((rows, instance.deadlines()[rows], cols))
-    segments = []
-    col = -1
-    cells = zip(rows[order].tolist(), cols[order].tolist(), values[order].tolist())
-    for i, j, v in cells:
-        if j != col:
-            col, t = j, epochs[j][0]
-        segments.append(Segment(i + 1, t, t + v, float(rates[i])))
-        t += v
+    rows, cols, values = rows[order], cols[order], values[order]
+    # Row g of `times` runs through the g-th used epoch column: its start,
+    # then its cells' times, added up one after another.
+    opens = np.diff(cols, prepend=-1) != 0
+    first = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
+    slot = np.arange(len(cols)) - first[group]
+    times = np.zeros((len(first), slot.max(initial=0) + 2))
+    times[:, 0] = np.array(instance.decomposition.instants)[cols[first]]
+    times[group, slot + 1] = values
+    np.add.accumulate(times, axis=1, out=times)
+    segments = SegmentTable(
+        rows + 1, times[group, slot], times[group, slot + 1], rates[rows]
+    )
     return rates, segments
 
 
@@ -516,44 +543,66 @@ def _segments_from_table(instance: Instance, tau: PairTable):
 # serialization
 
 
+def _floats(values: np.ndarray) -> list[str]:
+    """The text `json.dumps` writes for each float of an array.  Each
+    distinct bit pattern is formatted once: a schedule's rates repeat."""
+    if not len(values):
+        return []
+    bits, which = np.unique(np.asarray(values, dtype=float).view(np.uint64), return_inverse=True)
+    texts = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
+    return [texts[k] for k in which.tolist()]
+
+
 def schedule_to_json(schedule: Schedule) -> str:
-    doc = {
-        "energy": schedule.energy,
-        "rates": [
-            {"id": i + 1, "rate": float(r)} for i, r in enumerate(schedule.rates)
-        ],
-        "segments": [
-            {"id": s.packet, "start": s.t_start, "end": s.t_end, "rate": s.rate}
-            for s in schedule.segments
-        ],
-        "iterations": [
-            {
-                "rate": st.rate,
-                "packets": sorted(st.members),
-                "pieces": [[p[0], p[1]] for p in st.pieces],
-            }
-            for st in (schedule.trace.steps if schedule.trace else ())
-        ],
-    }
-    return json.dumps(doc) + "\n"
+    """The text of `json.dumps` of the schedule document, written from
+    the columns."""
+    seg = schedule.segments
+    rates = [f'{{"id": {i}, "rate": {r}}}' for i, r in enumerate(_floats(schedule.rates), 1)]
+    segments = [
+        f'{{"id": {i}, "start": {s}, "end": {e}, "rate": {r}}}'
+        for i, s, e, r in zip(seg.packet.tolist(), *map(_floats, (seg.start, seg.end, seg.rate)))
+    ]
+    iterations = [
+        {"rate": st.rate, "packets": sorted(st.members), "pieces": [list(p) for p in st.pieces]}
+        for st in (schedule.trace.steps if schedule.trace else ())
+    ]
+    return (
+        f'{{"energy": {json.dumps(schedule.energy)}, "rates": [{", ".join(rates)}], '
+        f'"segments": [{", ".join(segments)}], "iterations": {json.dumps(iterations)}}}\n'
+    )
+
+
+def _ids(entries, what: str) -> list[int]:
+    """The `id` of each entry; each must be a JSON integer."""
+    ids = [entry["id"] for entry in entries]
+    for pid in ids:
+        if type(pid) is not int:
+            raise ScheduleFormatError(f"{what} id {pid!r} is not an integer")
+    return ids
 
 
 def schedule_from_json(text: str, instance: Instance) -> Schedule:
     """Rebuild a schedule from its JSON form; the iteration trace keeps
     rates, members and pieces."""
     doc = json.loads(text)
-    rates = np.zeros(instance.n)
-    for entry in doc["rates"]:
-        pid = int(entry["id"])
+    ids = _ids(doc["rates"], "rate entry")
+    seen = set()
+    for pid in ids:
         if not 1 <= pid <= instance.n:
             raise ScheduleFormatError(
                 f"rate entry for packet {pid}: ids run from 1 to {instance.n}"
             )
-        rates[pid - 1] = float(entry["rate"])
-    segments = tuple(
-        Segment(int(e["id"]), float(e["start"]), float(e["end"]), float(e["rate"]))
-        for e in doc["segments"]
-    )
+        if pid in seen:
+            raise ScheduleFormatError(f"rate entry for packet {pid} is repeated")
+        seen.add(pid)
+    rates = np.zeros(instance.n)
+    rates[np.array(ids, dtype=np.intp) - 1] = [entry["rate"] for entry in doc["rates"]]
+    entries = doc["segments"]
+    columns = [[entry[k] for entry in entries] for k in ("start", "end", "rate")]
+    try:
+        segments = SegmentTable(_ids(entries, "segment"), *columns)
+    except OverflowError as exc:
+        raise ScheduleFormatError(f"a segment id is out of range: {exc}") from exc
     steps = tuple(
         IterationStep(
             rate=float(it["rate"]),

@@ -182,17 +182,17 @@ def epoch_times(instance: Instance, schedule: Schedule) -> PairTable:
     `check_feasible` names them."""
     decomp = instance.decomposition
     grid = np.array(decomp.instants)
-    segments = [seg for seg in schedule.segments if 1 <= seg.packet <= instance.n]
-    rows = np.array([seg.packet - 1 for seg in segments], dtype=np.intp)
-    t0 = np.array([seg.t_start for seg in segments], dtype=float)
-    t1 = np.array([seg.t_end for seg in segments], dtype=float)
+    segments = schedule.segments
+    known = (segments.packet >= 1) & (segments.packet <= instance.n)
+    rows = segments.packet[known] - 1
+    t0, t1 = segments.start[known], segments.end[known]
     # a segment meets the epochs from the one holding its start up to,
     # not including, the first whose left instant reaches its end
     first = np.maximum(np.searchsorted(grid, t0, side="right") - 1, 0)
     count = np.maximum(
         np.minimum(np.searchsorted(grid, t1, side="left"), decomp.m) - first, 0
     )
-    seg = np.repeat(np.arange(len(segments)), count)
+    seg = np.repeat(np.arange(len(rows)), count)
     cols = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
     overlap = np.minimum(t1[seg], grid[cols + 1]) - np.maximum(t0[seg], grid[cols])
     # sub-dust overlaps are float artifacts of segments touching an
@@ -214,57 +214,53 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     if len(schedule.rates) != n:
         raise DimensionMismatch(f"expected {n} rates, got {len(schedule.rates)}")
     violations: list[str] = []
-    segments = schedule.segments
+    seg = schedule.segments
     bits = instance.bits()
     tol = instance.time_tol
 
-    seg_packet = np.array([s.packet for s in segments], dtype=np.int64)
-    seg_start = np.array([s.t_start for s in segments], dtype=float)
-    seg_end = np.array([s.t_end for s in segments], dtype=float)
-    seg_rate = np.array([s.rate for s in segments], dtype=float)
-    known = (seg_packet >= 1) & (seg_packet <= n)
-    row = np.where(known, seg_packet - 1, 0)
+    known = (seg.packet >= 1) & (seg.packet <= n)
+    row = np.where(known, seg.packet - 1, 0)
     assigned = schedule.rates[row]
-    early = seg_start < instance.arrivals()[row] - tol
-    late = seg_end > instance.deadlines()[row] + tol
-    empty = ~(seg_end > seg_start)
-    off_rate = np.abs(seg_rate - assigned) > RATE_REL_TOL * np.abs(assigned)
+    arrival, deadline = instance.arrivals()[row], instance.deadlines()[row]
+    early = seg.start < arrival - tol
+    late = seg.end > deadline + tol
+    empty = ~(seg.end > seg.start)
+    off_rate = np.abs(seg.rate - assigned) > RATE_REL_TOL * np.abs(assigned)
     for k in _flagged(~known | early | late | empty | off_rate):
-        seg = segments[k]
+        pid, start, end = int(seg.packet[k]), float(seg.start[k]), float(seg.end[k])
         if not known[k]:
-            violations.append(f"segment references unknown packet {seg.packet}")
+            violations.append(f"segment references unknown packet {pid}")
             continue
-        p = instance.packets[seg.packet - 1]
         if early[k]:
             violations.append(
-                f"causality: packet {p.id} transmits at {seg.t_start} "
-                f"before its arrival {p.arrival}"
+                f"causality: packet {pid} transmits at {start} "
+                f"before its arrival {float(arrival[k])}"
             )
         if late[k]:
             violations.append(
-                f"deadline: packet {p.id} transmits until {seg.t_end} "
-                f"past its deadline {p.deadline}"
+                f"deadline: packet {pid} transmits until {end} "
+                f"past its deadline {float(deadline[k])}"
             )
         if empty[k]:
-            violations.append(f"segment of packet {p.id} has non-positive length")
+            violations.append(f"segment of packet {pid} has non-positive length")
         if off_rate[k]:
             violations.append(
-                f"segment of packet {p.id} runs at {seg.rate}, "
+                f"segment of packet {pid} runs at {float(seg.rate[k])}, "
                 f"assigned rate is {assigned[k]}"
             )
 
-    order = np.lexsort((seg_end, seg_start))
-    overlap = seg_start[order[1:]] < seg_end[order[:-1]] - tol
+    order = np.lexsort((seg.end, seg.start))
+    overlap = seg.start[order[1:]] < seg.end[order[:-1]] - tol
     for k in _flagged(overlap):
-        a, b = segments[order[k]], segments[order[k + 1]]
+        a, b = order[k], order[k + 1]
         violations.append(
-            f"overlap: packets {a.packet} and {b.packet} both transmit "
-            f"in [{b.t_start}, {min(a.t_end, b.t_end)}]"
+            f"overlap: packets {seg.packet[a]} and {seg.packet[b]} both transmit "
+            f"in [{float(seg.start[b])}, {float(min(seg.end[a], seg.end[b]))}]"
         )
 
     delivered = np.bincount(
-        seg_packet[known] - 1,
-        weights=(seg_end[known] - seg_start[known]) * seg_rate[known],
+        seg.packet[known] - 1,
+        weights=(seg.end[known] - seg.start[known]) * seg.rate[known],
         minlength=n,
     )
     for i in _flagged(np.abs(delivered - bits) > BIT_REL_TOL * bits):
@@ -334,12 +330,11 @@ def check_optimality(
         )
 
     # Feasibility has checked that every segment names a known packet.
-    seg_row = np.array([s.packet - 1 for s in schedule.segments], dtype=np.int64)
-    seg_rate = np.array([s.rate for s in schedule.segments], dtype=float)
+    seg = schedule.segments
     fastest = np.full(n, -np.inf)
     slowest = np.full(n, np.inf)
-    np.maximum.at(fastest, seg_row, seg_rate)
-    np.minimum.at(slowest, seg_row, seg_rate)
+    np.maximum.at(fastest, seg.packet - 1, seg.rate)
+    np.minimum.at(slowest, seg.packet - 1, seg.rate)
     # a packet without segments reads -inf - inf > -inf, which is False
     constant_rate_ok = not np.any(fastest - slowest > RATE_REL_TOL * fastest)
 

@@ -33,7 +33,6 @@ from txsched.model import (
     TIME_REL_TOL,
     EpochDecomposition,
     Instance,
-    Packet,
     PairTable,
     decompose,
 )
@@ -50,7 +49,7 @@ from txsched.scheduler import (
     InternalDeadlineMiss,
     InternalIdle,
     Schedule,
-    Segment,
+    SegmentTable,
 )
 from txsched.verifier import (
     BIT_REL_TOL,
@@ -87,6 +86,47 @@ def candidate_grid(
     valid = (lengths > tol) & (counts > 0.5)
     rates = np.where(valid, bitsum / np.where(valid, lengths, 1.0), -np.inf)
     return starts, ends, in_start, in_end, rates, valid
+
+
+@dataclass(frozen=True)
+class Segment:
+    """The loops' record of one row of a `SegmentTable`."""
+
+    packet: int
+    t_start: float
+    t_end: float
+    rate: float
+
+    @property
+    def duration(self) -> float:
+        return self.t_end - self.t_start
+
+
+@dataclass(frozen=True)
+class Member:
+    """The loops' record of one `edf_fill` member."""
+
+    id: int
+    bits: float
+    arrival: float
+    deadline: float
+
+
+def segment_list(table: SegmentTable) -> list[Segment]:
+    """The table's rows as records, in table order."""
+    columns = (table.packet, table.start, table.end, table.rate)
+    return [Segment(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def member_columns(packets) -> tuple[list, list, list, list]:
+    """`edf_fill`'s member columns of records with `id`, `bits`,
+    `arrival` and `deadline`."""
+    return tuple([getattr(p, k) for p in packets] for k in ("id", "bits", "arrival", "deadline"))
+
+
+def segment_table(segments) -> SegmentTable:
+    """The table of a list of records."""
+    return SegmentTable.from_rows([(s.packet, s.t_start, s.t_end, s.rate) for s in segments])
 
 
 def dense(table: PairTable) -> np.ndarray:
@@ -213,7 +253,8 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     violations: list[str] = []
     tol = instance.time_tol
 
-    for seg in schedule.segments:
+    segments = segment_list(schedule.segments)
+    for seg in segments:
         if not 1 <= seg.packet <= n:
             violations.append(f"segment references unknown packet {seg.packet}")
             continue
@@ -237,7 +278,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
                 f"assigned rate is {rate}"
             )
 
-    ordered = sorted(schedule.segments, key=lambda s: (s.t_start, s.t_end))
+    ordered = sorted(segments, key=lambda s: (s.t_start, s.t_end))
     for a, b in zip(ordered, ordered[1:]):
         if b.t_start < a.t_end - tol:
             violations.append(
@@ -246,7 +287,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
             )
 
     delivered = np.zeros(n)
-    for seg in schedule.segments:
+    for seg in segments:
         if 1 <= seg.packet <= n:
             delivered[seg.packet - 1] += seg.duration * seg.rate
     bits = instance.bits()
@@ -312,7 +353,7 @@ def check_optimality(
         )
 
     per_packet: dict[int, list[float]] = {}
-    for seg in schedule.segments:
+    for seg in segment_list(schedule.segments):
         per_packet.setdefault(seg.packet, []).append(seg.rate)
     constant_rate_ok = True
     for pid, rs in per_packet.items():
@@ -482,7 +523,7 @@ def extract_certificate(
     return DenseCertificate(beta=beta, gamma=gamma, lam=lam)
 
 
-def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
+def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, float]]:
     """Earliest-deadline-first fill of disjoint time pieces at one rate.
 
     Each member transmits bits/rate seconds in total, always the
@@ -493,8 +534,10 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
     largest piece endpoint; arrivals and deadlines are compared to within
     TIME_REL_TOL times the latest member deadline, and an arrival within
     that tolerance ahead of `t` is admitted only when nothing else can
-    run.
+    run.  `members` and the result are those of `scheduler.edf_fill`:
+    member columns in, (packet, start, end, rate) rows out.
     """
+    members = [Member(*row) for row in zip(*members)]
     if not members:
         raise ValueError("no members to fill")
     if not rate > 0:
@@ -569,12 +612,13 @@ def edf_fill(pieces, members: list[Packet], rate: float) -> list[Segment]:
         raise InternalDeadlineMiss(
             f"packets left unfinished after all pieces: {sorted(leftovers)}"
         )
-    return segments
+    return [(s.packet, s.t_start, s.t_end, s.rate) for s in segments]
 
 
-def tau_from_segments(instance: Instance, decomp, segments) -> np.ndarray:
+def tau_from_segments(instance: Instance, decomp, table: SegmentTable) -> np.ndarray:
     """The epoch-time table, one segment and one epoch at a time;
     segments of unknown packets book nothing."""
+    segments = segment_list(table)
     grid = np.array(decomp.instants)
     tau = np.zeros((instance.n, decomp.m))
     dust = _PIECE_EPS * instance.horizon
@@ -626,7 +670,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     active = np.ones(n, dtype=bool)
     reserved: list[tuple[float, float]] = []
     steps: list[IterationStep] = []
-    segments: list[Segment] = []
+    segments: list[tuple[int, float, float, float]] = []
     rates = np.zeros(n)
 
     while active.any():
@@ -646,8 +690,11 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         span = (float(arrivals[member_rows].min()), float(deadlines[member_rows].max()))
         pieces = _intervals.subtract([span], reserved, dust)
         rate = float(bits[member_rows].sum() / _intervals.measure(pieces))
-        member_packets = [instance.packets[r] for r in member_rows]
-        segments.extend(scheduler.edf_fill(pieces, member_packets, rate))
+        members = (
+            (member_rows + 1).tolist(), bits[member_rows].tolist(),
+            arrivals[member_rows].tolist(), deadlines[member_rows].tolist(),
+        )
+        segments.extend(scheduler.edf_fill(pieces, members, rate))
         steps.append(
             IterationStep(
                 rate=rate,
@@ -660,12 +707,13 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         reserved = _intervals.merge(reserved + pieces, dust)
         active[member_rows] = False
 
-    segments.sort(key=lambda sg: (sg.t_start, sg.t_end))
+    segments.sort(key=lambda sg: (sg[1], sg[2]))
+    table = SegmentTable.from_rows(segments)
     trace = IterationTrace(tuple(steps))
-    _check_solution_invariants(instance, trace, segments, rates)
+    _check_solution_invariants(instance, trace, table, rates)
     return Schedule(
         rates=rates,
-        segments=tuple(segments),
+        segments=table,
         energy=schedule_energy(
             model, [(i + 1, rates[i], bits[i] / rates[i]) for i in range(n)]
         ),

@@ -129,17 +129,40 @@ class TestSolveValidate:
         assert main(["solve", str(bad)]) == 2
         assert reason in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pid", [0, -1, 5], ids=["id-0", "id-minus-1", "id-n-plus-1"])
-    def test_out_of_range_rate_id_exit_2(self, instance_file, tmp_path, capsys, pid):
-        # the instance has 4 packets
+    @pytest.mark.parametrize(
+        "where, pid, reason",
+        [
+            ("rates", 0, "rate entry for packet 0: ids run from 1 to 4"),
+            ("rates", -1, "rate entry for packet -1: ids run from 1 to 4"),
+            ("rates", 5, "rate entry for packet 5: ids run from 1 to 4"),
+            ("rates", 2.9, "rate entry id 2.9 is not an integer"),
+            ("rates", True, "rate entry id True is not an integer"),
+            ("rates", "2", "rate entry id '2' is not an integer"),
+            ("rates", 2, "rate entry for packet 2 is repeated"),
+            ("segments", 1.5, "segment id 1.5 is not an integer"),
+            ("segments", 10**30, "a segment id is out of range"),
+        ],
+        ids=[
+            "id-0", "id-minus-1", "id-n-plus-1", "id-2.9", "id-true", "id-str",
+            "id-repeated", "segment-id-1.5", "segment-id-1e30",
+        ],
+    )
+    def test_out_of_range_rate_id_exit_2(
+        self, instance_file, tmp_path, capsys, where, pid, reason
+    ):
+        # the instance has 4 packets; a rate entry is appended, or the
+        # first segment's id replaced
         sched = tmp_path / "sched.json"
         main(["solve", str(instance_file), "-o", str(sched)])
         doc = json.loads(sched.read_text())
-        doc["rates"].append({"id": pid, "rate": 1.0})
+        if where == "rates":
+            doc["rates"].append({"id": pid, "rate": 1.0})
+        else:
+            doc["segments"][0]["id"] = pid
         sched.write_text(json.dumps(doc))
         assert main(["validate", str(instance_file), str(sched)]) == 2
         err = capsys.readouterr().err
-        assert f"rate entry for packet {pid}: ids run from 1 to 4" in err
+        assert reason in err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2

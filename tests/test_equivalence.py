@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_impl as ref
-from reference_impl import dense
+from reference_impl import Segment, dense, segment_list, segment_table
 from test_chain_family import chain_instance
 
 from txsched import (
@@ -27,7 +27,7 @@ from txsched import (
     Monomial,
     Packet,
     Schedule,
-    Segment,
+    SegmentTable,
     Shannon,
     baseline_constant_edf,
     check_feasible,
@@ -206,13 +206,18 @@ def replaced(schedule, **kwargs):
 
 
 def booked(inst, segments):
-    """`epoch_times` of a bare segment list."""
-    return epoch_times(inst, Schedule(np.zeros(inst.n), tuple(segments), 0.0, None))
+    """`epoch_times` of a bare segment table."""
+    return epoch_times(inst, Schedule(np.zeros(inst.n), segments, 0.0, None))
 
 
 def with_segment(schedule, k, seg):
-    segs = schedule.segments
-    return replaced(schedule, segments=segs[:k] + (seg,) + segs[k + 1 :])
+    segs = segment_list(schedule.segments)
+    return replaced(schedule, segments=segment_table(segs[:k] + [seg] + segs[k + 1 :]))
+
+
+def plus_segment(schedule, seg):
+    segs = segment_list(schedule.segments)
+    return replaced(schedule, segments=segment_table(segs + [seg]))
 
 
 def mutations(inst, s, seed=0):
@@ -223,7 +228,7 @@ def mutations(inst, s, seed=0):
     rng = np.random.default_rng(seed)
     d = decompose(inst)
     lengths = d.epoch_lengths()
-    segs = list(s.segments)
+    segs = segment_list(s.segments)
     table = dense(epoch_times(inst, s))
     out = {}
 
@@ -255,12 +260,12 @@ def mutations(inst, s, seed=0):
         i, c = outside[rng.integers(len(outside))]
         t0 = d.epochs[c][0]
         extra = Segment(i + 1, t0, t0 + 0.1 * lengths[c], float(s.rates[i]))
-        out["outside window"] = replaced(s, segments=s.segments + (extra,))
+        out["outside window"] = plus_segment(s, extra)
 
     k = int(rng.integers(len(rows)))
     i, c = rows[k], cols[k]
     extra = Segment(int(i) + 1, *d.epochs[c], float(s.rates[i]))
-    out["over capacity"] = replaced(s, segments=s.segments + (extra,))
+    out["over capacity"] = plus_segment(s, extra)
 
     pos_r, pos_c = np.nonzero(table > 1e-6)
     k = int(rng.integers(len(pos_r)))
@@ -302,9 +307,7 @@ def mutations(inst, s, seed=0):
     spread = out["spread allocation"]
     out["spread rates"] = replaced(spread, rates=spread.rates * 1.01)
 
-    out["unknown packet"] = replaced(
-        s, segments=s.segments + (Segment(inst.n + 1, 0.0, 1e-3, 1.0),)
-    )
+    out["unknown packet"] = plus_segment(s, Segment(inst.n + 1, 0.0, 1e-3, 1.0))
     out["stored energy"] = replaced(s, energy=s.energy * (1.0 + 1e-6))
     return out
 
@@ -512,9 +515,10 @@ def test_tau_from_segments_matches_loop():
             width = float(rng.choice([0.5 * dust, -1e-3, 5.0]) if rng.random() < 0.2
                           else rng.uniform(1e-4, 0.3))
             segments.append(Segment(int(rng.integers(1, 4)), t0, t0 + width, 1.0))
-        new = booked(inst, segments)
-        assert_table_is(new, ref.tau_from_segments(inst, decomp, segments))
-    assert_table_is(booked(inst, []), np.zeros((inst.n, decomp.m)))
+        table = segment_table(segments)
+        assert_table_is(booked(inst, table), ref.tau_from_segments(inst, decomp, table))
+    empty = segment_table([])
+    assert_table_is(booked(inst, empty), np.zeros((inst.n, decomp.m)))
 
 
 def test_mutations_cover_every_tampering():
@@ -619,14 +623,13 @@ def test_waiting_packet_near_beta_matches_loops(excess, scale, pair_scans):
         Packet(3, 1.0 * scale, 3.0 * scale, 3.02 * scale),
     ])
     rates = np.array([rate, 1.0, 1.0 / 0.02])
-    segments = (
-        Segment(1, 0.0, 1.0 * scale, rate),
-        Segment(2, 1.0 * scale, 2.0 * scale, 1.0),
-        Segment(1, 2.0 * scale, 3.0 * scale, rate),
-        Segment(3, 3.0 * scale, 3.02 * scale, rates[2]),
-    )
-    energy = schedule_energy(MODEL, [(i + 1, r, b / r) for i, (r, b) in
-                                     enumerate(zip(rates, inst.bits()))])
+    segments = SegmentTable.from_rows([
+        (1, 0.0, 1.0 * scale, rate),
+        (2, 1.0 * scale, 2.0 * scale, 1.0),
+        (1, 2.0 * scale, 3.0 * scale, rate),
+        (3, 3.0 * scale, 3.02 * scale, rates[2]),
+    ])
+    energy = schedule_energy(MODEL, rates, inst.bits() / rates)
     sched = Schedule(rates, segments, energy, None)
     report = assert_same_verdicts(inst, sched)
     assert report[0] == "value" and report[1].optimal == (excess < 5e-8)
@@ -685,7 +688,8 @@ def test_edf_fill_direct_cases_match_loop():
         rate = float(bits.sum() / sum(e - s for s, e in pieces)) * rng.uniform(0.8, 1.5)
         cases.append((pieces, members, rate))
     kinds = set()
-    for pieces, members, rate in cases:
+    for pieces, packets, rate in cases:
+        members = ref.member_columns(packets)
         new = outcome(edf_fill, pieces, members, rate)
         old = outcome(ref.edf_fill, pieces, members, rate)
         assert new == old, (pieces, members, rate)

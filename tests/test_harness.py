@@ -81,7 +81,7 @@ class TestGenerate:
             n=25, seed=77, non_fifo_prob=1.0, min_window_frac=0.05
         )
         inst = generate(config)
-        shortest = min(p.window_length for p in inst.packets)
+        shortest = (inst.deadlines() - inst.arrivals()).min()
         assert shortest >= 0.05 * config.horizon * 0.999
 
     @pytest.mark.parametrize(

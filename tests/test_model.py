@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from reference_impl import epoch_sets_per_packet, packet_sets_per_epoch
 
 from txsched import (
     EmptyInstance,
+    GeneratorConfig,
     InstanceFormatError,
     MalformedPacket,
     Packet,
     Shannon,
     decompose,
     extract_certificate,
+    generate,
     instance_from_json,
     instance_to_json,
     is_non_fifo,
@@ -30,25 +33,47 @@ def P(pid, bits, arrival, deadline):
     return Packet(pid, bits, arrival, deadline)
 
 
+def packets_json(rows):
+    return json.dumps(
+        {"packets": [{"id": i, "bits": b, "arrival": a, "deadline": d} for i, b, a, d in rows]}
+    )
+
+
+def records(rows):
+    """Packet-like records that no constructor has checked."""
+    return [SimpleNamespace(id=i, bits=b, arrival=a, deadline=d) for i, b, a, d in rows]
+
+
+def rejection(*fields):
+    """The MalformedPacket that `Packet`, `normalize_instance` and
+    `instance_from_json` raise for one bad packet; all three must name
+    the same packet with the same message."""
+    errors = []
+    for build in (
+        lambda: Packet(*fields),
+        lambda: normalize_instance(records([fields])),
+        lambda: instance_from_json(packets_json([fields])),
+    ):
+        with pytest.raises(MalformedPacket) as err:
+            build()
+        errors.append(err.value)
+    assert len({(e.packet_id, str(e)) for e in errors}) == 1, [str(e) for e in errors]
+    return errors[0]
+
+
 class TestPacket:
     def test_rejects_inverted_window(self):
-        with pytest.raises(MalformedPacket):
-            P(1, 1.0, 1.0, 0.5)
+        rejection(1, 1.0, 1.0, 0.5)
 
     def test_rejects_zero_window(self):
-        with pytest.raises(MalformedPacket):
-            P(1, 1.0, 1.0, 1.0)
+        rejection(1, 1.0, 1.0, 1.0)
 
     def test_rejects_nonpositive_bits(self):
-        with pytest.raises(MalformedPacket):
-            P(1, 0.0, 0.0, 1.0)
-        with pytest.raises(MalformedPacket):
-            P(1, -2.0, 0.0, 1.0)
+        assert "bits must be positive, got 0.0" in str(rejection(1, 0.0, 0.0, 1.0))
+        rejection(1, -2.0, 0.0, 1.0)
 
     def test_error_names_the_packet(self):
-        with pytest.raises(MalformedPacket) as err:
-            P(7, -1.0, 0.0, 1.0)
-        assert err.value.packet_id == 7
+        assert rejection(7, -1.0, 0.0, 1.0).packet_id == 7
 
     @pytest.mark.parametrize(
         "field, fields",
@@ -60,16 +85,49 @@ class TestPacket:
         ],
     )
     def test_rejects_non_finite_values(self, field, fields):
-        with pytest.raises(MalformedPacket, match=f"{field} must be finite"):
-            P(1, *fields)
+        assert f"{field} must be finite" in str(rejection(1, *fields))
 
     @pytest.mark.parametrize("pid", ["a", 1.0, True, None])
     def test_rejects_non_integer_ids(self, pid):
-        with pytest.raises(MalformedPacket, match="id must be an integer"):
-            P(pid, 1.0, 0.0, 1.0)
+        assert "id must be an integer" in str(rejection(pid, 1.0, 0.0, 1.0))
 
     def test_accepts_numpy_integer_ids(self):
         assert P(np.int64(3), 1.0, 0.0, 1.0).id == 3
+
+    def test_first_offender_in_input_order_is_named(self):
+        # packet 4's window is under the time tolerance of the 10 s
+        # horizon; packets 5 and 6 break per-packet rules after it, and
+        # a rule breach is named before any window is measured
+        rows = [(3, 1.0, 0.0, 10.0), (4, 1.0, 2.0, 2.0 + 1e-10),
+                (5, 1.0, 3.0, 1.0), (6, -1.0, 0.0, 1.0)]
+        for build in (normalize_instance, instance_from_json):
+            given = records(rows) if build is normalize_instance else packets_json(rows)
+            with pytest.raises(MalformedPacket) as err:
+                build(given)
+            assert err.value.packet_id == 5
+            assert "deadline 1.0 must exceed arrival 3.0" in str(err.value)
+            given = records(rows[:2]) if build is normalize_instance else packets_json(rows[:2])
+            with pytest.raises(MalformedPacket, match="time tolerance") as err:
+                build(given)
+            assert err.value.packet_id == 4
+
+    def test_packet_rules_come_before_a_later_malformed_entry(self):
+        # entries are read in order: a bad packet before a malformed
+        # entry is named, and a malformed entry before it wins
+        bad = {"id": 1, "bits": -1.0, "arrival": 0.0, "deadline": 1.0}
+        for packets, error in (([bad, {"id": 2}], MalformedPacket),
+                               (([{"id": 2}, bad]), InstanceFormatError)):
+            with pytest.raises(error):
+                instance_from_json(json.dumps({"packets": packets}))
+
+    def test_parsing_builds_no_packet(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Packet was built")
+
+        monkeypatch.setattr(Packet, "__post_init__", refuse)
+        inst, _ = instance_from_json(packets_json([(9, 1.0, 1.0, 2.0), (3, 2.0, 0.0, 3.0)]))
+        assert inst.bits().tolist() == [2.0, 1.0] and inst.id_map == {1: 3, 2: 9}
+        assert generate(GeneratorConfig(n=20, seed=1, non_fifo_prob=0.5)).n == 20
 
 
 class TestNormalize:
@@ -81,7 +139,7 @@ class TestNormalize:
 
     def test_already_normalized_unchanged(self):
         inst = normalize_instance([P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
-        assert [p.window for p in inst.packets] == [(0.0, 2.0), (0.5, 1.0)]
+        assert [(p.arrival, p.deadline) for p in inst.packets] == [(0.0, 2.0), (0.5, 1.0)]
         assert inst.horizon == 2.0
 
     def test_empty_rejected(self):
@@ -119,7 +177,7 @@ class TestNormalize:
                 inst = normalize_instance(
                     [P(1, 1.0, 0.0, horizon), P(2, 1.0, 0.0, frac * tol)]
                 )
-                assert inst.packets[0].window == (0.0, frac * tol)
+                assert (inst.arrivals()[0], inst.deadlines()[0]) == (0.0, frac * tol)
 
     def test_horizon_is_max_deadline(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 5.0), P(2, 1.0, 1.0, 2.0)])

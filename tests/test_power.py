@@ -152,42 +152,48 @@ class TestConvexityProperties:
             assert e2 <= e1 * (1 + 1e-12)
 
 
+def energy_of(model, entries):
+    """`schedule_energy` of (packet id, rate, time) entries, ids 1..N in order."""
+    assert [e[0] for e in entries] == list(range(1, len(entries) + 1))
+    return schedule_energy(model, [e[1] for e in entries], [e[2] for e in entries])
+
+
 class TestScheduleEnergy:
     def test_single_packet(self):
-        assert schedule_energy(Shannon(1.0), [(1, 1.0, 1.0)]) == pytest.approx(3.0)
+        assert energy_of(Shannon(1.0), [(1, 1.0, 1.0)]) == pytest.approx(3.0)
 
     def test_two_packets(self):
         # two 1-bit packets at rate 2 take half a second each at f(2)=15
         entries = [(1, 2.0, 0.5), (2, 2.0, 0.5)]
-        assert schedule_energy(Shannon(1.0), entries) == pytest.approx(15.0)
+        assert energy_of(Shannon(1.0), entries) == pytest.approx(15.0)
 
     def test_empty(self):
-        assert schedule_energy(Shannon(1.0), []) == 0.0
+        assert energy_of(Shannon(1.0), []) == 0.0
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ZeroRate):
-            schedule_energy(Shannon(1.0), [(1, 0.0, 1.0)])
+            energy_of(Shannon(1.0), [(1, 0.0, 1.0)])
 
     def test_negative_rate_rejected(self):
         with pytest.raises(NegativeRate):
-            schedule_energy(Shannon(1.0), [(1, -1.0, 1.0)])
+            energy_of(Shannon(1.0), [(1, -1.0, 1.0)])
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
-            schedule_energy(Shannon(1.0), [(1, 1.0, 0.0)])
+            energy_of(Shannon(1.0), [(1, 1.0, 0.0)])
 
     def test_non_finite_energy_names_the_packet(self):
         # 3000 bits in one second need 2^6000 W under Shannon; the error
         # names packet 2, the first whose term is not finite
         entries = [(1, 1.0, 1.0), (2, 3000.0, 1.0), (3, 4000.0, 1.0)]
         with pytest.raises(NonFiniteEnergy, match="packet 2: energy is not finite"):
-            schedule_energy(Shannon(1.0), entries)
+            energy_of(Shannon(1.0), entries)
         assert issubclass(NonFiniteEnergy, ValueError)
         # finite terms whose sum overflows name the packet that tips it
         entries = [(1, 1e154, 1.0), (2, 1e154, 1.0)]
         assert math.isfinite(Monomial(2.0, 1.5).power(1e154))
         with pytest.raises(NonFiniteEnergy, match="packet 2:"):
-            schedule_energy(Monomial(2.0, 1.5), entries)
+            energy_of(Monomial(2.0, 1.5), entries)
 
 
 class TestOneCallPerSchedule:
@@ -231,7 +237,7 @@ class TestOneCallPerSchedule:
                 except Exception as exc:  # noqa: BLE001 - the exception is the outcome
                     expected = ("raised", type(exc), str(exc))
                 try:
-                    got = ("value", schedule_energy(model, entries))
+                    got = ("value", energy_of(model, entries))
                 except Exception as exc:  # noqa: BLE001
                     got = ("raised", type(exc), str(exc))
                 assert got == expected, entries

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference_impl import dense
+from reference_impl import Segment, dense, member_columns, segment_list, segment_table
 from test_chain_family import certified, chain_instance
 
 from txsched import (
@@ -10,7 +10,6 @@ from txsched import (
     InternalInvariantViolation,
     NoCandidates,
     Packet,
-    Segment,
     Shannon,
     decompose,
     edf_fill,
@@ -29,6 +28,11 @@ from txsched.scheduler import _argmax_lex, _candidate_grid, _positions
 
 def P(pid, bits, arrival, deadline):
     return Packet(pid, bits, arrival, deadline)
+
+
+def fill(pieces, packets, rate):
+    """`edf_fill` of `Packet` members, its rows as records."""
+    return [Segment(*row) for row in edf_fill(pieces, member_columns(packets), rate)]
 
 
 def nested_instance():
@@ -203,13 +207,13 @@ class TestUnshift:
 
 class TestEdfFill:
     def test_single_member_single_piece(self):
-        segs = edf_fill([(0.5, 1.0)], [P(2, 1.0, 0.5, 1.0)], 2.0)
+        segs = fill([(0.5, 1.0)], [P(2, 1.0, 0.5, 1.0)], 2.0)
         assert len(segs) == 1
         assert (segs[0].packet, segs[0].t_start, segs[0].t_end) == (2, 0.5, 1.0)
         assert segs[0].rate == 2.0
 
     def test_split_pieces(self):
-        segs = edf_fill(
+        segs = fill(
             [(0.0, 0.5), (1.0, 2.0)], [P(1, 2.0, 0.0, 2.0)], 4.0 / 3.0
         )
         assert [(s.packet, s.t_start, s.t_end) for s in segs] == [
@@ -218,7 +222,7 @@ class TestEdfFill:
         ]
 
     def test_equal_deadline_tie_breaks_by_id(self):
-        segs = edf_fill(
+        segs = fill(
             [(0.0, 1.0)], [P(2, 1.0, 0.0, 1.0), P(1, 1.0, 0.0, 1.0)], 2.0
         )
         assert [(s.packet, s.t_start, s.t_end) for s in segs] == [
@@ -228,7 +232,7 @@ class TestEdfFill:
 
     def test_preemption_at_arrival(self):
         # late arrival with earlier deadline takes over mid-window
-        segs = edf_fill(
+        segs = fill(
             [(0.0, 4.0)], [P(1, 2.0, 0.0, 4.0), P(2, 1.0, 1.0, 3.0)], 0.75
         )
         assert [s.packet for s in segs] == [1, 2, 1]
@@ -238,11 +242,11 @@ class TestEdfFill:
 
     def test_too_slow_rate_misses(self):
         with pytest.raises(InternalDeadlineMiss):
-            edf_fill([(0.0, 1.0)], [P(1, 1.0, 0.0, 1.0)], 0.5)
+            fill([(0.0, 1.0)], [P(1, 1.0, 0.0, 1.0)], 0.5)
 
     def test_too_fast_rate_idles(self):
         with pytest.raises(InternalIdle):
-            edf_fill([(0.0, 1.0)], [P(1, 1.0, 0.0, 1.0)], 2.0)
+            fill([(0.0, 1.0)], [P(1, 1.0, 0.0, 1.0)], 2.0)
 
     @pytest.mark.parametrize("k", [0.5, 1.0])
     def test_arrival_within_tolerance_waits_while_another_can_run(self, k):
@@ -250,7 +254,7 @@ class TestEdfFill:
         # packet 3 runs until that instant, and packet 2 starts there
         d = k * TIME_REL_TOL * 3.0
         members = [P(1, 1.0 - d, 0.0, 1.0), P(2, 1.0, 1.0, 2.0), P(3, 1.0 + d, 0.0, 3.0)]
-        segs = edf_fill([(0.0, 3.0)], members, 1.0)
+        segs = fill([(0.0, 3.0)], members, 1.0)
         assert [s.packet for s in segs] == [1, 3, 2, 3]
         assert segs[1].t_start == 1.0 - d
         assert segs[2].t_start == 1.0
@@ -258,7 +262,7 @@ class TestEdfFill:
     @pytest.mark.parametrize("k", [0.5, 1.0])
     def test_arrival_within_tolerance_admitted_when_nothing_else_can_run(self, k):
         d = k * TIME_REL_TOL * 2.0
-        segs = edf_fill(
+        segs = fill(
             [(0.0, 2.0)], [P(1, 1.0 - d, 0.0, 1.0), P(2, 1.0 + d, 1.0, 2.0)], 1.0
         )
         assert [(s.packet, s.t_start, s.t_end) for s in segs] == [
@@ -267,7 +271,7 @@ class TestEdfFill:
 
     def test_arrival_inside_gap(self):
         # member arrived during a reserved chunk; transmits from the next piece
-        segs = edf_fill([(1.0, 5.0)], [P(1, 1.0, 0.6, 5.0)], 0.25)
+        segs = fill([(1.0, 5.0)], [P(1, 1.0, 0.6, 5.0)], 0.25)
         assert [(s.t_start, s.t_end) for s in segs] == [(1.0, 5.0)]
 
 
@@ -279,7 +283,7 @@ class TestSolve:
         assert s.rates[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
         expected = 0.5 * 15.0 + 1.5 * (2.0 ** (8.0 / 3.0) - 1.0)
         assert s.energy == pytest.approx(expected, rel=1e-12)
-        assert [(g.packet, g.t_start, g.t_end) for g in s.segments] == [
+        assert [(g.packet, g.t_start, g.t_end) for g in segment_list(s.segments)] == [
             (1, 0.0, 0.5),
             (2, 0.5, 1.0),
             (1, 1.0, 2.0),
@@ -308,7 +312,7 @@ class TestSolve:
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0), P(2, 1.0, 2.0, 3.0)])
         s = solve(inst, Shannon(1.0))
         assert np.allclose(s.rates, [1.0, 1.0])
-        spans = [(g.t_start, g.t_end) for g in s.segments]
+        spans = list(zip(s.segments.start.tolist(), s.segments.end.tolist()))
         assert spans == [(0.0, 1.0), (2.0, 3.0)]
 
     def test_arrival_inside_time_tol_of_a_step_end_certifies(self):
@@ -319,9 +323,10 @@ class TestSolve:
             GeneratorConfig(n=500, horizon=250.0, seed=2422924287, non_fifo_prob=1.0)
         )
         back = certified(inst)
-        first = min((g for g in back.segments if g.packet == 72), key=lambda g: g.t_start)
+        segments = segment_list(back.segments)
+        first = min((g for g in segments if g.packet == 72), key=lambda g: g.t_start)
         assert first.t_start == inst.packets[71].arrival
-        before = [g for g in back.segments if g.t_end == first.t_start]
+        before = [g for g in segments if g.t_end == first.t_start]
         assert [g.packet for g in before] == [69]
         assert 0 < before[0].duration < inst.time_tol
 
@@ -329,12 +334,12 @@ class TestSolve:
     def test_short_delivery_violates_invariant_at_any_scale(self, scale):
         inst = chain_instance(n=60, seed=0, horizon=60.0, scale=scale)
         s = solve(inst, Shannon(1.0))
-        segs = list(s.segments)
+        segs = segment_list(s.segments)
         g = segs[0]
         segs[0] = Segment(g.packet, g.t_start, g.t_start + 0.5 * g.duration, g.rate)
         with pytest.raises(InternalInvariantViolation, match="delivered bits"):
             scheduler._check_solution_invariants(
-                inst, s.trace, segs, s.rates
+                inst, s.trace, segment_table(segs), s.rates
             )
 
     def test_tau_matches_allocation_constraints(self):
@@ -388,7 +393,7 @@ class TestSolveProperties:
             assert sorted(settled) == list(range(1, inst.n + 1))
             # every packet: constant rate, inside its window, bits conserved
             per = {}
-            for seg in s.segments:
+            for seg in segment_list(s.segments):
                 per.setdefault(seg.packet, []).append(seg)
             bits = inst.bits()
             for pid, segs in per.items():
@@ -429,12 +434,19 @@ class TestScheduleJson:
         text = schedule_to_json(s)
         back = schedule_from_json(text, inst)
         assert np.allclose(back.rates, s.rates)
-        assert back.segments == s.segments
+        assert segment_list(back.segments) == segment_list(s.segments)
         assert back.energy == s.energy
         assert np.allclose(dense(epoch_times(inst, back)), dense(epoch_times(inst, s)))
         assert [st.rate for st in back.trace.steps] == [
             st.rate for st in s.trace.steps
         ]
+
+    def test_segments_are_read_only_columns(self):
+        seg = solve(nested_instance(), Shannon(1.0)).segments
+        assert len(seg) == 3 and seg.packet.dtype.kind == "i"
+        for column in (seg.packet, seg.start, seg.end, seg.rate):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_shape(self):
         import json

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from reference_impl import dense
+from reference_impl import Segment, dense, segment_list, segment_table
 from test_chain_family import chain_instance
 from test_equivalence import corpus_instances
 
@@ -18,7 +18,7 @@ from txsched import (
     Packet,
     PairTable,
     Schedule,
-    Segment,
+    SegmentTable,
     Shannon,
     baseline_constant_edf,
     check_feasible,
@@ -48,10 +48,12 @@ MODEL = Shannon(1.0)
 
 
 def tampered(schedule, **kwargs):
-    """The schedule with some fields replaced."""
+    """The schedule with some fields replaced; segments may be given as
+    a list of records."""
+    segments = kwargs.get("segments", schedule.segments)
     return Schedule(
         rates=kwargs.get("rates", schedule.rates.copy()),
-        segments=kwargs.get("segments", schedule.segments),
+        segments=segments if isinstance(segments, SegmentTable) else segment_table(segments),
         energy=kwargs.get("energy", schedule.energy),
         trace=kwargs.get("trace", schedule.trace),
     )
@@ -67,7 +69,7 @@ class TestCheckFeasible:
     def test_causality_violation_names_packet(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        segs = list(s.segments)
+        segs = segment_list(s.segments)
         # transmit packet 2 during [0, 0.5) although it arrives at 0.5
         segs[1] = Segment(2, 0.1, 0.6, 2.0)
         rep = check_feasible(inst, tampered(s, segments=tuple(segs)))
@@ -85,7 +87,7 @@ class TestCheckFeasible:
     def test_overlap_flagged(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        segs = list(s.segments)
+        segs = segment_list(s.segments)
         segs[1] = Segment(2, 0.4, 0.9, 2.0)
         rep = check_feasible(inst, tampered(s, segments=tuple(segs)))
         assert not rep.ok
@@ -96,7 +98,7 @@ class TestCheckFeasible:
         s = solve(inst, MODEL)
         # packet 2 cannot use the first epoch, [0, 0.5]
         extra = Segment(2, 0.2, 0.3, 2.0)
-        rep = check_feasible(inst, tampered(s, segments=s.segments + (extra,)))
+        rep = check_feasible(inst, tampered(s, segments=segment_list(s.segments) + [extra]))
         assert not rep.ok
         assert any("outside its window" in v for v in rep.violations)
 
@@ -105,7 +107,7 @@ class TestCheckFeasible:
         s = solve(inst, MODEL)
         # the middle epoch is only 0.5 long and already full
         extra = Segment(1, 0.5, 0.9, 4.0 / 3.0)
-        rep = check_feasible(inst, tampered(s, segments=s.segments + (extra,)))
+        rep = check_feasible(inst, tampered(s, segments=segment_list(s.segments) + [extra]))
         assert not rep.ok
         assert any("allocates" in v for v in rep.violations)
 
@@ -119,7 +121,7 @@ class TestCheckFeasible:
         segs = tuple(
             Segment(g.packet, g.t_start, g.t_start + 0.5 * g.duration, g.rate)
             if g.packet == 6 else g
-            for g in s.segments
+            for g in segment_list(s.segments)
         )
         assert dense(epoch_times(inst, tampered(s, segments=segs)))[5].sum() == (
             pytest.approx(0.5 * dense(epoch_times(inst, s))[5].sum(), rel=1e-12, abs=0)
@@ -186,7 +188,7 @@ class TestCheckOptimality:
     def test_infeasible_input_rejected(self):
         inst = nested_instance()
         s = solve(inst, MODEL)
-        segs = list(s.segments)
+        segs = segment_list(s.segments)
         segs[1] = Segment(2, 0.1, 0.6, 2.0)
         with pytest.raises(InfeasibleInput):
             check_optimality(inst, tampered(s, segments=tuple(segs)), MODEL)
@@ -342,8 +344,8 @@ class TestRateTolerancesScaleFree:
     def test_off_rate_segment_and_stored_energy_flagged(self, scale, model):
         inst = self.instance(scale)
         s = solve(inst, model)
-        g = s.segments[0]
-        segs = (dataclasses.replace(g, rate=g.rate * 1.001),) + s.segments[1:]
+        g, *rest = segment_list(s.segments)
+        segs = [dataclasses.replace(g, rate=g.rate * 1.001), *rest]
         rep = check_feasible(inst, tampered(s, segments=segs))
         assert any("assigned rate" in v for v in rep.violations)
         rep = check_optimality(inst, tampered(s, energy=s.energy * 1.001), model)

@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .harness import GeneratorConfig, bench_complexity, generate
 from .model import instance_from_json, instance_to_json
 from .oracle import solve_projected_gradient
@@ -105,20 +107,29 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _certificate_json(instance, cert) -> str:
-    """The text `json.dumps(..., indent=2)` writes for beta, gamma at
-    every feasible (packet, epoch) pair and lambda, formatted straight
-    from the arrays."""
-    rows, cols = instance.decomposition.pairs()
-    gamma = [
-        f'{{\n      "packet": {i},\n      "epoch": {j},\n      "value": {v}\n    }}'
-        for i, j, v in zip(
-            (rows + 1).tolist(), (cols + 1).tolist(), _floats(cert.gamma.at(rows, cols))
-        )
-    ]
-    parts = {"beta": _floats(cert.beta), "gamma": gamma, "lambda": _floats(cert.lam)}
-    lists = (f'  "{k}": [\n    ' + ",\n    ".join(v) + "\n  ]" for k, v in parts.items())
-    return "{\n" + ",\n".join(lists) + "\n}"
+_GAMMA_CHUNK = 65_536  # gamma pairs formatted and written at a time
+
+
+def _write_certificate(out, instance, cert):
+    """Write the text `print(json.dumps(..., indent=2))` gives for beta,
+    gamma at every feasible (packet, epoch) pair and lambda, formatted
+    straight from the arrays.  The pairs go out in chunks of
+    _GAMMA_CHUNK, generated from the packets' epoch ranges, so neither
+    the pair list nor the text is ever held whole."""
+    lo, hi = instance.decomposition.ranges
+    first = np.concatenate(([0], np.cumsum(hi - lo)))  # each packet's first pair
+    out.write('{\n  "beta": [\n    ' + ",\n    ".join(_floats(cert.beta)))
+    out.write('\n  ],\n  "gamma": [\n    ')
+    for start in range(0, int(first[-1]), _GAMMA_CHUNK):
+        pair = np.arange(start, min(start + _GAMMA_CHUNK, int(first[-1])))
+        rows = first.searchsorted(pair, "right") - 1
+        cols = lo[rows] + pair - first[rows]
+        values = _floats(cert.gamma.at(rows, cols))
+        out.write((",\n    " if start else "") + ",\n    ".join(
+            f'{{\n      "packet": {i},\n      "epoch": {j},\n      "value": {v}\n    }}'
+            for i, j, v in zip((rows + 1).tolist(), (cols + 1).tolist(), values)
+        ))
+    out.write('\n  ],\n  "lambda": [\n    ' + ",\n    ".join(_floats(cert.lam)) + "\n  ]\n}\n")
 
 
 def _cmd_validate(args) -> int:
@@ -150,7 +161,7 @@ def _cmd_validate(args) -> int:
         if not report.optimal:
             return EXIT_VALIDATION
         cert = extract_certificate(instance, schedule, model)
-        print(_certificate_json(instance, cert))
+        _write_certificate(sys.stdout, instance, cert)
     return EXIT_OK if report.optimal else EXIT_VALIDATION
 
 

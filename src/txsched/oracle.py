@@ -125,11 +125,12 @@ def solve_projected_gradient(
     fill = np.full(slot.shape, -1e300)  # finite: keeps the sort nan-free
 
     def energy_of(tau: np.ndarray) -> float:
+        """The energy of `tau`; an overflow gives inf, which the caller's
+        np.errstate lets pass silently and the Armijo test rejects."""
         T = tau.sum(axis=1)
         if (T < TIME_FLOOR).any():
             return math.inf
-        with np.errstate(over="ignore"):
-            return float(np.sum(T * model.power(bits / T)))
+        return float((T * model.power(bits / T)).sum())
 
     def project(tau: np.ndarray) -> np.ndarray:
         packed = fill.copy()
@@ -141,8 +142,6 @@ def solve_projected_gradient(
     tau = np.zeros((n, m))
     tau.put(flat, np.repeat(caps / lens, lens))
 
-    energy = energy_of(tau)
-    history = [energy] if track_history else None
     alpha = 1.0
     iterations = 0
     small_streak = 0
@@ -154,32 +153,35 @@ def solve_projected_gradient(
 
     cap_scale = float(caps.max()) if len(caps) else 1.0
     stalled = False
-    while iterations < max_iters:
-        grad = gradient(tau)
-        # First trial step: adaptive, but never so large that a single
-        # step moves an entry further than the biggest epoch.
-        gmax = float(np.abs(grad).max())
-        alpha = min(1.0, alpha * 2.0, cap_scale / gmax if gmax > 0 else 1.0)
-        for _ in range(200):
-            cand = project(tau - alpha * grad)
-            cand_energy = energy_of(cand)
-            decrease_bound = ARMIJO_C * float(np.sum(grad * (cand - tau)))
-            if cand_energy <= energy + decrease_bound:
+    with np.errstate(over="ignore"):
+        energy = energy_of(tau)
+        history = [energy] if track_history else None
+        while iterations < max_iters:
+            grad = gradient(tau)
+            # First trial step: adaptive, but never so large that a single
+            # step moves an entry further than the biggest epoch.
+            gmax = float(np.abs(grad).max())
+            alpha = min(1.0, alpha * 2.0, cap_scale / gmax if gmax > 0 else 1.0)
+            for _ in range(200):
+                cand = project(tau - alpha * grad)
+                cand_energy = energy_of(cand)
+                decrease_bound = ARMIJO_C * float((grad * (cand - tau)).sum())
+                if cand_energy <= energy + decrease_bound:
+                    break
+                alpha *= 0.5
+            else:
+                stalled = True  # no float-visible descent left
                 break
-            alpha *= 0.5
-        else:
-            stalled = True  # no float-visible descent left
-            break
-        rel_decrease = (energy - cand_energy) / max(abs(cand_energy), 1e-300)
-        tau, energy = cand, cand_energy
-        iterations += 1
-        if history is not None:
-            history.append(energy)
-        # Terminate on sustained stalls, not a single slow step.
-        small_streak = small_streak + 1 if rel_decrease < tol else 0
-        if small_streak >= 5:
-            stalled = True
-            break
+            rel_decrease = (energy - cand_energy) / max(abs(cand_energy), 1e-300)
+            tau, energy = cand, cand_energy
+            iterations += 1
+            if history is not None:
+                history.append(energy)
+            # Terminate on sustained stalls, not a single slow step.
+            small_streak = small_streak + 1 if rel_decrease < tol else 0
+            if small_streak >= 5:
+                stalled = True
+                break
 
     # Stationarity probe at a step size matched to the gradient scale:
     # a true optimum is a fixed point of the projected step for any

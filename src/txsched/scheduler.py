@@ -14,8 +14,13 @@ Every window, piece and segment stays in original time.  A round
 measures a window's free length through the positions of its endpoints
 on the remaining timeline, computed afresh from the sorted list of
 reserved pieces, so nothing is carried from round to round but that
-list.  Each busy period (a connected run of windows) keeps its own
-list and runs its own rounds, as no winning window crosses an idle gap.
+list.  No winning window crosses an idle gap, so the busy periods
+(connected runs of windows) play their rounds in lockstep: each step
+places every active packet on the timeline against one reserved list,
+scores the next round of every busy period in one batched grid, a
+padded cube with one block per period, and lets each period settle its
+winning window; the periods' rounds are then interleaved in the order
+one loop over all packets would take them.
 
 Rates only depend on the window geometry, never on the power law; the
 power model enters once at the end, to price the schedule.
@@ -24,8 +29,10 @@ power model enters once at the end, to price the schedule.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,58 +130,119 @@ class Schedule:
 # candidate windows
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """`np.unique` of a NaN-free 1-d array, without its generic set-up:
-    sort, then keep the first of each run of equal values."""
-    s = np.sort(values)
-    keep = np.ones(len(s), dtype=bool)
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep]
+class _Windows(NamedTuple):
+    """The candidate windows of the active packets, from `_window_ranks`.
 
-
-def _candidate_grid(
-    arrivals: np.ndarray, deadlines: np.ndarray, bits: np.ndarray, tol: float
-):
-    """Rate table over (unique arrival) x (unique deadline) windows.
-
-    Returns (starts, ends, start_rank, end_rank, rates, valid).  Packet
-    p lies inside window (s, e) when s <= start_rank[p] and e >=
-    end_rank[p]: its arrival is at or after starts[s] and its deadline
-    at or before ends[e], both within the time tolerance `tol`.  valid
-    marks windows longer than `tol` containing at least one packet.
-
-    The bits are binned by (start rank, end rank), so a suffix sum over
-    starts and a prefix sum over ends give every window's contained
-    bits in O(S * E).
+    The packets come grouped by busy period, period g's (counting the
+    periods with active packets from 0) in rows first[g]:first[g + 1].
+    Its distinct starts are starts[s_first[g]:s_first[g + 1]] and its
+    distinct ends ends[e_first[g]:e_first[g + 1]], ascending.  Packet p
+    lies inside its period's window (s, e), counted within those slices,
+    when s <= start_rank[p] and e >= end_rank[p]: its arrival is at or
+    after the start and its deadline at or before the end, both within
+    the time tolerance.
     """
-    starts = _sorted_unique(arrivals)
-    ends = _sorted_unique(deadlines)
-    start_rank = (starts - tol).searchsorted(arrivals, "right") - 1
-    end_rank = (ends + tol).searchsorted(deadlines, "left")
-    shape = (len(starts), len(ends))
-    bitsum = np.bincount(
-        start_rank * shape[1] + end_rank, weights=bits, minlength=shape[0] * shape[1]
-    ).reshape(shape)
-    suffix = bitsum[::-1]
-    np.add.accumulate(suffix, axis=0, out=suffix)
-    np.add.accumulate(bitsum, axis=1, out=bitsum)
-    lengths = ends - starts[:, None]
+
+    period: np.ndarray
+    first: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    s_first: np.ndarray
+    e_first: np.ndarray
+    start_rank: np.ndarray
+    end_rank: np.ndarray
+
+
+def _window_ranks(
+    times: np.ndarray, period: np.ndarray, bounds: np.ndarray, tol: float
+) -> _Windows:
+    """The `_Windows` of packets from one or more busy periods, whose
+    arrivals and deadlines are the rows of `times`.
+
+    period[p] numbers packet p's period from 0, ascending with the
+    packets, and period g's instants lie between bounds[g] and
+    bounds[g + 1], the last bound being +inf.  Periods lie more than
+    `tol` apart, so the sorted distinct arrivals of all packets are each
+    period's own, one period after another, and likewise the deadlines:
+    one sort and one search rank every packet.  The ranks are clipped to
+    the packet's own period, which only matters where rounding brings
+    two periods within `tol`.
+    """
+    first = period.searchsorted(np.arange(len(bounds)))
+    ordered = np.sort(times, axis=1)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=keep[:, 1:])
+    starts, ends = ordered[0][keep[0]], ordered[1][keep[1]]
+    s_first, e_first = starts.searchsorted(bounds), ends.searchsorted(bounds)
+    s_lo, e_lo = s_first[period], e_first[period]
+    start_rank = np.minimum((starts - tol).searchsorted(times[0], "right"), s_first[1:][period])
+    start_rank -= s_lo
+    start_rank -= 1
+    end_rank = np.maximum((ends + tol).searchsorted(times[1], "left"), e_lo)
+    end_rank -= e_lo
+    return _Windows(period, first, starts, ends, s_first, e_first, start_rank, end_rank)
+
+
+def _padded(values: np.ndarray, first: np.ndarray, fill: float) -> np.ndarray:
+    """Row g holds values[first[g]:first[g + 1]], padded at the back
+    with `fill` to the longest row."""
+    if len(first) == 2:  # one row: nothing to pad
+        return values[first[0]:first[1]][None]
+    count = first[1:] - first[:-1]
+    cols = np.arange(np.maximum.reduce(count))
+    return np.where(cols < count[:, None], values.take(first[:-1, None] + cols, mode="clip"), fill)
+
+
+def _candidate_grid(windows: _Windows, bits: np.ndarray, tol: float, periods: range):
+    """Rate tables over (distinct start) x (distinct end) windows, one
+    block for each of the consecutive busy `periods`, padded to the
+    largest.
+
+    Returns (rates, valid) of shape (len(periods), S, E): block k is the
+    table of period periods[k], its windows in the top-left corner.
+    valid marks windows longer than `tol` containing at least one
+    packet; rates are -inf outside them.  Padded cells start at +inf or
+    end at -inf, so they are never valid, and no length is NaN.
+
+    The bits are binned by (period, start rank, end rank), so a suffix
+    sum over starts and a prefix sum over ends give every window's
+    contained bits in O(S * E) per period.
+    """
+    lo, hi = periods.start, periods.stop
+    rows = slice(windows.first[lo], windows.first[hi])
+    starts = _padded(windows.starts, windows.s_first[lo:hi + 1], np.inf)
+    ends = _padded(windows.ends, windows.e_first[lo:hi + 1], -np.inf)
+    n, s, e = len(periods), starts.shape[1], ends.shape[1]
+    cell = (windows.period[rows] - lo) * s
+    cell += windows.start_rank[rows]
+    cell *= e
+    cell += windows.end_rank[rows]
+    bitsum = np.bincount(cell, weights=bits[rows], minlength=n * s * e).reshape(n, s, e)
+    suffix = bitsum[:, ::-1]
+    np.add.accumulate(suffix, axis=1, out=suffix)
+    np.add.accumulate(bitsum, axis=2, out=bitsum)
+    lengths = ends[:, None, :] - starts[:, :, None]
     valid = lengths > tol
     valid &= bitsum > 0
     rates = np.divide(bitsum, lengths, out=bitsum, where=valid)
     del lengths
     np.copyto(rates, -np.inf, where=~valid)
-    return starts, ends, start_rank, end_rank, rates, valid
+    return rates, valid
 
 
-def _argmax_lex(rates: np.ndarray, valid: np.ndarray, starts, ends):
-    """Index of the max-rate cell; ties go to smallest start, then end."""
-    rmax = rates.max()
-    tied = rates >= rmax - RATE_TIE_REL * abs(rmax)
-    tied &= valid
-    si, ei = np.nonzero(tied)
-    order = np.lexsort((ends[ei], starts[si]))
-    return int(si[order[0]]), int(ei[order[0]])
+def _argmax_lex(rates: np.ndarray, valid: np.ndarray):
+    """Index (si, ei) of the max-rate cell of each (S, E) table in the
+    last two axes; ties go to smallest start, then end.
+
+    Starts and ends ascend along their axes, so the first tied cell in
+    row-major order is the one the tie rule picks.
+    """
+    flat = rates.reshape(*rates.shape[:-2], -1)
+    rmax = np.maximum.reduce(flat, axis=-1, keepdims=True)
+    tied = flat >= rmax - RATE_TIE_REL * np.abs(rmax)
+    tied &= valid.reshape(flat.shape)
+    return divmod(tied.argmax(axis=-1), rates.shape[-1])
 
 
 def _positions(times: np.ndarray, reserved) -> np.ndarray:
@@ -348,66 +416,74 @@ def _check_solution_invariants(
 
 
 def _busy_periods(arrivals: np.ndarray, deadlines: np.ndarray, tol: float):
-    """Row indices of each busy period, a maximal run of windows whose
-    union is connected, in time order; rows ascend within a period.
+    """The busy periods, maximal runs of windows whose union is
+    connected, in time order, as (order, first, bounds).
 
-    Sorted by arrival, a period ends where the next arrival comes later
-    than the latest deadline so far by more than `tol`.
+    Period q's rows are order[first[q]:first[q + 1]], ascending, and its
+    instants lie strictly between bounds[q] and bounds[q + 1]: -inf, the
+    midpoint of each idle gap, +inf.  No reserved piece reaches into an
+    idle gap, so no rounding of a position carries an instant across a
+    bound.  Sorted by arrival, a period ends where the next arrival comes
+    later than the latest deadline so far by more than `tol`.
     """
-    order = np.argsort(arrivals, kind="stable")
-    reach = np.maximum.accumulate(deadlines[order])
-    cuts = np.flatnonzero(arrivals[order][1:] > reach[:-1] + tol) + 1
-    return [np.sort(rows) for rows in np.split(order, cuts)]
+    by_arrival = np.argsort(arrivals, kind="stable")
+    start = arrivals[by_arrival]
+    reach = np.maximum.accumulate(deadlines[by_arrival])
+    cuts = (start[1:] > reach[:-1] + tol).nonzero()[0] + 1
+    period = np.zeros(len(start), dtype=np.intp)
+    period[cuts] = 1
+    order = by_arrival[np.lexsort((by_arrival, period.cumsum()))]
+    first = np.concatenate(([0], cuts, [len(start)]))
+    bounds = np.concatenate(([-np.inf], (reach[cuts - 1] + start[cuts]) / 2, [np.inf]))
+    return order, first, bounds
 
 
-def _solve_period(instance: Instance, rows: np.ndarray, rates: np.ndarray):
-    """The rounds of one busy period, in order, as (head rate, step,
-    segment rows) triples; sets `rates` at the period's rows.
+_CUBE_FLOOR = 65_536  # cells a group of periods may always pad to
 
-    The head rate is the round's best grid rate, the value a loop over
-    all periods at once would compare against the other periods.
+
+def _cube_groups(S: np.ndarray, E: np.ndarray) -> list[range]:
+    """Runs of consecutive periods, with S[g] x E[g] tables, that share
+    one padded cube.  All periods share one if it has at most max(1.5 x
+    their own cells, _CUBE_FLOOR) cells; else each run grows until the
+    next period would take it past that bound.  So no large period pads
+    a crowd of small ones, nor pairs with a small one."""
+    S, E = S.tolist(), E.tolist()
+    size = [s * e for s, e in zip(S, E)]
+    if len(size) * max(S) * max(E) <= max(1.5 * sum(size), _CUBE_FLOOR):
+        return [range(len(size))]
+    groups = []
+    lo = s_max = e_max = cells = 0
+    for g, (s, e) in enumerate(zip(S, E)):
+        s_max, e_max, cells = max(s_max, s), max(e_max, e), cells + s * e
+        if g > lo and (g + 1 - lo) * s_max * e_max > max(1.5 * cells, _CUBE_FLOOR):
+            groups.append(range(lo, g))
+            lo, s_max, e_max, cells = g, s, e, s * e
+    groups.append(range(lo, len(size)))
+    return groups
+
+
+def _best_windows(windows: _Windows, bits: np.ndarray, tol: float):
+    """The max-rate window of every period, as arrays indexed by period:
+    (head rate, si, ei, candidates), with (si, ei) the cell that wins the
+    tie rule and `candidates` the number of valid windows.  Each run of
+    `_cube_groups` is scored in one cube, freed before the next run's and
+    before the step allocates anything that outlives it, so no such block
+    is left above the cube on the heap and the next tables reuse its
+    memory whole.
     """
-    arrivals = instance.arrivals()[rows]
-    deadlines = instance.deadlines()[rows]
-    bits = instance.bits()[rows]
-    dust = _PIECE_EPS * instance.horizon
-    active = np.ones(len(rows), dtype=bool)
-    reserved: list[tuple[float, float]] = []
-    rounds = []
-
-    while active.any():
-        idx = np.flatnonzero(active)
-        k = len(idx)
-        times = _positions(np.concatenate((arrivals[idx], deadlines[idx])), reserved)
-        starts, ends, start_rank, end_rank, rate_grid, valid = _candidate_grid(
-            times[:k], times[k:], bits[idx], instance.time_tol
-        )
-        if not valid.any():
-            raise NoCandidates(
-                "no sub-interval among active packets; windows degenerate"
-            )
-        si, ei = _argmax_lex(rate_grid, valid, starts, ends)
-        # Free the S x E tables before the round allocates anything that
-        # may outlive them, so no such block is left above them on the
-        # heap and the next instance's tables reuse their memory whole.
-        head, candidates = float(rate_grid.max()), int(valid.sum())
-        del rate_grid, valid
-        member = idx[(start_rank >= si) & (end_rank <= ei)]
-        span = (float(arrivals[member].min()), float(deadlines[member].max()))
-        pieces = _intervals.subtract([span], reserved, dust)
-        rate = float(bits[member].sum() / _intervals.measure(pieces))
-        member_rows = rows[member]
-        ids = (member_rows + 1).tolist()
-        columns = (ids, bits[member].tolist(), arrivals[member].tolist(),
-                   deadlines[member].tolist())
-        step = IterationStep(
-            rate=rate, members=frozenset(ids), pieces=tuple(pieces), candidates=candidates
-        )
-        rounds.append((head, step, edf_fill(pieces, columns, rate)))
-        rates[member_rows] = rate
-        reserved = _intervals.merge(reserved + pieces, dust)
-        active[member] = False
-    return rounds
+    best = []
+    for periods in _cube_groups(
+        windows.s_first[1:] - windows.s_first[:-1], windows.e_first[1:] - windows.e_first[:-1]
+    ):
+        rates, valid = _candidate_grid(windows, bits, tol, periods)
+        n = len(periods)
+        best.append((
+            np.maximum.reduce(rates.reshape(n, -1), axis=1),
+            *_argmax_lex(rates, valid),
+            np.add.reduce(valid.reshape(n, -1), axis=1),
+        ))
+        del rates, valid
+    return best[0] if len(best) == 1 else tuple(map(np.concatenate, zip(*best)))
 
 
 def _interleave(periods):
@@ -439,30 +515,95 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     time earlier rounds left free, then EDF inside each selected window.
 
     No selected window spans an idle gap, since its rate falls below
-    that of the better of its two sides, so each busy period is solved
-    on its own and the periods' rounds are interleaved afterwards.
+    that of the better of its two sides, so busy periods never share a
+    window.  They play their rounds in lockstep: each step plays the
+    next round of every period with active packets, scored together,
+    and the periods' rounds are interleaved afterwards.
     """
     # The decomposition lives as long as the instance, and the verifier
     # reads it.  Built before the rounds' transient S x E tables, it does
     # not split the heap they free, which the next instance's tables
     # then reuse whole instead of taking fresh pages.
     instance.decomposition.ranges
-    rates = np.zeros(instance.n)
-    periods = [
-        _solve_period(instance, rows, rates)
-        for rows in _busy_periods(
-            instance.arrivals(), instance.deadlines(), instance.time_tol
+    tol, dust = instance.time_tol, _PIECE_EPS * instance.horizon
+    order, first, bounds = _busy_periods(instance.arrivals(), instance.deadlines(), tol)
+    # Every per-packet array below is in period order.
+    arrivals, deadlines, bits = (
+        column[order] for column in (instance.arrivals(), instance.deadlines(), instance.bits())
+    )
+    ids = order + 1
+    rates = np.empty(instance.n)  # in period order too
+    sizes = (first[1:] - first[:-1]).tolist()
+    reserved: list[list[tuple[float, float]]] = [[] for _ in sizes]
+    rounds: list[list] = [[] for _ in sizes]
+    # The active packets and their periods, counted among the live ones;
+    # the live periods, their numbers of active packets, and the bounds
+    # between them.
+    idx = np.arange(instance.n)
+    period = np.repeat(np.arange(len(sizes)), sizes)
+    live = list(range(len(sizes)))
+    gates = bounds
+
+    while len(idx):
+        k = len(idx)
+        times = _positions(
+            np.concatenate((arrivals[idx], deadlines[idx], gates)),
+            [piece for pieces in reserved for piece in pieces],
         )
-    ]
+        windows = _window_ranks(times[:2 * k].reshape(2, k), period, times[2 * k:], tol)
+        head, si, ei, candidates = _best_windows(windows, bits[idx], tol)
+        candidates = candidates.tolist()
+        if 0 in candidates:
+            raise NoCandidates("no sub-interval among active packets; windows degenerate")
+        settled = (windows.start_rank >= si[period]) & (windows.end_rank <= ei[period])
+        member = idx[settled]
+        # Each live period settles a run of packets, in the order of `live`.
+        count = np.add.reduceat(settled, windows.first[:-1], dtype=np.intp).tolist()
+        cut = [0, *itertools.accumulate(count)]
+        member_bits, member_arrivals, member_deadlines = (
+            column[member] for column in (bits, arrivals, deadlines)
+        )
+        runs = np.array(cut[:-1])
+        spans = zip(
+            np.minimum.reduceat(member_arrivals, runs).tolist(),
+            np.maximum.reduceat(member_deadlines, runs).tolist(),
+        )
+        columns = [
+            column.tolist()
+            for column in (ids[member], member_bits, member_arrivals, member_deadlines)
+        ]
+        member_rates: list[float] = []
+        for g, (p, span, h, c) in enumerate(zip(live, spans, head.tolist(), candidates)):
+            a, b = cut[g], cut[g + 1]
+            pieces = _intervals.subtract([span], reserved[p], dust)
+            rate = float(member_bits[a:b].sum() / _intervals.measure(pieces))
+            fill = tuple(column[a:b] for column in columns)
+            step = IterationStep(
+                rate=rate, members=frozenset(fill[0]), pieces=tuple(pieces), candidates=c
+            )
+            rounds[p].append((h, step, edf_fill(pieces, fill, rate)))
+            reserved[p] = _intervals.merge(reserved[p] + pieces, dust)
+            member_rates += [rate] * (b - a)
+        rates[member] = member_rates
+        idx, period = idx[~settled], period[~settled]
+        sizes = [n - c for n, c in zip(sizes, count)]
+        if 0 in sizes:
+            period = (np.cumsum([n > 0 for n in sizes]) - 1)[period]
+            live = [p for p, n in zip(live, sizes) if n]
+            sizes = [n for n in sizes if n]
+            gates = bounds[live + [len(bounds) - 1]]
+
     steps: list[IterationStep] = []
     segments: list[tuple[int, float, float, float]] = []
-    for _, step, rows in _interleave(periods):
+    for _, step, rows in _interleave(rounds):
         steps.append(step)
         segments.extend(rows)
 
     trace = IterationTrace(tuple(steps))
+    by_row = np.empty(instance.n)
+    by_row[order] = rates
     return _assemble(
-        instance, model, rates, SegmentTable.from_rows(segments), trace=trace
+        instance, model, by_row, SegmentTable.from_rows(segments), trace=trace
     )
 
 

@@ -3,7 +3,7 @@ fill, the allocation table and the energy sum, the dense window
 scoring, and the projected-gradient oracle with its per-column packing.
 
 These are the Python loops and the matmul `candidate_grid` that the
-per-period `txsched.scheduler.solve` with its rank-histogram
+lockstep `txsched.scheduler.solve` with its batched rank-histogram
 `_candidate_grid`, the vectorized `txsched.verifier` functions, the
 heap-based `txsched.scheduler.edf_fill`, the vectorized
 `txsched.verifier.epoch_times`, the once-per-rate
@@ -43,7 +43,6 @@ from txsched.scheduler import (
     IterationStep,
     IterationTrace,
     NoCandidates,
-    _argmax_lex,
     _check_solution_invariants,
     _positions,
     InternalDeadlineMiss,
@@ -86,6 +85,17 @@ def candidate_grid(
     valid = (lengths > tol) & (counts > 0.5)
     rates = np.where(valid, bitsum / np.where(valid, lengths, 1.0), -np.inf)
     return starts, ends, in_start, in_end, rates, valid
+
+
+def argmax_lex(rates: np.ndarray, valid: np.ndarray, starts, ends):
+    """Index (si, ei) of the max-rate cell; ties go to smallest start,
+    then end, sorted out among the tied cells by value."""
+    rmax = rates.max()
+    tied = rates >= rmax - scheduler.RATE_TIE_REL * abs(rmax)
+    tied &= valid
+    si, ei = np.nonzero(tied)
+    order = np.lexsort((ends[ei], starts[si]))
+    return int(si[order[0]]), int(ei[order[0]])
 
 
 @dataclass(frozen=True)
@@ -685,7 +695,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
             raise NoCandidates(
                 "no sub-interval among active packets; windows degenerate"
             )
-        si, ei = _argmax_lex(rate_grid, valid, starts, ends)
+        si, ei = argmax_lex(rate_grid, valid, starts, ends)
         member_rows = idx[in_start[:, si] & in_end[:, ei]]
         span = (float(arrivals[member_rows].min()), float(deadlines[member_rows].max()))
         pieces = _intervals.subtract([span], reserved, dust)

@@ -1,4 +1,4 @@
-"""The per-period solver, the rank-histogram candidate grid, the
+"""The lockstep solver, the batched rank-histogram candidate grid, the
 range-based decomposition, the vectorized verifier, the heap EDF fill,
 the sparse allocation table and the packed-column projected-gradient
 oracle against the loop and matmul implementations in
@@ -12,7 +12,9 @@ add their rows and columns in index order, as the loops do; numpy's
 own dense sums round differently, and are compared by value.
 """
 
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 import reference_impl as ref
 from reference_impl import Segment, dense, segment_list, segment_table
 from test_chain_family import chain_instance
+from test_scheduler import one_period_grid
 
 from txsched import (
     EpochDecomposition,
@@ -373,19 +376,40 @@ def split_families():
             for n in (150, 400)
             for scale in (1.0, 1e3, 1e-6)
         ]
+        + [("mixed", mixed_instance()), ("mixed+1000.37", mixed_instance(shift=1000.37))]
     )
     return [pytest.param(inst, id=label) for label, inst in labelled]
 
 
+def mixed_instance(shift=0.0):
+    """A 300-packet nested block, one busy period, beside 150 two-packet
+    chain blocks of one short busy period each, all moved by `shift`:
+    each lockstep step scores periods of very different sizes."""
+    chains = (chain_instance(n=2, seed=seed, horizon=2.0) for seed in itertools.count())
+    linked = (c for c in chains if c.packets[1].arrival <= c.packets[0].deadline)
+    packets = [(p.bits, p.arrival, p.deadline) for p in nested_instance(n=300).packets]
+    for q, block in enumerate(itertools.islice(linked, 150)):
+        offset = 160.0 + 6.0 * q
+        packets += [(p.bits, p.arrival + offset, p.deadline + offset) for p in block.packets]
+    return normalize_instance(
+        Packet(i + 1, b, a + shift, d + shift) for i, (b, a, d) in enumerate(packets)
+    )
+
+
+def busy_periods(inst):
+    """The number of busy periods `solve` splits the instance into."""
+    return len(scheduler._busy_periods(inst.arrivals(), inst.deadlines(), inst.time_tol)[1]) - 1
+
+
 def assert_same_solution(inst):
-    """The per-period solve against the global round loop on the matmul
+    """The lockstep solve against the global round loop on the matmul
     grid, and the allocation table rebuilt from its JSON against the
     loop table.  In one busy period both examine the same windows."""
     new, old = solve(inst, MODEL), ref.solve(inst, MODEL)
     text = schedule_to_json(new)
     assert text == schedule_to_json(old)
     assert new.rates.tobytes() == old.rates.tobytes()
-    if len(scheduler._busy_periods(inst.arrivals(), inst.deadlines(), inst.time_tol)) == 1:
+    if busy_periods(inst) == 1:
         candidates = [st.candidates for st in new.trace.steps]
         assert candidates == [st.candidates for st in old.trace.steps]
     loop_tau = ref.tau_from_segments(inst, decompose(inst), old.segments)
@@ -428,11 +452,94 @@ def test_gap_splits_periods_beyond_time_tol(gap, periods):
         Packet(3, 1.5, 5.0 + g, 10.0 + g), Packet(4, 1.2, 6.0 + g, 8.0 + g),
     ])
     assert inst.time_tol == pytest.approx(TIME_REL_TOL * 10.0)
-    split = scheduler._busy_periods(inst.arrivals(), inst.deadlines(), inst.time_tol)
-    assert len(split) == periods
+    assert busy_periods(inst) == periods
     sched = assert_same_solution(inst)
     assert [set(st.members) for st in sched.trace.steps] == [{2}, {4}, {3}, {1}]
     extract_certificate(inst, sched, MODEL)
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mixed_periods_pad_within_bounds():
+    """The nested block next to 150 small periods costs about what it
+    costs alone: no cube pads the small periods to the block's size or
+    the block to their number.  Both decompositions are built first, as
+    they belong to the instances, not to the solve."""
+    mixed, alone = mixed_instance(), nested_instance(n=300)
+    assert busy_periods(mixed) == 151 and busy_periods(alone) == 1
+    for inst in (mixed, alone):
+        solve(inst, MODEL)
+    assert traced_peak(solve, mixed, MODEL) <= 1.5 * traced_peak(solve, alone, MODEL)
+
+
+def test_cube_groups_bound_padding():
+    """Runs of consecutive periods, each padded to at most max(1.5 x its
+    own cells, the floor) and so within max(2 x its own cells, the
+    floor); one run when everything fits."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        k = int(rng.integers(1, 60))
+        big = rng.random(k) < 0.1
+        S = np.where(big, rng.integers(50, 400, k), rng.integers(1, 40, k))
+        E = np.where(big, rng.integers(50, 400, k), rng.integers(1, 40, k))
+        groups = scheduler._cube_groups(S, E)
+        assert [g for run in groups for g in run] == list(range(k))
+        for run in groups:
+            s, e = S[run.start:run.stop], E[run.start:run.stop]
+            padded = len(run) * s.max() * e.max()
+            assert padded <= max(1.5 * (s * e).sum(), scheduler._CUBE_FLOOR)
+        if k * S.max() * E.max() <= max(1.5 * (S * E).sum(), scheduler._CUBE_FLOOR):
+            assert groups == [range(k)]
+
+
+def test_batched_blocks_match_single_period_grids():
+    """Periods built from the grid comparison's inputs, laid end to end
+    with idle gaps: every block of one batched cube, over all periods or
+    a run of them, equals the grid of its period alone, cell for cell,
+    with the same ranks, valid cells and selected cell; padded cells are
+    never valid."""
+    cases = grid_inputs()
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(80):
+        picked = [cases[i] for i in rng.choice(len(cases), int(rng.integers(2, 7)))]
+        tol = max(case[3] for case in picked)
+        offsets = np.cumsum([0.0] + [c[1].max() - c[0].min() + 1.0 for c in picked[:-1]])
+        offsets -= [c[0].min() for c in picked]
+        periods = [(a + o, d + o, b) for (a, d, b, _), o in zip(picked, offsets)]
+        times = np.concatenate([np.stack(p[:2]) for p in periods], axis=1)
+        period = np.repeat(np.arange(len(periods)), [len(p[2]) for p in periods])
+        gaps = [(p[1].max() + q[0].min()) / 2 for p, q in zip(periods, periods[1:])]
+        windows = scheduler._window_ranks(times, period, np.array([-np.inf, *gaps, np.inf]), tol)
+        bits = np.concatenate([p[2] for p in periods])
+        lo = int(rng.integers(0, len(periods)))
+        run = range(lo, int(rng.integers(lo + 1, len(periods) + 1)))
+        rates, valid = scheduler._candidate_grid(windows, bits, tol, run)
+        si, ei = scheduler._argmax_lex(rates, valid)
+        for k, g in enumerate(run):
+            starts, ends, start_rank, end_rank, alone, alone_valid = one_period_grid(
+                periods[g][0], periods[g][1], periods[g][2], tol
+            )
+            rows = period == g
+            assert np.array_equal(windows.start_rank[rows], start_rank)
+            assert np.array_equal(windows.end_rank[rows], end_rank)
+            S, E = alone.shape
+            assert rates[k, :S, :E].tobytes() == alone.tobytes()
+            assert np.array_equal(valid[k, :S, :E], alone_valid)
+            assert not valid[k, S:].any() and not valid[k, :, E:].any()
+            assert np.all(rates[k, S:] == -np.inf) and np.all(rates[k, :, E:] == -np.inf)
+            if alone_valid.any():
+                checked += 1
+                assert (si[k], ei[k]) == scheduler._argmax_lex(alone, alone_valid)
+    assert checked > 100
 
 
 def grid_inputs():
@@ -479,7 +586,7 @@ def test_histogram_grid_matches_matmul_grid():
     same valid cells, so the same `IterationStep.candidates`."""
     checked = 0
     for arrivals, deadlines, bits, tol in grid_inputs():
-        starts, ends, start_rank, end_rank, rates, valid = scheduler._candidate_grid(
+        starts, ends, start_rank, end_rank, rates, valid = one_period_grid(
             arrivals, deadlines, bits, tol
         )
         old = ref.candidate_grid(arrivals, deadlines, bits, tol)
@@ -493,8 +600,8 @@ def test_histogram_grid_matches_matmul_grid():
         np.testing.assert_allclose(rates[valid], old[4][valid], rtol=1e-13, atol=0)
         if valid.any():
             checked += 1
-            cell = scheduler._argmax_lex(rates, valid, starts, ends)
-            assert cell == scheduler._argmax_lex(old[4], old[5], starts, ends)
+            cell = scheduler._argmax_lex(rates, valid)
+            assert cell == ref.argmax_lex(old[4], old[5], starts, ends)
     assert checked > 100
 
 

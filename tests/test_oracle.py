@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from reference_impl import epoch_sets_per_packet
 
 from txsched import (
     GeneratorConfig,
+    Monomial,
     Packet,
     Shannon,
     TooLarge,
@@ -204,6 +207,40 @@ class TestProjectedGradient:
             s = solve(inst, MODEL)
             sol = solve_projected_gradient(inst, MODEL, tol=1e-13)
             assert sol.energy == pytest.approx(s.energy, rel=1e-5)
+
+    # (seed, energy, iterations, sha256 prefixes of tau and of the energy
+    # history) of the crosscheck benchmark family at its first six seeds,
+    # as the oracle gave them before it summed with array methods and
+    # entered np.errstate once per solve instead of once per energy.
+    CROSSCHECK_RUNS = [
+        (1835504127, "0x1.63bf9e4f3984ep+3", 107, "f7ed66c7ce5ee14b1d694d6e7a8a4f05",
+         "1d9866b8efe8d5ad6f0eca5749b8fea2"),
+        (1189033389, "0x1.41d3c25798772p+3", 62, "88c620c9e63768812577e0b8dbe0eacc",
+         "258ec167baecf55671fff5bb5421aaae"),
+        (1596810411, "0x1.7af5b6ebb1032p+3", 1216, "9b0b210845a650b4d791f118b2f2a379",
+         "3ddeb9ea26865e98da271377938c9c96"),
+        (4010755824, "0x1.982fe230f4f71p+3", 199, "c696a5a11bf7c724b0dbd2cc8d12a597",
+         "c55e1ff5a57309643c8dc4805b6c5928"),
+        (3549136632, "0x1.482270be5324ap+3", 176, "a7a179960789c546471184c7798597ee",
+         "827f19afb71bcf96bf3762a38158e38a"),
+        (3025039489, "0x1.22d62d0ad2e82p+3", 292, "0fcaa0f15cc6e3cc40ba6592fe6b0901",
+         "55cacf34814826298f2edbd94f4cf598"),
+    ]
+
+    @pytest.mark.parametrize("seed, energy, iterations, tau, history", CROSSCHECK_RUNS)
+    def test_crosscheck_iterates_are_unchanged(self, seed, energy, iterations, tau, history):
+        """Bit-identical iterates, energies and iteration counts on the
+        crosscheck family (N=12, Monomial(1.5), tol 1e-10)."""
+        inst = generate(GeneratorConfig(
+            n=12, horizon=14, seed=seed, non_fifo_prob=0.5,
+            bits_range=(0.4, 1.5), min_window_frac=0.1,
+        ))
+        sol = solve_projected_gradient(
+            inst, Monomial(exponent=1.5, scale=1.0), tol=1e-10, track_history=True
+        )
+        assert (sol.energy.hex(), sol.iterations) == (energy, iterations)
+        assert hashlib.sha256(sol.tau.tobytes()).hexdigest()[:32] == tau
+        assert hashlib.sha256(sol.energy_history.tobytes()).hexdigest()[:32] == history
 
 
 class TestGrid:

@@ -1,4 +1,5 @@
-"""Rescaled and origin-shifted copies of the nested and generator families.
+"""Rescaled and origin-shifted copies of the nested, generator and
+staircase families.
 
 Multiplying time and bits by one factor leaves the optimal rates as they
 are and multiplies the energy by that factor; moving the origin changes
@@ -13,18 +14,22 @@ import functools
 import numpy as np
 import pytest
 from test_chain_family import certified
+from test_equivalence import staircase_instance
 
 from txsched import GeneratorConfig, Packet, generate, normalize_instance
 
 FAMILIES = {
-    "nested": GeneratorConfig(n=200, seed=0, non_fifo_prob=1.0),
-    "generator": GeneratorConfig(n=60, seed=6),
+    "nested": lambda: generate(GeneratorConfig(n=200, seed=0, non_fifo_prob=1.0)),
+    "generator": lambda: generate(GeneratorConfig(n=60, seed=6)),
+    # one busy period of about N/6 rounds (packet i in [i, i + 2.5])
+    "staircase-13": lambda: staircase_instance(13),
+    "staircase-60": lambda: staircase_instance(60),
 }
 
 
 @functools.cache
 def original(family):
-    inst = generate(FAMILIES[family])
+    inst = FAMILIES[family]()
     return inst, certified(inst)
 
 

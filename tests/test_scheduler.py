@@ -23,7 +23,7 @@ from txsched import (
     solve,
 )
 from txsched.model import TIME_REL_TOL
-from txsched.scheduler import _argmax_lex, _candidate_grid, _positions
+from txsched.scheduler import _argmax_lex, _candidate_grid, _positions, _window_ranks
 
 
 def P(pid, bits, arrival, deadline):
@@ -39,11 +39,22 @@ def nested_instance():
     return normalize_instance([P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
 
 
+def one_period_grid(arrivals, deadlines, bits, tol):
+    """The candidate grid of packets in one busy period, as (starts,
+    ends, start_rank, end_rank, rates, valid) with 2-d rates and valid."""
+    windows = _window_ranks(
+        np.stack((arrivals, deadlines)), np.zeros(len(arrivals), dtype=np.intp),
+        np.array([-np.inf, np.inf]), tol,
+    )
+    rates, valid = _candidate_grid(windows, bits, tol, range(1))
+    return windows.starts, windows.ends, windows.start_rank, windows.end_rank, rates[0], valid[0]
+
+
 def candidates(packets):
     """{(start, end): (rate, member ids)} over the valid cells of the
     candidate grid, with the grid's arrays for selection."""
     ids = np.array([p.id for p in packets])
-    grid = _candidate_grid(
+    grid = one_period_grid(
         np.array([p.arrival for p in packets]),
         np.array([p.deadline for p in packets]),
         np.array([p.bits for p in packets]),
@@ -117,7 +128,7 @@ class TestEnumerate:
 
 def select(starts, ends, rates):
     rates = np.array(rates, dtype=float)
-    si, ei = _argmax_lex(rates, np.isfinite(rates), np.array(starts), np.array(ends))
+    si, ei = _argmax_lex(rates, np.isfinite(rates))
     return starts[si], ends[ei]
 
 
@@ -129,13 +140,13 @@ class TestSelect:
         _, (starts, ends, _, _, rates, valid) = candidates(
             [P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)]
         )
-        si, ei = _argmax_lex(rates, valid, starts, ends)
+        si, ei = _argmax_lex(rates, valid)
         assert (starts[si], ends[ei]) == (0.5, 1.0)
         assert rates[si, ei] == pytest.approx(2.0)
 
     def test_single_candidate(self):
         _, (starts, ends, _, _, rates, valid) = candidates([P(1, 1.0, 0.0, 1.0)])
-        assert _argmax_lex(rates, valid, starts, ends) == (0, 0)
+        assert _argmax_lex(rates, valid) == (0, 0)
 
     def test_tie_breaks_to_smallest_start(self):
         no = -np.inf  # an invalid cell
@@ -146,10 +157,9 @@ class TestSelect:
 
     def test_empty_rejected(self, monkeypatch):
         # a grid without a valid window stops the solver
-        def no_windows(arrivals, deadlines, bits, tol):
-            grid = list(_candidate_grid(arrivals, deadlines, bits, tol))
-            grid[5] = np.zeros_like(grid[5])
-            return tuple(grid)
+        def no_windows(windows, bits, tol, periods):
+            rates, valid = _candidate_grid(windows, bits, tol, periods)
+            return rates, np.zeros_like(valid)
 
         monkeypatch.setattr(scheduler, "_candidate_grid", no_windows)
         with pytest.raises(NoCandidates):

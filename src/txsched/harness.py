@@ -25,10 +25,8 @@ from .scheduler import (
     InternalInvariantViolation,
     Schedule,
     SegmentTable,
-    _PIECE_EPS,
     _assemble,
     _segments_from_table,
-    _time_order,
     edf_fill,
     solve,
 )
@@ -126,7 +124,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     float64 give an energy of inf, where `solve` would refuse them.
     """
     free: list[tuple[float, float]] = [(0.0, instance.horizon)]
-    dust = _PIECE_EPS * instance.horizon
+    dust = instance.dust
     bits, arrivals, deadlines = instance.columns
     segment_rows: list[tuple[int, float, float, float]] = []
     rates = np.zeros(instance.n)
@@ -144,7 +142,8 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
             segment_rows.extend(edf_fill(usable, columns, rate))
             rates[members] = rate
             free = _intervals.subtract(free, usable, dust)
-        segments = SegmentTable.from_rows(segment_rows)
+        rows = np.array(segment_rows, dtype=float).reshape(-1, 4)
+        segments = SegmentTable.in_time_order(*rows.T)
     except (InternalIdle, InternalDeadlineMiss):
         decomp = instance.decomposition
         rows, cols = decomp.pairs()
@@ -156,7 +155,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     except NonFiniteEnergy:
         # still feasible, only too fast for float64 to price: the
         # baseline's overpayment is unbounded, which is no error
-        return Schedule(rates, _time_order(segments), math.inf, None)
+        return Schedule(rates, segments, math.inf, None)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ import numpy as np
 # schedules built on the grid stay consistent with it, and rescaling
 # time moves the tolerance with it.
 TIME_REL_TOL = 1e-10
+# Allocated time below this fraction of the horizon (`Instance.dust`) is
+# float dust: what adding and subtracting instants leaves behind.
+DUST_REL_TOL = 1e-12
 
 
 class EmptyInstance(ValueError):
@@ -128,6 +131,11 @@ class Instance:
     def time_tol(self) -> float:
         """Instants closer than this are the same instant."""
         return TIME_REL_TOL * self.horizon
+
+    @property
+    def dust(self) -> float:
+        """Allocated time shorter than this is float dust."""
+        return DUST_REL_TOL * self.horizon
 
     def bits(self) -> np.ndarray:
         return self.columns[0]

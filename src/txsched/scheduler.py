@@ -10,17 +10,20 @@ contained packets all transmit at that common rate, in that free time,
 ordered by earliest deadline first.  The time is then reserved, and the
 process repeats until every packet is scheduled.
 
-Every window, piece and segment stays in original time.  A round
-measures a window's free length through the positions of its endpoints
-on the remaining timeline, computed afresh from the sorted list of
-reserved pieces, so nothing is carried from round to round but that
-list.  No winning window crosses an idle gap, so the busy periods
-(connected runs of windows) play their rounds in lockstep: each step
-places every active packet on the timeline against one reserved list,
-scores the next round of every busy period in one batched grid, a
-padded cube with one block per period, and lets each period settle its
-winning window; the periods' rounds are then interleaved in the order
-one loop over all packets would take them.
+The solver works on the instance's epoch grid (`Instance.decomposition`):
+a packet arrives at its `lo` grid instant and is due at its `hi` one, so
+instants within the time tolerance are one float everywhere, and every
+piece a round reserves is a run of whole epochs.  The reserved time is
+one mask over the epochs, and a grid instant's position on the time
+left free is the free epoch length before it; a window's free length is
+the difference of its endpoints' positions.  Nothing is carried from
+round to round but the mask.  No winning window crosses an idle gap, so
+the busy periods (runs of live epochs) play their rounds in lockstep:
+each step places every active packet on the free time, scores the next
+round of every busy period in one batched grid, a padded cube with one
+block per period, and lets each period settle its winning window; the
+periods' rounds are then interleaved in the order one loop over all
+packets would take them.
 
 Rates only depend on the window geometry, never on the power law; the
 power model enters once at the end, to price the schedule.
@@ -37,11 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _intervals
-from .model import TIME_REL_TOL, Instance, PairTable
+from .model import DUST_REL_TOL, TIME_REL_TOL, Instance, PairTable
 from .power import PowerModel, schedule_energy
 
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
-_PIECE_EPS = 1e-12
 
 
 class ScheduleFormatError(ValueError):
@@ -69,7 +71,8 @@ class SegmentTable:
     """The flattened timeline, one row per maximal run of one packet
     transmitting, in original time: packet `packet[k]` transmits from
     `start[k]` to `end[k]` at `rate[k]`.  The columns are read-only
-    arrays, packet ids as integers and the rest as floats."""
+    arrays, packet ids as integers and the rest as floats; an array
+    given in its column's type is kept, not copied."""
 
     packet: np.ndarray
     start: np.ndarray
@@ -78,7 +81,7 @@ class SegmentTable:
 
     def __post_init__(self):
         for name, dtype in zip(("packet", "start", "end", "rate"), (np.intp, float, float, float)):
-            column = np.array(getattr(self, name), dtype=dtype)
+            column = np.asarray(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -86,6 +89,13 @@ class SegmentTable:
     def from_rows(cls, rows) -> "SegmentTable":
         """The table of (packet, start, end, rate) rows."""
         return cls(*np.array(rows, dtype=float).reshape(-1, 4).T)
+
+    @classmethod
+    def in_time_order(cls, packet, start, end, rate) -> "SegmentTable":
+        """The table of these columns, its rows sorted by start, then
+        end; ties keep their order."""
+        order = np.lexsort((end, start))
+        return cls(*(np.asarray(column)[order] for column in (packet, start, end, rate)))
 
     def __len__(self) -> int:
         return len(self.packet)
@@ -139,8 +149,7 @@ class _Windows(NamedTuple):
     distinct ends ends[e_first[g]:e_first[g + 1]], ascending.  Packet p
     lies inside its period's window (s, e), counted within those slices,
     when s <= start_rank[p] and e >= end_rank[p]: its arrival is at or
-    after the start and its deadline at or before the end, both within
-    the time tolerance.
+    after the start and its deadline at or before the end.
     """
 
     period: np.ndarray
@@ -153,20 +162,17 @@ class _Windows(NamedTuple):
     end_rank: np.ndarray
 
 
-def _window_ranks(
-    times: np.ndarray, period: np.ndarray, bounds: np.ndarray, tol: float
-) -> _Windows:
+def _window_ranks(times: np.ndarray, period: np.ndarray, bounds: np.ndarray) -> _Windows:
     """The `_Windows` of packets from one or more busy periods, whose
-    arrivals and deadlines are the rows of `times`.
+    arrival and deadline positions are the rows of `times`.
 
     period[p] numbers packet p's period from 0, ascending with the
-    packets, and period g's instants lie between bounds[g] and
-    bounds[g + 1], the last bound being +inf.  Periods lie more than
-    `tol` apart, so the sorted distinct arrivals of all packets are each
-    period's own, one period after another, and likewise the deadlines:
-    one sort and one search rank every packet.  The ranks are clipped to
-    the packet's own period, which only matters where rounding brings
-    two periods within `tol`.
+    packets, and period g's positions lie at or after bounds[g] and
+    below bounds[g + 1], the last bound being +inf.  So the sorted
+    distinct arrivals of all packets are each period's own, one period
+    after another, and likewise the deadlines: one sort and one search
+    rank every packet.  The positions are grid positions, where one
+    instant is one float, so the ranks are exact.
     """
     first = period.searchsorted(np.arange(len(bounds)))
     ordered = np.sort(times, axis=1)
@@ -175,12 +181,10 @@ def _window_ranks(
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=keep[:, 1:])
     starts, ends = ordered[0][keep[0]], ordered[1][keep[1]]
     s_first, e_first = starts.searchsorted(bounds), ends.searchsorted(bounds)
-    s_lo, e_lo = s_first[period], e_first[period]
-    start_rank = np.minimum((starts - tol).searchsorted(times[0], "right"), s_first[1:][period])
-    start_rank -= s_lo
-    start_rank -= 1
-    end_rank = np.maximum((ends + tol).searchsorted(times[1], "left"), e_lo)
-    end_rank -= e_lo
+    start_rank = starts.searchsorted(times[0])
+    start_rank -= s_first[period]
+    end_rank = ends.searchsorted(times[1])
+    end_rank -= e_first[period]
     return _Windows(period, first, starts, ends, s_first, e_first, start_rank, end_rank)
 
 
@@ -194,15 +198,15 @@ def _padded(values: np.ndarray, first: np.ndarray, fill: float) -> np.ndarray:
     return np.where(cols < count[:, None], values.take(first[:-1, None] + cols, mode="clip"), fill)
 
 
-def _candidate_grid(windows: _Windows, bits: np.ndarray, tol: float, periods: range):
+def _candidate_grid(windows: _Windows, bits: np.ndarray, periods: range):
     """Rate tables over (distinct start) x (distinct end) windows, one
     block for each of the consecutive busy `periods`, padded to the
     largest.
 
     Returns (rates, valid) of shape (len(periods), S, E): block k is the
     table of period periods[k], its windows in the top-left corner.
-    valid marks windows longer than `tol` containing at least one
-    packet; rates are -inf outside them.  Padded cells start at +inf or
+    valid marks windows with free time containing at least one packet;
+    rates are -inf outside them.  Padded cells start at +inf or
     end at -inf, so they are never valid, and no length is NaN.
 
     The bits are binned by (period, start rank, end rank), so a suffix
@@ -223,7 +227,7 @@ def _candidate_grid(windows: _Windows, bits: np.ndarray, tol: float, periods: ra
     np.add.accumulate(suffix, axis=1, out=suffix)
     np.add.accumulate(bitsum, axis=2, out=bitsum)
     lengths = ends[:, None, :] - starts[:, :, None]
-    valid = lengths > tol
+    valid = lengths > 0
     valid &= bitsum > 0
     rates = np.divide(bitsum, lengths, out=bitsum, where=valid)
     del lengths
@@ -243,19 +247,6 @@ def _argmax_lex(rates: np.ndarray, valid: np.ndarray):
     tied = flat >= rmax - RATE_TIE_REL * np.abs(rmax)
     tied &= valid.reshape(flat.shape)
     return divmod(tied.argmax(axis=-1), rates.shape[-1])
-
-
-def _positions(times: np.ndarray, reserved) -> np.ndarray:
-    """Positions of original-time instants on the timeline that is left
-    once the sorted, disjoint `reserved` pieces are cut out: each instant
-    moves left by the reserved time before it, and an instant inside a
-    reserved piece lands where that piece was cut."""
-    if not reserved:
-        return times
-    edges = np.asarray(reserved, dtype=float).ravel()
-    # reserved time before each edge: 0, c1, c1, c2, c2, ..., cR
-    cum = np.concatenate(([0.0], np.cumsum(edges[1::2] - edges[0::2])))
-    return times - np.interp(times, edges, np.repeat(cum, 2)[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +269,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     Arrived members wait in a heap keyed on (deadline, id); an arrival
     pointer moves members into it as time passes their arrival.
 
-    Steps are cut to within `eps`, _PIECE_EPS relative to the largest
+    Steps are cut to within `eps`, DUST_REL_TOL relative to the largest
     piece endpoint, since the steps add up in float and one ulp of a
     large instant exceeds any absolute epsilon; for the same reason a
     member is done once less than `eps` of its time is left.  An arrival
@@ -294,7 +285,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    eps = _PIECE_EPS * max(
+    eps = DUST_REL_TOL * max(
         (abs(float(x)) for piece in pieces for x in piece), default=0.0
     )
     tol = TIME_REL_TOL * max(abs(d) for d in deadlines)
@@ -395,10 +386,9 @@ def _check_solution_invariants(
             raise InternalInvariantViolation("reserved pieces overlap across rounds")
     merged = _intervals.merge(all_pieces, tol)
     live = instance.decomposition.live_region()
-    dust = _PIECE_EPS * instance.horizon
     gap = _intervals.measure(
-        _intervals.subtract(live, merged, dust)
-    ) + _intervals.measure(_intervals.subtract(merged, live, dust))
+        _intervals.subtract(live, merged, instance.dust)
+    ) + _intervals.measure(_intervals.subtract(merged, live, instance.dust))
     if gap > 1e-6 * instance.horizon:
         raise InternalInvariantViolation(
             f"reserved pieces do not tile the live region (mismatch {gap})"
@@ -413,29 +403,6 @@ def _check_solution_invariants(
         raise InternalInvariantViolation("delivered bits do not match packet sizes")
     if np.any(rates <= 0):
         raise InternalInvariantViolation("some packet ended up with no rate")
-
-
-def _busy_periods(arrivals: np.ndarray, deadlines: np.ndarray, tol: float):
-    """The busy periods, maximal runs of windows whose union is
-    connected, in time order, as (order, first, bounds).
-
-    Period q's rows are order[first[q]:first[q + 1]], ascending, and its
-    instants lie strictly between bounds[q] and bounds[q + 1]: -inf, the
-    midpoint of each idle gap, +inf.  No reserved piece reaches into an
-    idle gap, so no rounding of a position carries an instant across a
-    bound.  Sorted by arrival, a period ends where the next arrival comes
-    later than the latest deadline so far by more than `tol`.
-    """
-    by_arrival = np.argsort(arrivals, kind="stable")
-    start = arrivals[by_arrival]
-    reach = np.maximum.accumulate(deadlines[by_arrival])
-    cuts = (start[1:] > reach[:-1] + tol).nonzero()[0] + 1
-    period = np.zeros(len(start), dtype=np.intp)
-    period[cuts] = 1
-    order = by_arrival[np.lexsort((by_arrival, period.cumsum()))]
-    first = np.concatenate(([0], cuts, [len(start)]))
-    bounds = np.concatenate(([-np.inf], (reach[cuts - 1] + start[cuts]) / 2, [np.inf]))
-    return order, first, bounds
 
 
 _CUBE_FLOOR = 65_536  # cells a group of periods may always pad to
@@ -462,7 +429,7 @@ def _cube_groups(S: np.ndarray, E: np.ndarray) -> list[range]:
     return groups
 
 
-def _best_windows(windows: _Windows, bits: np.ndarray, tol: float):
+def _best_windows(windows: _Windows, bits: np.ndarray):
     """The max-rate window of every period, as arrays indexed by period:
     (head rate, si, ei, candidates), with (si, ei) the cell that wins the
     tie rule and `candidates` the number of valid windows.  Each run of
@@ -475,7 +442,7 @@ def _best_windows(windows: _Windows, bits: np.ndarray, tol: float):
     for periods in _cube_groups(
         windows.s_first[1:] - windows.s_first[:-1], windows.e_first[1:] - windows.e_first[:-1]
     ):
-        rates, valid = _candidate_grid(windows, bits, tol, periods)
+        rates, valid = _candidate_grid(windows, bits, periods)
         n = len(periods)
         best.append((
             np.maximum.reduce(rates.reshape(n, -1), axis=1),
@@ -520,78 +487,82 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     next round of every period with active packets, scored together,
     and the periods' rounds are interleaved afterwards.
     """
-    # The decomposition lives as long as the instance, and the verifier
-    # reads it.  Built before the rounds' transient S x E tables, it does
-    # not split the heap they free, which the next instance's tables
-    # then reuse whole instead of taking fresh pages.
-    instance.decomposition.ranges
-    tol, dust = instance.time_tol, _PIECE_EPS * instance.horizon
-    order, first, bounds = _busy_periods(instance.arrivals(), instance.deadlines(), tol)
-    # Every per-packet array below is in period order.
-    arrivals, deadlines, bits = (
-        column[order] for column in (instance.arrivals(), instance.deadlines(), instance.bits())
-    )
-    ids = order + 1
-    rates = np.empty(instance.n)  # in period order too
-    sizes = (first[1:] - first[:-1]).tolist()
-    reserved: list[list[tuple[float, float]]] = [[] for _ in sizes]
-    rounds: list[list] = [[] for _ in sizes]
-    # The active packets and their periods, counted among the live ones;
-    # the live periods, their numbers of active packets, and the bounds
-    # between them.
+    decomp = instance.decomposition
+    grid = np.array(decomp.instants)
+    lengths = np.diff(grid)
+    ranges = np.stack(decomp.ranges)  # each packet's arrival and deadline grid index
+    # The busy periods are the runs of live epochs, and heads[q] is
+    # period q's first epoch; a packet's period is the run holding its
+    # first epoch.  Packets come sorted by arrival, so by period too.
+    # The last head, past every grid instant, closes the last period.
+    live = decomp.coverage() > 0
+    heads = np.append(np.flatnonzero(live & ~np.concatenate(([False], live[:-1]))), len(grid))
+    bits = instance.bits()
+    free = np.ones(len(lengths), dtype=bool)  # the epochs no round reserved
+    # position[j] is grid instant j's position, the free time before it
+    position = np.zeros(len(grid) + 1)
+    position[-1] = np.inf
+    rates = np.empty(instance.n)
+    # The active packets and their periods, counted among the periods
+    # with active packets; those periods and their numbers of active packets.
     idx = np.arange(instance.n)
-    period = np.repeat(np.arange(len(sizes)), sizes)
-    live = list(range(len(sizes)))
-    gates = bounds
+    period = heads.searchsorted(ranges[0], "right") - 1
+    sizes = np.bincount(period).tolist()
+    busy = list(range(len(sizes)))
+    rounds: list[list] = [[] for _ in sizes]
 
     while len(idx):
-        k = len(idx)
-        times = _positions(
-            np.concatenate((arrivals[idx], deadlines[idx], gates)),
-            [piece for pieces in reserved for piece in pieces],
-        )
-        windows = _window_ranks(times[:2 * k].reshape(2, k), period, times[2 * k:], tol)
-        head, si, ei, candidates = _best_windows(windows, bits[idx], tol)
+        np.cumsum(np.where(free, lengths, 0.0), out=position[1:-1])
+        windows = _window_ranks(position[ranges[:, idx]], period, position[heads[busy + [-1]]])
+        head, si, ei, candidates = _best_windows(windows, bits[idx])
         candidates = candidates.tolist()
         if 0 in candidates:
             raise NoCandidates("no sub-interval among active packets; windows degenerate")
         settled = (windows.start_rank >= si[period]) & (windows.end_rank <= ei[period])
         member = idx[settled]
-        # Each live period settles a run of packets, in the order of `live`.
+        # Each busy period settles a run of packets, in the order of `busy`.
         count = np.add.reduceat(settled, windows.first[:-1], dtype=np.intp).tolist()
         cut = [0, *itertools.accumulate(count)]
-        member_bits, member_arrivals, member_deadlines = (
-            column[member] for column in (bits, arrivals, deadlines)
-        )
         runs = np.array(cut[:-1])
-        spans = zip(
-            np.minimum.reduceat(member_arrivals, runs).tolist(),
-            np.maximum.reduceat(member_deadlines, runs).tolist(),
-        )
+        # A period's pieces are the runs of free epochs in its members'
+        # span; the spans are disjoint, so one mask holds them all.
+        # taken[j + 1] marks epoch j, so every run starts and ends where
+        # taken flips.
+        member_lo, member_hi = ranges[:, member]
+        span_lo = np.minimum.reduceat(member_lo, runs)
+        span_hi = np.maximum.reduceat(member_hi, runs)
+        depth = np.zeros(len(grid) + 1, dtype=np.intp)
+        depth[span_lo + 1], depth[span_hi + 1] = 1, -1
+        taken = np.cumsum(depth) > 0
+        taken[1:-1] &= free
+        free &= ~taken[1:-1]
+        flips = np.flatnonzero(taken[1:] != taken[:-1])
+        opens, shuts = flips[0::2], flips[1::2]
+        pieces = list(zip(grid[opens].tolist(), grid[shuts].tolist()))
+        first_piece = [*opens.searchsorted(span_lo).tolist(), len(pieces)]
+        member_bits = bits[member]
         columns = [
             column.tolist()
-            for column in (ids[member], member_bits, member_arrivals, member_deadlines)
+            for column in (member + 1, member_bits, grid[member_lo], grid[member_hi])
         ]
         member_rates: list[float] = []
-        for g, (p, span, h, c) in enumerate(zip(live, spans, head.tolist(), candidates)):
+        for g, (p, h, c) in enumerate(zip(busy, head.tolist(), candidates)):
             a, b = cut[g], cut[g + 1]
-            pieces = _intervals.subtract([span], reserved[p], dust)
-            rate = float(member_bits[a:b].sum() / _intervals.measure(pieces))
+            own = pieces[first_piece[g]:first_piece[g + 1]]
+            rate = float(member_bits[a:b].sum() / _intervals.measure(own))
             fill = tuple(column[a:b] for column in columns)
             step = IterationStep(
-                rate=rate, members=frozenset(fill[0]), pieces=tuple(pieces), candidates=c
+                rate=rate, members=frozenset(fill[0]), pieces=tuple(own), candidates=c
             )
-            rounds[p].append((h, step, edf_fill(pieces, fill, rate)))
-            reserved[p] = _intervals.merge(reserved[p] + pieces, dust)
+            rounds[p].append((h, step, edf_fill(own, fill, rate)))
             member_rates += [rate] * (b - a)
         rates[member] = member_rates
         idx, period = idx[~settled], period[~settled]
         sizes = [n - c for n, c in zip(sizes, count)]
         if 0 in sizes:
             period = (np.cumsum([n > 0 for n in sizes]) - 1)[period]
-            live = [p for p, n in zip(live, sizes) if n]
+            busy = [p for p, n in zip(busy, sizes) if n]
             sizes = [n for n in sizes if n]
-            gates = bounds[live + [len(bounds) - 1]]
 
     steps: list[IterationStep] = []
     segments: list[tuple[int, float, float, float]] = []
@@ -600,18 +571,8 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         segments.extend(rows)
 
     trace = IterationTrace(tuple(steps))
-    by_row = np.empty(instance.n)
-    by_row[order] = rates
-    return _assemble(
-        instance, model, by_row, SegmentTable.from_rows(segments), trace=trace
-    )
-
-
-def _time_order(segments: SegmentTable) -> SegmentTable:
-    """The segments sorted by start, then end; ties keep their order."""
-    order = np.lexsort((segments.end, segments.start))
-    columns = (segments.packet, segments.start, segments.end, segments.rate)
-    return SegmentTable(*(column[order] for column in columns))
+    segments = SegmentTable.in_time_order(*np.array(segments, dtype=float).T)
+    return _assemble(instance, model, rates, segments, trace=trace)
 
 
 def _assemble(
@@ -621,10 +582,9 @@ def _assemble(
     segments: SegmentTable,
     trace: IterationTrace | None = None,
 ) -> Schedule:
-    """The schedule of constant `rates` over `segments`, sorted here by
-    time, priced under `model`.  A solver `trace` is first checked
+    """The schedule of constant `rates` over `segments`, a table in
+    time order, priced under `model`.  A solver `trace` is first checked
     against the schedule invariants."""
-    segments = _time_order(segments)
     if trace is not None:
         _check_solution_invariants(instance, trace, segments, rates)
     energy = schedule_energy(model, rates, instance.bits() / rates)
@@ -659,8 +619,7 @@ def _segments_from_table(instance: Instance, tau: PairTable):
     if np.any(totals <= 0):
         raise ValueError("every packet needs positive total time")
     rates = instance.bits() / totals
-    dust = _PIECE_EPS * instance.horizon
-    used = tau.values > dust
+    used = tau.values > instance.dust
     rows, cols, values = tau.rows[used], tau.cols[used], tau.values[used]
     order = np.lexsort((rows, instance.deadlines()[rows], cols))
     rows, cols, values = rows[order], cols[order], values[order]
@@ -674,7 +633,7 @@ def _segments_from_table(instance: Instance, tau: PairTable):
     times[:, 0] = np.array(instance.decomposition.instants)[cols[first]]
     times[group, slot + 1] = values
     np.add.accumulate(times, axis=1, out=times)
-    segments = SegmentTable(
+    segments = SegmentTable.in_time_order(
         rows + 1, times[group, slot], times[group, slot + 1], rates[rows]
     )
     return rates, segments

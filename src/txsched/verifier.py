@@ -18,10 +18,10 @@ import numpy as np
 
 from .model import EpochDecomposition, Instance, PairTable
 from .power import PowerModel, per_distinct_rate
-from .scheduler import _PIECE_EPS, Schedule
+from .scheduler import Schedule
 
 # Instants, idle time and epoch capacity are compared within the
-# instance's `time_tol`; allocation dust within _PIECE_EPS of its horizon.
+# instance's `time_tol`; allocated time below its `dust` is float dust.
 BIT_REL_TOL = 1e-9
 RATE_REL_TOL = 1e-9
 POSITIVE_TIME_REL = 1e-9  # tau below this fraction of the epoch counts as zero
@@ -197,7 +197,7 @@ def epoch_times(instance: Instance, schedule: Schedule) -> PairTable:
     overlap = np.minimum(t1[seg], grid[cols + 1]) - np.maximum(t0[seg], grid[cols])
     # sub-dust overlaps are float artifacts of segments touching an
     # epoch boundary, not allocations
-    keep = overlap > _PIECE_EPS * instance.horizon
+    keep = overlap > instance.dust
     m = decomp.m
     cells, where = np.unique(rows[seg[keep]] * m + cols[keep], return_inverse=True)
     values = np.zeros(len(cells))
@@ -279,8 +279,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         span = np.where(rates > 0, bits / rates, np.inf)
     # A total may also miss the sub-dust overlaps the table leaves out.
-    dust = _PIECE_EPS * instance.horizon
-    mismatch = np.abs(totals - span) > np.maximum(BIT_REL_TOL * span, dust)
+    mismatch = np.abs(totals - span) > np.maximum(BIT_REL_TOL * span, instance.dust)
     outside_by_row: dict[int, list[int]] = {}
     for i, j in zip(tau.rows[outside].tolist(), tau.cols[outside].tolist()):
         outside_by_row.setdefault(i, []).append(j)

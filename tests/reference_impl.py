@@ -30,6 +30,7 @@ import numpy as np
 
 from txsched import _intervals, scheduler
 from txsched.model import (
+    DUST_REL_TOL,
     TIME_REL_TOL,
     EpochDecomposition,
     Instance,
@@ -39,12 +40,10 @@ from txsched.model import (
 from txsched.oracle import ARMIJO_C, TIME_FLOOR, OracleSolution
 from txsched.power import NegativeRate, NonFiniteEnergy, PowerModel, ZeroRate
 from txsched.scheduler import (
-    _PIECE_EPS,
     IterationStep,
     IterationTrace,
     NoCandidates,
     _check_solution_invariants,
-    _positions,
     InternalDeadlineMiss,
     InternalIdle,
     Schedule,
@@ -308,7 +307,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
                 f"of {bits[i]} bits"
             )
 
-    dust = _PIECE_EPS * instance.horizon
+    dust = instance.dust
     tau = tau_from_segments(instance, decomp, schedule.segments)
     if np.any(tau < -dust):
         violations.append("negative epoch allocation in tau")
@@ -540,7 +539,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     arrived, unfinished member with the earliest deadline (ties to the
     lower id).  Idling inside a piece or an unfinished member signal an
     internal bug: the caller only passes windows whose rate makes both
-    impossible.  Steps are cut to within _PIECE_EPS relative to the
+    impossible.  Steps are cut to within DUST_REL_TOL relative to the
     largest piece endpoint; arrivals and deadlines are compared to within
     TIME_REL_TOL times the latest member deadline, and an arrival within
     that tolerance ahead of `t` is admitted only when nothing else can
@@ -552,7 +551,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    eps = _PIECE_EPS * max(
+    eps = DUST_REL_TOL * max(
         (abs(float(x)) for piece in pieces for x in piece), default=0.0
     )
     tol = TIME_REL_TOL * max(abs(p.deadline) for p in members)
@@ -631,7 +630,7 @@ def tau_from_segments(instance: Instance, decomp, table: SegmentTable) -> np.nda
     segments = segment_list(table)
     grid = np.array(decomp.instants)
     tau = np.zeros((instance.n, decomp.m))
-    dust = _PIECE_EPS * instance.horizon
+    dust = instance.dust
     for seg in segments:
         if not 1 <= seg.packet <= instance.n:
             continue
@@ -667,16 +666,39 @@ def schedule_energy(model: PowerModel, rates) -> float:
     return total
 
 
+def positions(times: np.ndarray, reserved) -> np.ndarray:
+    """Positions of instants on the timeline that is left once the
+    sorted, disjoint `reserved` pieces are cut out: each instant moves
+    left by the reserved time before it, and an instant in a closed
+    reserved piece [s_k, e_k] lands exactly where that piece was cut,
+    at s_k - c_(k-1), with c_(k-1) the reserved time before the piece.
+    So equal cut instants are one float, and positions never descend."""
+    times = np.asarray(times, dtype=float)
+    if not reserved:
+        return times
+    starts, ends = np.asarray(reserved, dtype=float).T
+    before = np.concatenate(([0.0], np.cumsum(ends - starts)))
+    # k[t] pieces start at or before t; t lies in the last of them when
+    # it is not past its end
+    k = starts.searchsorted(times, "right")
+    last = np.maximum(k - 1, 0)
+    inside = (k > 0) & (times <= ends[last])
+    return np.where(inside, starts[last] - before[last], times - before[k])
+
+
 def solve(instance: Instance, model: PowerModel) -> Schedule:
     """One round loop over all packets at once: every round scores the
     windows of every still-active packet, whatever its busy period, on
     the matmul `candidate_grid`.  It fills through `scheduler.edf_fill`,
-    the name tests patch."""
+    the name tests patch.  Packets arrive and are due at their grid
+    instants, as in `scheduler.solve`; the loop places them on the
+    time left free by cutting the reserved intervals out."""
     n = instance.n
-    arrivals = instance.arrivals()
-    deadlines = instance.deadlines()
+    grid = np.array(instance.decomposition.instants)
+    lo, hi = instance.decomposition.ranges
+    arrivals, deadlines = grid[lo], grid[hi]
     bits = instance.bits()
-    dust = _PIECE_EPS * instance.horizon
+    dust = instance.dust
     active = np.ones(n, dtype=bool)
     reserved: list[tuple[float, float]] = []
     steps: list[IterationStep] = []
@@ -686,8 +708,8 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     while active.any():
         idx = np.flatnonzero(active)
         starts, ends, in_start, in_end, rate_grid, valid = candidate_grid(
-            _positions(arrivals[idx], reserved),
-            _positions(deadlines[idx], reserved),
+            positions(arrivals[idx], reserved),
+            positions(deadlines[idx], reserved),
             bits[idx],
             instance.time_tol,
         )

@@ -21,12 +21,14 @@ import numpy as np
 import pytest
 import reference_impl as ref
 from reference_impl import Segment, dense, segment_list, segment_table
-from test_chain_family import chain_instance
+from test_chain_family import certified, chain_instance
 from test_scheduler import one_period_grid
 
 from txsched import (
     EpochDecomposition,
     GeneratorConfig,
+    Instance,
+    InternalInvariantViolation,
     Monomial,
     Packet,
     Schedule,
@@ -397,8 +399,10 @@ def mixed_instance(shift=0.0):
 
 
 def busy_periods(inst):
-    """The number of busy periods `solve` splits the instance into."""
-    return len(scheduler._busy_periods(inst.arrivals(), inst.deadlines(), inst.time_tol)[1]) - 1
+    """The number of busy periods `solve` splits the instance into: the
+    runs of live epochs."""
+    live = inst.decomposition.coverage() > 0
+    return int(live[0]) + int(np.count_nonzero(live[1:] & ~live[:-1]))
 
 
 def assert_same_solution(inst):
@@ -511,23 +515,20 @@ def test_batched_blocks_match_single_period_grids():
     checked = 0
     for _ in range(80):
         picked = [cases[i] for i in rng.choice(len(cases), int(rng.integers(2, 7)))]
-        tol = max(case[3] for case in picked)
         offsets = np.cumsum([0.0] + [c[1].max() - c[0].min() + 1.0 for c in picked[:-1]])
         offsets -= [c[0].min() for c in picked]
-        periods = [(a + o, d + o, b) for (a, d, b, _), o in zip(picked, offsets)]
+        periods = [(a + o, d + o, b) for (a, d, b), o in zip(picked, offsets)]
         times = np.concatenate([np.stack(p[:2]) for p in periods], axis=1)
         period = np.repeat(np.arange(len(periods)), [len(p[2]) for p in periods])
-        gaps = [(p[1].max() + q[0].min()) / 2 for p, q in zip(periods, periods[1:])]
-        windows = scheduler._window_ranks(times, period, np.array([-np.inf, *gaps, np.inf]), tol)
+        heads = [p[0].min() for p in periods]
+        windows = scheduler._window_ranks(times, period, np.array([*heads, np.inf]))
         bits = np.concatenate([p[2] for p in periods])
         lo = int(rng.integers(0, len(periods)))
         run = range(lo, int(rng.integers(lo + 1, len(periods) + 1)))
-        rates, valid = scheduler._candidate_grid(windows, bits, tol, run)
+        rates, valid = scheduler._candidate_grid(windows, bits, run)
         si, ei = scheduler._argmax_lex(rates, valid)
         for k, g in enumerate(run):
-            starts, ends, start_rank, end_rank, alone, alone_valid = one_period_grid(
-                periods[g][0], periods[g][1], periods[g][2], tol
-            )
+            starts, ends, start_rank, end_rank, alone, alone_valid = one_period_grid(*periods[g])
             rows = period == g
             assert np.array_equal(windows.start_rank[rows], start_rank)
             assert np.array_equal(windows.end_rank[rows], end_rank)
@@ -542,17 +543,32 @@ def test_batched_blocks_match_single_period_grids():
     assert checked > 100
 
 
+def grid_positions(arrivals, deadlines, tol, rng=None):
+    """Arrivals and deadlines on the epoch grid that time tolerance
+    `tol` cuts, at their positions on the free time, as `solve` places
+    them.  With `rng`, about half the epochs are reserved, so instants
+    collapse and windows can shrink to nothing."""
+    inst = Instance((np.ones(len(arrivals)), arrivals, deadlines), tol / TIME_REL_TOL)
+    lengths = inst.decomposition.epoch_lengths()
+    if rng is not None:
+        lengths[rng.random(len(lengths)) < 0.5] = 0.0
+    position = np.concatenate(([0.0], np.cumsum(lengths)))
+    lo, hi = inst.decomposition.ranges
+    return position[lo], position[hi]
+
+
 def grid_inputs():
-    """(arrivals, deadlines, bits, tol) for the grid comparison."""
+    """(arrivals, deadlines, bits) for the grid comparison, the arrivals
+    and deadlines as grid positions."""
     rng = np.random.default_rng(17)
     cases = []
-    # a lattice of eighths with tol a quarter: repeated instants, and
-    # instants exactly tol and tol/2 apart, as exact floats
+    # a lattice of eighths on a grid of tol a quarter: repeated
+    # instants, as exact floats, and windows of no length
     for _ in range(40):
         k = int(rng.integers(1, 25))
         a = rng.integers(0, 32, k) / 8.0
         d = a + rng.integers(1, 24, k) / 8.0
-        cases.append((a, d, rng.uniform(0.1, 3.0, k), 0.25))
+        cases.append((*grid_positions(a, d, 0.25), rng.uniform(0.1, 3.0, k)))
     # instants just inside, at and just outside time_tol of each other
     for _ in range(40):
         k = int(rng.integers(2, 25))
@@ -561,35 +577,29 @@ def grid_inputs():
         base = rng.uniform(0.0, 10.0, 4)
         a = rng.choice(base, k) + rng.choice(offsets, k)
         d = rng.choice(base + 10.0, k) - rng.choice(offsets, k)
-        cases.append((a, d, rng.uniform(0.1, 3.0, k), tol))
-    # positions after reservations: instants inside a reserved piece
-    # collapse onto its cut, and windows can shrink to nothing
+        cases.append((*grid_positions(a, d, tol), rng.uniform(0.1, 3.0, k)))
+    # positions after reservations: instants in a reserved run collapse
+    # onto its cut
     for _ in range(40):
         k = int(rng.integers(1, 25))
         a = rng.uniform(0.0, 15.0, k)
         d = a + rng.uniform(0.2, 5.0, k)
-        edges = np.sort(rng.uniform(0.0, 20.0, 2 * int(rng.integers(1, 6))))
-        reserved = [(float(edges[i]), float(edges[i + 1])) for i in range(0, len(edges), 2)]
-        tol = TIME_REL_TOL * 20.0
-        cases.append((
-            scheduler._positions(a, reserved),
-            scheduler._positions(d, reserved),
-            rng.uniform(0.1, 3.0, k),
-            tol,
-        ))
+        cases.append((*grid_positions(a, d, TIME_REL_TOL * 20.0, rng), rng.uniform(0.1, 3.0, k)))
     return cases
 
 
 def test_histogram_grid_matches_matmul_grid():
     """The same windows, the same packets in each, the same rates to
-    1e-13 and the same selected cell as the dense matmul grid; the
-    same valid cells, so the same `IterationStep.candidates`."""
+    1e-13 and the same selected cell as the dense matmul grid; the same
+    valid cells, so the same `IterationStep.candidates`.  On grid
+    positions one instant is one float, so the matmul grid contains
+    exactly, with no time tolerance."""
     checked = 0
-    for arrivals, deadlines, bits, tol in grid_inputs():
+    for arrivals, deadlines, bits in grid_inputs():
         starts, ends, start_rank, end_rank, rates, valid = one_period_grid(
-            arrivals, deadlines, bits, tol
+            arrivals, deadlines, bits
         )
-        old = ref.candidate_grid(arrivals, deadlines, bits, tol)
+        old = ref.candidate_grid(arrivals, deadlines, bits, 0.0)
         assert np.array_equal(starts, old[0]) and np.array_equal(ends, old[1])
         # packet p is in window (s, e) exactly when in_start[p, s] and
         # in_end[p, e]: the same member set in every cell
@@ -612,7 +622,7 @@ def test_tau_from_segments_matches_loop():
     inst = nested_instance(n=30, seed=2)
     decomp = decompose(inst)
     grid = np.array(decomp.instants)
-    dust = scheduler._PIECE_EPS * inst.horizon
+    dust = inst.dust
     rng = np.random.default_rng(9)
     for _ in range(20):
         segments = []
@@ -829,6 +839,67 @@ def _clustered_instances(rng, count):
         assert inst.time_tol == tol
         out.append(inst)
     return out
+
+
+def on_grid(inst):
+    """The instance with every arrival and deadline moved onto its grid
+    instant, its rows kept."""
+    grid = np.array(inst.decomposition.instants)
+    lo, hi = inst.decomposition.ranges
+    table = np.stack([inst.bits(), grid[lo], grid[hi]])
+    table.flags.writeable = False
+    return Instance(tuple(table), float(grid[-1]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+@pytest.mark.parametrize("third", ["overlap", "gap"])
+def test_deadlines_within_time_tol_certify(third, scale):
+    """Packet 2 is due tol/2 before packet 1, so their deadlines are one
+    grid instant; packet 3 overlaps it, or follows an idle gap of 0.9
+    tol.  The solver transmits packet 1 only until that grid instant, so
+    the verifier finds no time outside a window; solving on raw instants
+    sent packet 1 on to its own deadline, and the certificate refused it."""
+    tol = TIME_REL_TOL * 2.0
+    late = (0.8, 2.0) if third == "overlap" else (1.0 + 0.9 * tol, 2.0)
+    rows = [(0.0, 1.0), (0.5, 1.0 - 0.5 * tol), late]
+    inst = normalize_instance(
+        Packet(i + 1, scale, a * scale, d * scale) for i, (a, d) in enumerate(rows)
+    )
+    due = inst.decomposition.instants[inst.decomposition.hi[0]]
+    assert due == (1.0 - 0.5 * tol) * scale
+    sched = certified(inst)
+    assert sched.segments.end[sched.segments.packet == 1].max() <= due
+
+
+def test_grid_copies_solve_alike():
+    """Each clustered instance and its copy with every instant on its
+    grid point give byte-identical schedule JSON, and certify.
+
+    The exception: a few time tolerances of window, 1e-9 s here, at an
+    instant near 1 s leave a transmission time about 1e7 float steps, so
+    a round that splits such a window among its members cannot deliver
+    their bits to the 1e-9 the bit invariant asks; those few solves fail
+    that invariant, the copy's alike.  (Shannon power overflows at the
+    rates of such windows, so the law is a monomial.)"""
+    model = Monomial(2.0, 1.0)
+    refused = []
+    for inst in _clustered_instances(np.random.default_rng(12), 150):
+        outcomes = []
+        for copy in (inst, on_grid(inst)):
+            assert copy.decomposition.instants == inst.decomposition.instants
+            try:
+                sched = solve(copy, model)
+            except InternalInvariantViolation as exc:
+                outcomes.append(str(exc))
+                continue
+            text = schedule_to_json(sched)
+            extract_certificate(copy, schedule_from_json(text, copy), model)
+            outcomes.append(text)
+        assert outcomes[0] == outcomes[1]
+        if not outcomes[0].startswith("{"):
+            refused.append(outcomes[0])
+    assert set(refused) <= {"delivered bits do not match packet sizes"}
+    assert len(refused) <= 6
 
 
 def test_ranges_match_set_families():

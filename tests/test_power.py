@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from txsched import (
     ZeroRate,
     schedule_energy,
 )
-from txsched.power import per_distinct_rate
+from txsched.power import _G_SERIES_X, per_distinct_rate
 
 LN2 = math.log(2.0)
 G_AT_ONE = 8 * LN2 - 3  # rate 1, unit noise: 1 * f'(1) - f(1)
@@ -23,6 +24,18 @@ G_AT_ONE = 8 * LN2 - 3  # rate 1, unit noise: 1 * f'(1) - f(1)
 
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def shannon_g_series(noise, r):
+    """noise * sum over k >= 2 of (k - 1) x^k / k!, x = 2 ln2 r as a float,
+    summed in exact rationals to the 40th power: below x = 1 the terms
+    left out are under 1e-40 of the sum."""
+    x = Fraction(2 * LN2 * r)
+    term, total = x, Fraction(0)
+    for k in range(2, 41):
+        term = term * x / k
+        total += (k - 1) * term
+    return float(Fraction(noise) * total)
 
 
 class TestPowerValues:
@@ -59,6 +72,24 @@ class TestG:
             fp = central_diff(model.power, r, 1e-6)
             expected = r * fp - model.power(r)
             assert model.g(r) == pytest.approx(expected, rel=1e-6)
+
+    def test_small_rates_follow_the_series(self):
+        # r f'(r) - f(r) would be 3.7e-5 off at r = 1e-12
+        model = Shannon(1.5)
+        top = _G_SERIES_X / (2 * LN2)
+        rates = np.geomspace(1e-12, top, 300, endpoint=False)
+        for r, value in zip(rates.tolist(), model.g(rates).tolist()):
+            assert value == pytest.approx(shannon_g_series(1.5, r), rel=1e-14, abs=0)
+            assert model.g(r) == value
+
+    def test_series_meets_closed_form_at_threshold(self):
+        model = Shannon(1.0)
+        r = _G_SERIES_X / (2 * LN2)
+        closed = r * model.power_deriv(r) - model.power(r)
+        assert model.g(r) == closed
+        assert shannon_g_series(1.0, r) == pytest.approx(closed, rel=1e-15, abs=0)
+        below = float(np.nextafter(r, 0.0))
+        assert model.g(below) == pytest.approx(closed, rel=1e-15, abs=0)
 
     def test_monotone_on_grid(self):
         for model in (Shannon(0.7), Monomial(2.5, 0.3)):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference_impl import Segment, dense, member_columns, segment_list, segment_table
+from reference_impl import Segment, dense, member_columns, positions, segment_list, segment_table
 from test_chain_family import certified, chain_instance
 
 from txsched import (
@@ -23,7 +23,7 @@ from txsched import (
     solve,
 )
 from txsched.model import TIME_REL_TOL
-from txsched.scheduler import _argmax_lex, _candidate_grid, _positions, _window_ranks
+from txsched.scheduler import _argmax_lex, _candidate_grid, _window_ranks
 
 
 def P(pid, bits, arrival, deadline):
@@ -39,27 +39,27 @@ def nested_instance():
     return normalize_instance([P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
 
 
-def one_period_grid(arrivals, deadlines, bits, tol):
-    """The candidate grid of packets in one busy period, as (starts,
-    ends, start_rank, end_rank, rates, valid) with 2-d rates and valid."""
+def one_period_grid(arrivals, deadlines, bits):
+    """The candidate grid of packets in one busy period, from their
+    arrival and deadline grid positions, as (starts, ends, start_rank,
+    end_rank, rates, valid) with 2-d rates and valid."""
     windows = _window_ranks(
         np.stack((arrivals, deadlines)), np.zeros(len(arrivals), dtype=np.intp),
-        np.array([-np.inf, np.inf]), tol,
+        np.array([-np.inf, np.inf]),
     )
-    rates, valid = _candidate_grid(windows, bits, tol, range(1))
+    rates, valid = _candidate_grid(windows, bits, range(1))
     return windows.starts, windows.ends, windows.start_rank, windows.end_rank, rates[0], valid[0]
 
 
 def candidates(packets):
     """{(start, end): (rate, member ids)} over the valid cells of the
-    candidate grid, with the grid's arrays for selection."""
-    ids = np.array([p.id for p in packets])
-    grid = one_period_grid(
-        np.array([p.arrival for p in packets]),
-        np.array([p.deadline for p in packets]),
-        np.array([p.bits for p in packets]),
-        TIME_REL_TOL * max(p.deadline for p in packets),
-    )
+    candidate grid of the packets' instance, its arrivals and deadlines
+    at their grid instants, with the grid's arrays for selection."""
+    inst = normalize_instance(packets)
+    ids = np.array([inst.id_map[k] for k in range(1, inst.n + 1)])
+    instants = np.array(inst.decomposition.instants)
+    lo, hi = inst.decomposition.ranges
+    grid = one_period_grid(instants[lo], instants[hi], inst.bits())
     starts, ends, start_rank, end_rank, rates, valid = grid
     table = {
         (float(starts[si]), float(ends[ei])): (
@@ -97,23 +97,19 @@ class TestEnumerate:
         assert table[(2.0, 3.0)][0] == pytest.approx(5.0)
         assert table[(0.0, 3.0)][0] == pytest.approx(8.0 / 3.0)
 
-    def test_arrival_within_tolerance_counts_in_both_starts(self):
-        # packet 2 arrives tol/2 after packet 1, so both packets count
-        # from either start: the later start's windows hold the same
-        # packets as the earlier start's
+    def test_arrival_within_tolerance_is_one_start(self):
+        # packet 2 arrives tol/2 after packet 1: both arrive at one grid
+        # instant, so the windows have one start, and both packets rank
+        # there
         tol = TIME_REL_TOL * 4.0
         table, (starts, _, start_rank, _, _, _) = candidates(
-            [P(1, 1.0, 1.0, 3.0), P(2, 2.0, 1.0 + tol / 2, 4.0)]
+            [P(1, 1.0, 0.0, 3.0), P(2, 2.0, tol / 2, 4.0)]
         )
-        assert starts.tolist() == [1.0, 1.0 + tol / 2]
-        assert start_rank.tolist() == [1, 1]
-        assert set(table) == {
-            (1.0, 3.0), (1.0, 4.0), (1.0 + tol / 2, 3.0), (1.0 + tol / 2, 4.0)
-        }
-        assert table[(1.0, 3.0)] == (pytest.approx(0.5), {1})
-        assert table[(1.0, 4.0)] == (pytest.approx(1.0), {1, 2})
-        assert table[(1.0 + tol / 2, 3.0)][1] == {1}
-        assert table[(1.0 + tol / 2, 4.0)][1] == {1, 2}
+        assert starts.tolist() == [0.0]
+        assert start_rank.tolist() == [0, 0]
+        assert set(table) == {(0.0, 3.0), (0.0, 4.0)}
+        assert table[(0.0, 3.0)] == (pytest.approx(1.0 / 3.0), {1})
+        assert table[(0.0, 4.0)] == (pytest.approx(0.75), {1, 2})
 
     def test_at_most_n_squared(self):
         rng = np.random.default_rng(3)
@@ -157,8 +153,8 @@ class TestSelect:
 
     def test_empty_rejected(self, monkeypatch):
         # a grid without a valid window stops the solver
-        def no_windows(windows, bits, tol, periods):
-            rates, valid = _candidate_grid(windows, bits, tol, periods)
+        def no_windows(windows, bits, periods):
+            rates, valid = _candidate_grid(windows, bits, periods)
             return rates, np.zeros_like(valid)
 
         monkeypatch.setattr(scheduler, "_candidate_grid", no_windows)
@@ -167,13 +163,13 @@ class TestSelect:
 
 
 def positions_after_cut(times):
-    return _positions(np.array(times, dtype=float), [(0.5, 1.0)]).tolist()
+    return positions(np.array(times, dtype=float), [(0.5, 1.0)]).tolist()
 
 
 class TestShiftOut:
-    """Positions on the timeline left after cutting out (0.5, 1.0):
-    instants before the cut stay, instants inside land on the cut,
-    instants after it move left by its length."""
+    """The reference solver's positions on the timeline left after
+    cutting out (0.5, 1.0): instants before the cut stay, instants
+    inside land on the cut, instants after it move left by its length."""
 
     def test_straddling_window_contracts(self):
         assert positions_after_cut([0.0, 2.0]) == pytest.approx([0.0, 1.5])
@@ -192,8 +188,23 @@ class TestShiftOut:
 
     def test_several_cuts_add_up(self):
         reserved = [(0.5, 1.0), (2.0, 3.0)]
-        out = _positions(np.array([0.2, 0.7, 1.5, 2.5, 4.0]), reserved)
+        out = positions(np.array([0.2, 0.7, 1.5, 2.5, 4.0]), reserved)
         assert out.tolist() == pytest.approx([0.2, 0.5, 1.0, 1.5, 2.5])
+
+    def test_instants_in_a_piece_are_one_float(self):
+        # every instant of a closed reserved piece lands on s_k - c_(k-1)
+        # exactly, so positions never descend across it
+        rng = np.random.default_rng(4)
+        for scale in (1e2, 1e4) * 6:
+            edges = np.sort(rng.uniform(0.0, scale, 40))
+            reserved = [(float(s), float(e)) for s, e in zip(edges[0::2], edges[1::2])]
+            before = np.concatenate(([0.0], np.cumsum(edges[1::2] - edges[0::2])))
+            times = np.sort(np.concatenate((edges, rng.uniform(0.0, scale, 400))))
+            out = positions(times, reserved)
+            assert np.all(np.diff(out) >= 0)
+            for k, (s, e) in enumerate(reserved):
+                inside = (times >= s) & (times <= e)
+                assert set(out[inside].tolist()) == {s - before[k]}
 
 
 class TestUnshift:
@@ -201,7 +212,7 @@ class TestUnshift:
 
     def test_first_iteration_is_identity(self):
         times = np.array([0.0, 0.5, 2.0])
-        assert _positions(times, []).tolist() == [0.0, 0.5, 2.0]
+        assert positions(times, []).tolist() == [0.0, 0.5, 2.0]
 
     def test_gap_reinsertion(self):
         steps = solve(nested_instance(), Shannon(1.0)).trace.steps

@@ -34,7 +34,9 @@ for i, (b, a, d) in enumerate(zip(instance.bits(), instance.arrivals(),
 decomp = decompose(instance)
 print("\nepoch grid:", decomp.instants)
 # Packet i can transmit in the epoch columns lo[i-1] <= c < hi[i-1].
-for j, (s, e) in enumerate(decomp.epochs, start=1):
+# Epoch j runs from grid instant j-1 to grid instant j.
+grid = decomp.instants
+for j, (s, e) in enumerate(zip(grid, grid[1:]), start=1):
     feas = [i for i, (a, d) in enumerate(zip(decomp.lo, decomp.hi), start=1) if a < j <= d]
     print(f"  epoch {j} = [{s}, {e}]  transmittable: {feas}")
 

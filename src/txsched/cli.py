@@ -76,7 +76,7 @@ def _cmd_gen(args) -> int:
         min_window_frac=args.min_window_frac,
     )
     instance = generate(config)
-    _write(args.output, instance_to_json(instance, noise_power=args.noise or 1.0))
+    _write(args.output, instance_to_json(instance, noise_power=args.noise))
     return EXIT_OK
 
 
@@ -189,12 +189,12 @@ def _cmd_trace(args) -> int:
     model = _model_from_args(args, noise)
     schedule = solve(instance, model)
     decomp = instance.decomposition
+    grid = decomp.instants
     rows, cols = decomp.pairs()
     lines = ["packet,epoch,start,end,tau"]
     times = epoch_times(instance, schedule).on_pairs(decomp).tolist()
     for i, j, t in zip(rows.tolist(), cols.tolist(), times):
-        s, e = decomp.epochs[j]
-        lines.append(f"{i + 1},{j + 1},{float(s)!r},{float(e)!r},{t!r}")
+        lines.append(f"{i + 1},{j + 1},{grid[j]!r},{grid[j + 1]!r},{t!r}")
     _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -173,13 +173,12 @@ class EpochDecomposition:
     """
 
     instants: tuple[float, ...]
-    epochs: tuple[tuple[float, float], ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
     @property
     def m(self) -> int:
-        return len(self.epochs)
+        return len(self.instants) - 1
 
     def epoch_lengths(self) -> np.ndarray:
         return np.diff(np.array(self.instants))
@@ -220,17 +219,6 @@ class EpochDecomposition:
     def live_epochs(self) -> list[int]:
         """1-based indices of epochs some packet can transmit in."""
         return (np.flatnonzero(self.coverage()) + 1).tolist()
-
-    def live_region(self) -> list[tuple[float, float]]:
-        """Union of live epochs, merged into maximal intervals."""
-        out: list[tuple[float, float]] = []
-        for j in self.live_epochs():
-            s, e = self.epochs[j - 1]
-            if out and out[-1][1] == s:
-                out[-1] = (out[-1][0], e)
-            else:
-                out.append((s, e))
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +298,7 @@ def normalize_columns(ids, bits, arrivals, deadlines) -> Instance:
 
 
 def decompose(instance: Instance) -> EpochDecomposition:
-    """Build the instant grid, the epochs and each packet's epoch range."""
+    """Build the instant grid and each packet's epoch range."""
     # Greedy clustering anchored on each cluster's first instant: an
     # instant joins the current cluster while it lies within the time
     # tolerance of that representative, so a run of instants spaced
@@ -328,7 +316,6 @@ def decompose(instance: Instance) -> EpochDecomposition:
     hi = np.searchsorted(grid, instance.deadlines(), side="right") - 1
     return EpochDecomposition(
         instants=tuple(reps),
-        epochs=tuple(zip(reps, reps[1:])),
         lo=tuple(lo.tolist()),
         hi=tuple(hi.tolist()),
     )
@@ -342,8 +329,19 @@ def is_non_fifo(instance: Instance) -> set[int]:
     return {i + 1 for i in range(instance.n) if np.any((a < a[i]) & (d > d[i]))}
 
 
+def _check_noise_power(value):
+    """An instance document's noise power must be a positive, finite
+    number."""
+    # a bool is an int, but true is no noise power
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value > 0):
+        raise InstanceFormatError(f"noise_power must be positive and finite, got {value}")
+
+
 def instance_to_json(instance: Instance, noise_power: float = 1.0) -> str:
-    """Serialize to the on-disk instance format."""
+    """Serialize to the on-disk instance format; the noise power must be
+    one `instance_from_json` reads back."""
+    _check_noise_power(noise_power)
     rows = zip(*(c.tolist() for c in instance.columns))
     doc = {
         "noise_power": noise_power,
@@ -368,12 +366,7 @@ def instance_from_json(text: str) -> tuple[Instance, float]:
     if not isinstance(doc, dict) or not isinstance(doc.get("packets"), list):
         raise InstanceFormatError("instance document must contain a 'packets' list")
     noise_power = doc.get("noise_power", 1.0)
-    # a bool is an int, but true is no noise power
-    number = isinstance(noise_power, (int, float)) and not isinstance(noise_power, bool)
-    if not (number and math.isfinite(noise_power) and noise_power > 0):
-        raise InstanceFormatError(
-            f"noise_power must be positive and finite, got {noise_power}"
-        )
+    _check_noise_power(noise_power)
     columns = ([], [], [], [])
     for k, entry in enumerate(doc["packets"]):
         try:

@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _intervals
-from .model import DUST_REL_TOL, TIME_REL_TOL, Instance, PairTable
+from .model import DUST_REL_TOL, Instance, PairTable
 from .power import PowerModel, schedule_energy
 
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
@@ -272,13 +271,11 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     Steps are cut to within `eps`, DUST_REL_TOL relative to the largest
     piece endpoint, since the steps add up in float and one ulp of a
     large instant exceeds any absolute epsilon; for the same reason a
-    member is done once less than `eps` of its time is left.  An arrival
-    or deadline is the same instant as `t` within `tol`, TIME_REL_TOL
-    times the latest member deadline: the scale of the instance's time
-    tolerance.
-    That tolerance admits a member early only when no arrived member is
-    waiting; otherwise the running step ends at the arrival, so no
-    member transmits before its arrival instant while another could.
+    member is done once less than `eps` of its time is left, and an
+    arrival or deadline within `eps` of `t` is the instant `t`.  The
+    callers pass grid instants, on which instants within the instance's
+    time tolerance are already one float, so `eps` is the only
+    tolerance: no member is admitted more than `eps` before its arrival.
     """
     ids, bits, arrivals, deadlines = members
     if not ids:
@@ -288,7 +285,6 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     eps = DUST_REL_TOL * max(
         (abs(float(x)) for piece in pieces for x in piece), default=0.0
     )
-    tol = TIME_REL_TOL * max(abs(d) for d in deadlines)
     pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
         if s1 < e0 - eps:
@@ -325,14 +321,12 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
         t = ps
         while pe - t > eps:
             admit(t + eps)
-            if not heap:
-                admit(t + tol)
-            if heap and heap[0][0] < t - tol:
+            if heap and heap[0][0] < t - eps:
                 # A member past its deadline has arrived, so the heap holds
                 # every unfinished one; name the first in member order.
                 late = next(
                     k for k in range(len(ids))
-                    if need[k] > need_tol and deadlines[k] < t - tol
+                    if need[k] > need_tol and deadlines[k] < t - eps
                 )
                 raise InternalDeadlineMiss(
                     f"packet {ids[late]} unfinished at its deadline {deadlines[late]}"
@@ -341,7 +335,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
                 raise InternalIdle(f"no transmittable packet at time {t}")
             deadline, pid, cur = heap[0]
             dur = min(pe - t, need[cur])
-            if deadline - t < dur - tol:
+            if deadline - t < dur - eps:
                 dur = max(deadline - t, 0.0)
                 if dur <= eps:
                     raise InternalDeadlineMiss(
@@ -374,24 +368,33 @@ def _check_solution_invariants(
     instance: Instance, trace: IterationTrace, segments: SegmentTable, rates: np.ndarray
 ):
     steps = trace.steps
-    tol = instance.time_tol
     for g in range(len(steps) - 1):
         if steps[g + 1].rate > steps[g].rate * (1.0 + 1e-9):
             raise InternalInvariantViolation(
                 f"iteration rates increased: {steps[g].rate} -> {steps[g + 1].rate}"
             )
-    all_pieces = sorted(p for s in steps for p in s.pieces)
-    for (s0, e0), (s1, _) in zip(all_pieces, all_pieces[1:]):
-        if s1 < e0 - tol:
-            raise InternalInvariantViolation("reserved pieces overlap across rounds")
-    merged = _intervals.merge(all_pieces, tol)
-    live = instance.decomposition.live_region()
-    gap = _intervals.measure(
-        _intervals.subtract(live, merged, instance.dust)
-    ) + _intervals.measure(_intervals.subtract(merged, live, instance.dust))
-    if gap > 1e-6 * instance.horizon:
+    # Every piece runs from one grid instant to another, and the pieces
+    # reserve each live epoch exactly once and no dead one.
+    decomp = instance.decomposition
+    grid = np.array(decomp.instants)
+    pieces = np.array([p for step in steps for p in step.pieces]).reshape(-1, 2)
+    index = grid.searchsorted(pieces)
+    off = pieces[grid[np.minimum(index, decomp.m)] != pieces]
+    if len(off):
+        raise InternalInvariantViolation(f"reserved piece endpoint {off[0]} is not a grid instant")
+    opens, shuts = (np.bincount(index[:, k], minlength=len(grid)) for k in (0, 1))
+    count = np.cumsum(opens - shuts)[:-1]  # the pieces reserving each epoch
+    live = decomp.coverage() > 0
+    over, wrong = count > 1, count != live
+    if over.any():
         raise InternalInvariantViolation(
-            f"reserved pieces do not tile the live region (mismatch {gap})"
+            f"reserved pieces overlap across rounds in epoch {over.argmax() + 1}"
+        )
+    if wrong.any():
+        j = wrong.argmax()
+        raise InternalInvariantViolation(
+            "reserved pieces do not tile the live region: "
+            f"{'live epoch left free' if live[j] else 'dead epoch reserved'} (epoch {j + 1})"
         )
     delivered = np.bincount(
         segments.packet - 1,
@@ -549,7 +552,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         for g, (p, h, c) in enumerate(zip(busy, head.tolist(), candidates)):
             a, b = cut[g], cut[g + 1]
             own = pieces[first_piece[g]:first_piece[g + 1]]
-            rate = float(member_bits[a:b].sum() / _intervals.measure(own))
+            rate = float(member_bits[a:b].sum() / sum(e - s for s, e in own))
             fill = tuple(column[a:b] for column in columns)
             step = IterationStep(
                 rate=rate, members=frozenset(fill[0]), pieces=tuple(own), candidates=c

@@ -16,9 +16,11 @@ multipliers, tables, energy and oracle iterates, and identical
 segments.  `decompose_sets` builds the epoch containment relation as
 frozenset families (`epoch_sets_per_packet` and `packet_sets_per_epoch`
 read the same families off a range decomposition), and `dense` the
-N x M table, the representations the loops were written for.  The
-loops add a table's rows and columns cell by cell in index order, the
-order the sparse table's sums take.
+N x M table, the representations the loops were written for; the loop
+solver reserves time as sorted interval lists (`merge`, `subtract` and
+`measure`), where `scheduler.solve` keeps one epoch mask.  The loops
+add a table's rows and columns cell by cell in index order, the order
+the sparse table's sums take.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from txsched import _intervals, scheduler
+from txsched import scheduler
 from txsched.model import (
     DUST_REL_TOL,
-    TIME_REL_TOL,
     EpochDecomposition,
     Instance,
     PairTable,
@@ -539,12 +540,10 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     arrived, unfinished member with the earliest deadline (ties to the
     lower id).  Idling inside a piece or an unfinished member signal an
     internal bug: the caller only passes windows whose rate makes both
-    impossible.  Steps are cut to within DUST_REL_TOL relative to the
-    largest piece endpoint; arrivals and deadlines are compared to within
-    TIME_REL_TOL times the latest member deadline, and an arrival within
-    that tolerance ahead of `t` is admitted only when nothing else can
-    run.  `members` and the result are those of `scheduler.edf_fill`:
-    member columns in, (packet, start, end, rate) rows out.
+    impossible.  Steps are cut, and arrivals and deadlines compared, to
+    within DUST_REL_TOL relative to the largest piece endpoint.
+    `members` and the result are those of `scheduler.edf_fill`: member
+    columns in, (packet, start, end, rate) rows out.
     """
     members = [Member(*row) for row in zip(*members)]
     if not members:
@@ -554,7 +553,6 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     eps = DUST_REL_TOL * max(
         (abs(float(x)) for piece in pieces for x in piece), default=0.0
     )
-    tol = TIME_REL_TOL * max(abs(p.deadline) for p in members)
     pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
     for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
         if s1 < e0 - eps:
@@ -580,7 +578,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
         t = ps
         while pe - t > eps:
             for p in members:
-                if need[p.id] > need_tol and p.deadline < t - tol:
+                if need[p.id] > need_tol and p.deadline < t - eps:
                     raise InternalDeadlineMiss(
                         f"packet {p.id} unfinished at its deadline {p.deadline}"
                     )
@@ -591,17 +589,10 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
                 if need[p.id] > need_tol and p.arrival <= reach
             ]
             if not active:
-                reach = max(reach, t + tol)
-                active = [
-                    p
-                    for p in members
-                    if need[p.id] > need_tol and p.arrival <= reach
-                ]
-            if not active:
                 raise InternalIdle(f"no transmittable packet at time {t}")
             cur = min(active, key=lambda p: (p.deadline, p.id))
             dur = min(pe - t, need[cur.id])
-            if cur.deadline - t < dur - tol:
+            if cur.deadline - t < dur - eps:
                 dur = max(cur.deadline - t, 0.0)
                 if dur <= eps:
                     raise InternalDeadlineMiss(
@@ -666,6 +657,53 @@ def schedule_energy(model: PowerModel, rates) -> float:
     return total
 
 
+# Sorted, disjoint interval lists: (start, end) tuples with end > start,
+# kept sorted by start.  The caller gives the tolerance in the time unit
+# of its intervals: `merge` joins intervals apart by at most `tol`, and
+# `subtract` drops pieces no longer than it.
+
+
+def measure(intervals) -> float:
+    return sum(e - s for s, e in intervals)
+
+
+def merge(intervals, tol: float) -> list[tuple[float, float]]:
+    """Sort and coalesce intervals that touch or overlap within tol."""
+    if not intervals:
+        return []
+    ivs = sorted(intervals)
+    out = [ivs[0]]
+    for s, e in ivs[1:]:
+        ps, pe = out[-1]
+        if s <= pe + tol:
+            out[-1] = (ps, max(pe, e))
+        else:
+            out.append((s, e))
+    return out
+
+
+def subtract(a, b, tol: float) -> list[tuple[float, float]]:
+    """Parts of `a` not covered by `b` (both sorted disjoint)."""
+    out = []
+    j = 0
+    for s, e in a:
+        cur = s
+        while j < len(b) and b[j][1] <= cur:
+            j += 1
+        k = j
+        while k < len(b) and b[k][0] < e:
+            hs, he = b[k]
+            if hs - cur > tol:
+                out.append((cur, hs))
+            cur = max(cur, he)
+            if cur >= e:
+                break
+            k += 1
+        if e - cur > tol:
+            out.append((cur, e))
+    return out
+
+
 def positions(times: np.ndarray, reserved) -> np.ndarray:
     """Positions of instants on the timeline that is left once the
     sorted, disjoint `reserved` pieces are cut out: each instant moves
@@ -720,8 +758,8 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         si, ei = argmax_lex(rate_grid, valid, starts, ends)
         member_rows = idx[in_start[:, si] & in_end[:, ei]]
         span = (float(arrivals[member_rows].min()), float(deadlines[member_rows].max()))
-        pieces = _intervals.subtract([span], reserved, dust)
-        rate = float(bits[member_rows].sum() / _intervals.measure(pieces))
+        pieces = subtract([span], reserved, dust)
+        rate = float(bits[member_rows].sum() / measure(pieces))
         members = (
             (member_rows + 1).tolist(), bits[member_rows].tolist(),
             arrivals[member_rows].tolist(), deadlines[member_rows].tolist(),
@@ -736,7 +774,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
             )
         )
         rates[member_rows] = rate
-        reserved = _intervals.merge(reserved + pieces, dust)
+        reserved = merge(reserved + pieces, dust)
         active[member_rows] = False
 
     segments.sort(key=lambda sg: (sg[1], sg[2]))

@@ -33,6 +33,19 @@ class TestGen:
         rc = main(["gen", "--n", "0", "-o", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("noise", ["0", "-1", "nan", "inf"])
+    def test_bad_noise_exit_2(self, tmp_path, capsys, noise):
+        # the instance file would not read back: no file, exit 2
+        path = tmp_path / "x.json"
+        assert main(["gen", "--n", "3", f"--noise={noise}", "-o", str(path)]) == 2
+        assert "noise_power must be positive and finite" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_noise_written(self, tmp_path):
+        path = tmp_path / "x.json"
+        assert main(["gen", "--n", "3", "--noise", "0.25", "-o", str(path)]) == 0
+        assert json.loads(path.read_text())["noise_power"] == 0.25
+
 
 class TestSolveValidate:
     def test_solve_then_validate(self, instance_file, tmp_path, capsys):

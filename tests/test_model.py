@@ -189,7 +189,7 @@ class TestDecompose:
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0)])
         d = decompose(inst)
         assert d.instants == (0.0, 1.0)
-        assert d.epochs == ((0.0, 1.0),)
+        assert d.m == 1
         assert epoch_sets_per_packet(d) == (frozenset({1}),)
         assert packet_sets_per_epoch(d) == (frozenset({1}),)
 
@@ -199,7 +199,7 @@ class TestDecompose:
         inst = normalize_instance([P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
         d = decompose(inst)
         assert d.instants == (0.0, 0.5, 1.0, 2.0)
-        assert d.epochs == ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0))
+        assert d.m == 3
         assert epoch_sets_per_packet(d)[0] == frozenset({1, 2, 3})
         assert epoch_sets_per_packet(d)[1] == frozenset({2})
         assert packet_sets_per_epoch(d)[0] == frozenset({1})

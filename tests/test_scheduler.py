@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from reference_impl import Segment, dense, member_columns, positions, segment_list, segment_table
@@ -23,7 +26,7 @@ from txsched import (
     solve,
 )
 from txsched.model import TIME_REL_TOL
-from txsched.scheduler import _argmax_lex, _candidate_grid, _window_ranks
+from txsched.scheduler import IterationTrace, _argmax_lex, _candidate_grid, _window_ranks
 
 
 def P(pid, bits, arrival, deadline):
@@ -282,13 +285,11 @@ class TestEdfFill:
 
     @pytest.mark.parametrize("k", [0.5, 1.0])
     def test_arrival_within_tolerance_admitted_when_nothing_else_can_run(self, k):
+        # packet 1 finishes k time tolerances before packet 2 arrives: an
+        # arrival off the grid is not admitted early, so the fill idles
         d = k * TIME_REL_TOL * 2.0
-        segs = fill(
-            [(0.0, 2.0)], [P(1, 1.0 - d, 0.0, 1.0), P(2, 1.0 + d, 1.0, 2.0)], 1.0
-        )
-        assert [(s.packet, s.t_start, s.t_end) for s in segs] == [
-            (1, 0.0, 1.0 - d), (2, 1.0 - d, 2.0)
-        ]
+        with pytest.raises(InternalIdle, match=re.escape(f"at time {1.0 - d}")):
+            fill([(0.0, 2.0)], [P(1, 1.0 - d, 0.0, 1.0), P(2, 1.0 + d, 1.0, 2.0)], 1.0)
 
     def test_arrival_inside_gap(self):
         # member arrived during a reserved chunk; transmits from the next piece
@@ -361,6 +362,33 @@ class TestSolve:
         with pytest.raises(InternalInvariantViolation, match="delivered bits"):
             scheduler._check_solution_invariants(
                 inst, s.trace, segment_table(segs), s.rates
+            )
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("ulp", "reserved piece endpoint 1.0000000000000002 is not a grid instant"),
+        ("repeat", "reserved pieces overlap across rounds in epoch 2"),
+        ("drop", "do not tile the live region: live epoch left free (epoch 3)"),
+        ("dead", "do not tile the live region: dead epoch reserved (epoch 4)"),
+    ])
+    def test_tampered_pieces_violate_tiling(self, tamper, message):
+        # grid 0..5: packet 2 takes epoch 2, packet 3 epoch 5, packet 1
+        # epochs 1 and 3 around it; epoch 4 is dead
+        inst = normalize_instance(
+            [P(1, 1.0, 0.0, 3.0), P(2, 1.0, 1.0, 2.0), P(3, 1.0, 4.0, 5.0)]
+        )
+        s = solve(inst, Shannon(1.0))
+        steps = list(s.trace.steps)
+        assert [st.pieces for st in steps] == [((1.0, 2.0),), ((4.0, 5.0),), ((0.0, 1.0), (2.0, 3.0))]
+        last = steps[-1].pieces
+        steps[-1] = replace(steps[-1], pieces={
+            "ulp": ((0.0, np.nextafter(1.0, 2.0)), (2.0, 3.0)),
+            "repeat": last + steps[0].pieces,
+            "drop": last[:1],
+            "dead": last + ((3.0, 4.0),),
+        }[tamper])
+        with pytest.raises(InternalInvariantViolation, match=re.escape(message)):
+            scheduler._check_solution_invariants(
+                inst, IterationTrace(tuple(steps)), s.segments, s.rates
             )
 
     def test_tau_matches_allocation_constraints(self):

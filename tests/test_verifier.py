@@ -296,8 +296,7 @@ class TestPairFree:
             values = rng.choice([*rng.normal(size=6), np.inf, -np.inf, np.nan], n)
             # the pair scan, through the decomposition's own enumeration
             grid = tuple(range(m + 1))
-            d = EpochDecomposition(grid, tuple(zip(grid, grid[1:])),
-                                   tuple(lo.tolist()), tuple(hi.tolist()))
+            d = EpochDecomposition(grid, tuple(lo.tolist()), tuple(hi.tolist()))
             rows, cols = d.pairs()
             expected = np.full(m, -np.inf)
             with np.errstate(invalid="ignore"):

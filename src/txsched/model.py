@@ -63,12 +63,22 @@ def check_packets(ids, bits, arrivals, deadlines, tolerance: bool = True) -> np.
     every packet rule holds; the one place the rules live.
 
     The rules are checked packet by packet, in input order: an integer id
-    that is no bool, finite bits, arrival and deadline, positive bits, and
-    a deadline after the arrival.  Then, unless `tolerance` is False,
-    every window must span at least the time tolerance of the packets'
-    own horizon.  Raises MalformedPacket naming the first offender.
+    that is no bool, bits, arrival and deadline that are numbers (ints or
+    floats, and no bools) and finite, positive bits, and a deadline after
+    the arrival.  Then, unless `tolerance` is False, every window must
+    span at least the time tolerance of the packets' own horizon.
+    Raises MalformedPacket naming the first offender.
     """
-    table = np.array([bits, arrivals, deadlines], dtype=float).reshape(3, -1)
+    columns = (bits, arrivals, deadlines)
+    kinds = (int, float, np.integer, np.floating)  # and no bool, though a bool is an int
+    number = [  # one pass over each column's types, and over its entries only if one fails
+        [True] * len(c) if all(issubclass(t, kinds) and t is not bool for t in set(map(type, c)))
+        else [isinstance(x, kinds) and not isinstance(x, bool) for x in c]
+        for c in columns
+    ]
+    if not all(map(all, number)):  # a non-number counts as NaN until its rule is named
+        columns = [[x if ok else np.nan for x, ok in zip(c, f)] for c, f in zip(columns, number)]
+    table = np.array(columns, dtype=float).reshape(3, -1)
     b, a, d = table
     integer = [isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids]
     finite = np.isfinite(table)
@@ -76,8 +86,9 @@ def check_packets(ids, bits, arrivals, deadlines, tolerance: bool = True) -> np.
         bad = ~np.array(integer, dtype=bool) | ~finite.all(axis=0) | ~(b > 0) | ~(d > a)
     if bad.any():
         k = int(np.argmax(bad))
-        fields = zip(("bits", "arrival", "deadline"), (bits[k], arrivals[k], deadlines[k]))
+        fields = list(zip(("bits", "arrival", "deadline"), (bits[k], arrivals[k], deadlines[k])))
         reasons = [] if integer[k] else ["id must be an integer"]
+        reasons += [f"{n} must be a number, got {v!r}" for (n, v), ok in zip(fields, number) if not ok[k]]
         reasons += [f"{n} must be finite, got {v}" for (n, v), ok in zip(fields, finite[:, k]) if not ok]
         reasons += [] if b[k] > 0 else [f"bits must be positive, got {bits[k]}"]
         reasons.append(f"deadline {deadlines[k]} must exceed arrival {arrivals[k]}")
@@ -370,18 +381,11 @@ def instance_from_json(text: str) -> tuple[Instance, float]:
     columns = ([], [], [], [])
     for k, entry in enumerate(doc["packets"]):
         try:
-            row = (
-                entry["id"],
-                float(entry["bits"]),
-                float(entry["arrival"]),
-                float(entry["deadline"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            row = (entry["id"], entry["bits"], entry["arrival"], entry["deadline"])
+        except (KeyError, TypeError) as exc:
             # entries are read in order: a packet before this entry that
             # breaks a rule is named first
             check_packets(*columns, tolerance=False)
-            if isinstance(exc, ValueError):
-                raise
             raise InstanceFormatError(f"packet entry {k} is malformed: {exc}") from exc
         for column, value in zip(columns, row):
             column.append(value)

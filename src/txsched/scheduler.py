@@ -197,16 +197,17 @@ def _padded(values: np.ndarray, first: np.ndarray, fill: float) -> np.ndarray:
     return np.where(cols < count[:, None], values.take(first[:-1, None] + cols, mode="clip"), fill)
 
 
-def _candidate_grid(windows: _Windows, bits: np.ndarray, periods: range):
+def _candidate_grid(windows: _Windows, bits: np.ndarray, periods: range) -> np.ndarray:
     """Rate tables over (distinct start) x (distinct end) windows, one
     block for each of the consecutive busy `periods`, padded to the
     largest.
 
-    Returns (rates, valid) of shape (len(periods), S, E): block k is the
-    table of period periods[k], its windows in the top-left corner.
-    valid marks windows with free time containing at least one packet;
-    rates are -inf outside them.  Padded cells start at +inf or
-    end at -inf, so they are never valid, and no length is NaN.
+    Returns the rates, of shape (len(periods), S, E): block k is the
+    table of period periods[k], its windows in the top-left corner.  A
+    window is valid when it has free time and contains at least one
+    packet, and its rate is -inf otherwise, so the valid windows are the
+    finite cells.  Padded cells start at +inf or end at -inf, so they
+    are never valid, and no length is NaN.
 
     The bits are binned by (period, start rank, end rank), so a suffix
     sum over starts and a prefix sum over ends give every window's
@@ -231,21 +232,22 @@ def _candidate_grid(windows: _Windows, bits: np.ndarray, periods: range):
     rates = np.divide(bitsum, lengths, out=bitsum, where=valid)
     del lengths
     np.copyto(rates, -np.inf, where=~valid)
-    return rates, valid
+    return rates
 
 
-def _argmax_lex(rates: np.ndarray, valid: np.ndarray):
-    """Index (si, ei) of the max-rate cell of each (S, E) table in the
-    last two axes; ties go to smallest start, then end.
+def _argmax_lex(rates: np.ndarray):
+    """The maximum rate of each (S, E) table in the last two axes, and
+    the index (si, ei) of the cell that holds it: (rmax, si, ei).  Ties
+    go to smallest start, then end.
 
     Starts and ends ascend along their axes, so the first tied cell in
-    row-major order is the one the tie rule picks.
+    row-major order is the one the tie rule picks.  No -inf cell ties
+    with a finite maximum.
     """
     flat = rates.reshape(*rates.shape[:-2], -1)
     rmax = np.maximum.reduce(flat, axis=-1, keepdims=True)
     tied = flat >= rmax - RATE_TIE_REL * np.abs(rmax)
-    tied &= valid.reshape(flat.shape)
-    return divmod(tied.argmax(axis=-1), rates.shape[-1])
+    return (rmax[..., 0], *divmod(tied.argmax(axis=-1), rates.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +257,11 @@ def _argmax_lex(rates: np.ndarray, valid: np.ndarray):
 def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, float]]:
     """Earliest-deadline-first fill of disjoint time pieces at one rate.
 
-    `members` holds the packets' columns as four lists: ids, bits,
-    arrivals and deadlines.  Returns the segments as (packet, start, end,
-    rate) rows.
+    `pieces` are (start, end) pairs of positive length, disjoint and in
+    ascending order, exactly: each starts before it ends, and no earlier
+    than the one before it ends.  `members` holds the packets' columns
+    as four lists: ids, bits, arrivals and deadlines.  Returns the
+    segments as (packet, start, end, rate) rows.
 
     Each member transmits bits/rate seconds in total, always the
     arrived, unfinished member with the earliest deadline (ties to the
@@ -271,27 +275,25 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     Steps are cut to within `eps`, DUST_REL_TOL relative to the largest
     piece endpoint, since the steps add up in float and one ulp of a
     large instant exceeds any absolute epsilon; for the same reason a
-    member is done once less than `eps` of its time is left, and an
+    member is done once at most `eps` of its time is left, and an
     arrival or deadline within `eps` of `t` is the instant `t`.  The
     callers pass grid instants, on which instants within the instance's
     time tolerance are already one float, so `eps` is the only
-    tolerance: no member is admitted more than `eps` before its arrival.
+    tolerance: no member is admitted more than `eps` before its arrival,
+    nor runs more than `eps` past its deadline.
     """
     ids, bits, arrivals, deadlines = members
     if not ids:
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    eps = DUST_REL_TOL * max(
-        (abs(float(x)) for piece in pieces for x in piece), default=0.0
-    )
-    pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
-    for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
-        if s1 < e0 - eps:
-            raise ValueError("pieces must be disjoint and ascending")
+    pieces = [(float(s), float(e)) for s, e in pieces]
+    for (_, e0), (s1, e1) in zip([(-np.inf, -np.inf), *pieces], pieces):
+        if not e0 <= s1 < e1:
+            raise ValueError("pieces must have positive length, be disjoint and ascend")
+    eps = DUST_REL_TOL * max(abs(pieces[0][0]), abs(pieces[-1][1])) if pieces else 0.0
 
     need = [b / rate for b in bits]
-    need_tol = max(1e-12 * sum(need), eps)
     # Member positions by arrival; a position also breaks (deadline, id)
     # ties.  Admission times never decrease: a piece ends its steps
     # eps before its end, and the next piece starts no earlier.
@@ -313,7 +315,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
             k = by_arrival[admitted]
             if arrivals[k] > until:
                 break
-            if need[k] > need_tol:
+            if need[k] > eps:
                 heapq.heappush(heap, (deadlines[k], ids[k], k))
             admitted += 1
 
@@ -321,38 +323,28 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
         t = ps
         while pe - t > eps:
             admit(t + eps)
-            if heap and heap[0][0] < t - eps:
-                # A member past its deadline has arrived, so the heap holds
-                # every unfinished one; name the first in member order.
-                late = next(
-                    k for k in range(len(ids))
-                    if need[k] > need_tol and deadlines[k] < t - eps
-                )
-                raise InternalDeadlineMiss(
-                    f"packet {ids[late]} unfinished at its deadline {deadlines[late]}"
-                )
             if not heap:
                 raise InternalIdle(f"no transmittable packet at time {t}")
+            # The top has the earliest deadline, so this finds any late
+            # member, also one whose deadline fell between two pieces.
             deadline, pid, cur = heap[0]
             dur = min(pe - t, need[cur])
             if deadline - t < dur - eps:
-                dur = max(deadline - t, 0.0)
-                if dur <= eps:
-                    raise InternalDeadlineMiss(
-                        f"packet {pid} cannot finish by its deadline {deadline}"
-                    )
+                raise InternalDeadlineMiss(
+                    f"packet {pid} cannot finish by its deadline {deadline}"
+                )
             if admitted < len(ids):
                 arrival = arrivals[by_arrival[admitted]]
                 if arrival < t + dur - eps:
                     dur = arrival - t
             emit(pid, t, t + dur)
             need[cur] -= dur
-            if need[cur] <= need_tol:
+            if need[cur] <= eps:
                 need[cur] = 0.0
                 heapq.heappop(heap)
             t += dur
 
-    leftovers = sorted(ids[k] for k in range(len(ids)) if need[k] > need_tol)
+    leftovers = sorted(ids[k] for k in range(len(ids)) if need[k] > eps)
     if leftovers:
         raise InternalDeadlineMiss(
             f"packets left unfinished after all pieces: {leftovers}"
@@ -435,31 +427,26 @@ def _cube_groups(S: np.ndarray, E: np.ndarray) -> list[range]:
 def _best_windows(windows: _Windows, bits: np.ndarray):
     """The max-rate window of every period, as arrays indexed by period:
     (head rate, si, ei, candidates), with (si, ei) the cell that wins the
-    tie rule and `candidates` the number of valid windows.  Each run of
-    `_cube_groups` is scored in one cube, freed before the next run's and
-    before the step allocates anything that outlives it, so no such block
-    is left above the cube on the heap and the next tables reuse its
-    memory whole.
+    tie rule and `candidates` the number of valid windows, the finite
+    rates.  Each run of `_cube_groups` is scored in one cube, freed
+    before the next run's and before the step allocates anything that
+    outlives it, so no such block is left above the cube on the heap and
+    the next tables reuse its memory whole.
     """
     best = []
     for periods in _cube_groups(
         windows.s_first[1:] - windows.s_first[:-1], windows.e_first[1:] - windows.e_first[:-1]
     ):
-        rates, valid = _candidate_grid(windows, bits, periods)
-        n = len(periods)
-        best.append((
-            np.maximum.reduce(rates.reshape(n, -1), axis=1),
-            *_argmax_lex(rates, valid),
-            np.add.reduce(valid.reshape(n, -1), axis=1),
-        ))
-        del rates, valid
+        rates = _candidate_grid(windows, bits, periods)
+        best.append((*_argmax_lex(rates), np.add.reduce(np.isfinite(rates), axis=(1, 2))))
+        del rates
     return best[0] if len(best) == 1 else tuple(map(np.concatenate, zip(*best)))
 
 
 def _interleave(periods):
-    """Each period's rounds, merged in the order one round loop over all
-    periods takes them: the highest head rate next, and among heads
-    within RATE_TIE_REL of it, the earliest period's.
+    """Each period's (head rate, step) rounds, merged in the order one
+    round loop over all periods takes them: the highest head rate next,
+    and among heads within RATE_TIE_REL of it, the earliest period's.
 
     Exact rates would not do: a period and its shifted copy have heads
     that differ in the last bits and must still alternate.
@@ -513,6 +500,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     sizes = np.bincount(period).tolist()
     busy = list(range(len(sizes)))
     rounds: list[list] = [[] for _ in sizes]
+    segments: list[tuple[int, float, float, float]] = []
 
     while len(idx):
         np.cumsum(np.where(free, lengths, 0.0), out=position[1:-1])
@@ -530,9 +518,10 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         # A period's pieces are the runs of free epochs in its members'
         # span; the spans are disjoint, so one mask holds them all.
         # taken[j + 1] marks epoch j, so every run starts and ends where
-        # taken flips.
+        # taken flips.  Members ascend with their arrivals, so a span
+        # starts at its first member's.
         member_lo, member_hi = ranges[:, member]
-        span_lo = np.minimum.reduceat(member_lo, runs)
+        span_lo = member_lo[runs]
         span_hi = np.maximum.reduceat(member_hi, runs)
         depth = np.zeros(len(grid) + 1, dtype=np.intp)
         depth[span_lo + 1], depth[span_hi + 1] = 1, -1
@@ -557,7 +546,8 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
             step = IterationStep(
                 rate=rate, members=frozenset(fill[0]), pieces=tuple(own), candidates=c
             )
-            rounds[p].append((h, step, edf_fill(own, fill, rate)))
+            rounds[p].append((h, step))
+            segments.extend(edf_fill(own, fill, rate))
             member_rates += [rate] * (b - a)
         rates[member] = member_rates
         idx, period = idx[~settled], period[~settled]
@@ -567,13 +557,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
             busy = [p for p, n in zip(busy, sizes) if n]
             sizes = [n for n in sizes if n]
 
-    steps: list[IterationStep] = []
-    segments: list[tuple[int, float, float, float]] = []
-    for _, step, rows in _interleave(rounds):
-        steps.append(step)
-        segments.extend(rows)
-
-    trace = IterationTrace(tuple(steps))
+    trace = IterationTrace(tuple(step for _, step in _interleave(rounds)))
     segments = SegmentTable.in_time_order(*np.array(segments, dtype=float).T)
     return _assemble(instance, model, rates, segments, trace=trace)
 
@@ -675,44 +659,67 @@ def schedule_to_json(schedule: Schedule) -> str:
     )
 
 
-def _ids(entries, what: str) -> list[int]:
-    """The `id` of each entry; each must be a JSON integer."""
-    ids = [entry["id"] for entry in entries]
-    for pid in ids:
-        if type(pid) is not int:
-            raise ScheduleFormatError(f"{what} id {pid!r} is not an integer")
-    return ids
+def _integers(values, what: str) -> list[int]:
+    """The values; each must be a JSON integer."""
+    for value in values:
+        if type(value) is not int:
+            raise ScheduleFormatError(f"{what} {value!r} is not an integer")
+    return values
+
+
+def _numbers(values: list, what: str) -> np.ndarray:
+    """The values as floats; each must be a finite JSON number, so no
+    bool, null, NaN or Infinity."""
+    if not set(map(type, values)) <= {int, float}:  # read each non-number as NaN
+        array = np.array([v if type(v) in (int, float) else np.nan for v in values], dtype=float)
+    else:
+        array = np.array(values, dtype=float)
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ScheduleFormatError(f"{what} {values[int(finite.argmin())]!r} is not a finite number")
+    return array
 
 
 def schedule_from_json(text: str, instance: Instance) -> Schedule:
     """Rebuild a schedule from its JSON form; the iteration trace keeps
-    rates, members and pieces."""
+    rates, members and pieces.  A document of another shape, or a number
+    that is not finite, raises ScheduleFormatError."""
     doc = json.loads(text)
-    ids = _ids(doc["rates"], "rate entry")
-    seen = set()
-    for pid in ids:
-        if not 1 <= pid <= instance.n:
-            raise ScheduleFormatError(
-                f"rate entry for packet {pid}: ids run from 1 to {instance.n}"
-            )
-        if pid in seen:
-            raise ScheduleFormatError(f"rate entry for packet {pid} is repeated")
-        seen.add(pid)
-    rates = np.zeros(instance.n)
-    rates[np.array(ids, dtype=np.intp) - 1] = [entry["rate"] for entry in doc["rates"]]
-    entries = doc["segments"]
-    columns = [[entry[k] for entry in entries] for k in ("start", "end", "rate")]
     try:
-        segments = SegmentTable(_ids(entries, "segment"), *columns)
-    except OverflowError as exc:
-        raise ScheduleFormatError(f"a segment id is out of range: {exc}") from exc
-    steps = tuple(
-        IterationStep(
-            rate=float(it["rate"]),
-            members=frozenset(int(p) for p in it["packets"]),
-            pieces=tuple((float(p[0]), float(p[1])) for p in it["pieces"]),
+        entries = doc["rates"]
+        ids = _integers([e["id"] for e in entries], "rate entry id")
+        seen = set()
+        for pid in ids:
+            if not 1 <= pid <= instance.n:
+                raise ScheduleFormatError(
+                    f"rate entry for packet {pid}: ids run from 1 to {instance.n}"
+                )
+            if pid in seen:
+                raise ScheduleFormatError(f"rate entry for packet {pid} is repeated")
+            seen.add(pid)
+        rates = np.zeros(instance.n)
+        rates[np.array(ids, dtype=np.intp) - 1] = _numbers([e["rate"] for e in entries], "rate")
+        entries = doc["segments"]
+        ids = _integers([e["id"] for e in entries], "segment id")
+        columns = [_numbers([e[k] for e in entries], f"segment {k}")
+                   for k in ("start", "end", "rate")]
+        try:
+            segments = SegmentTable(ids, *columns)
+        except OverflowError as exc:
+            raise ScheduleFormatError(f"a segment id is out of range: {exc}") from exc
+        iterations = doc.get("iterations", [])
+        step_rates = _numbers([it["rate"] for it in iterations], "iteration rate").tolist()
+        pieces = [piece for it in iterations for piece in it["pieces"]]
+        if any(len(piece) != 2 for piece in pieces):
+            raise ScheduleFormatError("an iteration piece is not a (start, end) pair")
+        ends = iter(_numbers([x for piece in pieces for x in piece], "piece end").tolist())
+        pairs = zip(ends, ends)  # each piece's (start, end), in order
+        steps = tuple(
+            IterationStep(rate, frozenset(_integers(it["packets"], "iteration packet")),
+                          tuple(itertools.islice(pairs, len(it["pieces"]))))
+            for it, rate in zip(iterations, step_rates)
         )
-        for it in doc.get("iterations", [])
-    )
-    trace = IterationTrace(steps) if steps else None
-    return Schedule(rates, segments, float(doc["energy"]), trace)
+        energy = float(_numbers([doc["energy"]], "energy")[0])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ScheduleFormatError(f"schedule document is malformed: {exc!r}") from exc
+    return Schedule(rates, segments, energy, IterationTrace(steps) if steps else None)

@@ -225,7 +225,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     early = seg.start < arrival - tol
     late = seg.end > deadline + tol
     empty = ~(seg.end > seg.start)
-    off_rate = np.abs(seg.rate - assigned) > RATE_REL_TOL * np.abs(assigned)
+    off_rate = ~(np.abs(seg.rate - assigned) <= RATE_REL_TOL * np.abs(assigned))
     for k in _flagged(~known | early | late | empty | off_rate):
         pid, start, end = int(seg.packet[k]), float(seg.start[k]), float(seg.end[k])
         if not known[k]:
@@ -263,7 +263,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
         weights=(seg.end[known] - seg.start[known]) * seg.rate[known],
         minlength=n,
     )
-    for i in _flagged(np.abs(delivered - bits) > BIT_REL_TOL * bits):
+    for i in _flagged(~(np.abs(delivered - bits) <= BIT_REL_TOL * bits)):
         violations.append(
             f"bit conservation: packet {i + 1} delivers {delivered[i]} "
             f"of {bits[i]} bits"
@@ -279,7 +279,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         span = np.where(rates > 0, bits / rates, np.inf)
     # A total may also miss the sub-dust overlaps the table leaves out.
-    mismatch = np.abs(totals - span) > np.maximum(BIT_REL_TOL * span, instance.dust)
+    mismatch = ~(np.abs(totals - span) <= np.maximum(BIT_REL_TOL * span, instance.dust))
     outside_by_row: dict[int, list[int]] = {}
     for i, j in zip(tau.rows[outside].tolist(), tau.cols[outside].tolist()):
         outside_by_row.setdefault(i, []).append(j)

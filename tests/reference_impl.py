@@ -540,8 +540,10 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     arrived, unfinished member with the earliest deadline (ties to the
     lower id).  Idling inside a piece or an unfinished member signal an
     internal bug: the caller only passes windows whose rate makes both
-    impossible.  Steps are cut, and arrivals and deadlines compared, to
-    within DUST_REL_TOL relative to the largest piece endpoint.
+    impossible.  Steps are cut, arrivals and deadlines compared, and
+    members done, to within DUST_REL_TOL relative to the largest piece
+    endpoint; the pieces must have positive length, be disjoint and
+    ascend, exactly.
     `members` and the result are those of `scheduler.edf_fill`: member
     columns in, (packet, start, end, rate) rows out.
     """
@@ -550,17 +552,15 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
         raise ValueError("no members to fill")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
+    pieces = [(float(s), float(e)) for s, e in pieces]
+    for k, (s, e) in enumerate(pieces):
+        if not (s < e and (k == 0 or pieces[k - 1][1] <= s)):
+            raise ValueError("pieces must have positive length, be disjoint and ascend")
     eps = DUST_REL_TOL * max(
-        (abs(float(x)) for piece in pieces for x in piece), default=0.0
+        (abs(x) for piece in pieces for x in piece), default=0.0
     )
-    pieces = [(float(s), float(e)) for s, e in pieces if e - s > eps]
-    for (s0, e0), (s1, _) in zip(pieces, pieces[1:]):
-        if s1 < e0 - eps:
-            raise ValueError("pieces must be disjoint and ascending")
 
     need = {p.id: p.bits / rate for p in members}
-    total_need = sum(need.values())
-    need_tol = max(1e-12 * total_need, eps)
     by_id = {p.id: p for p in members}
     arrivals = sorted({p.arrival for p in members})
     reach = -np.inf  # every member arriving by then has been admitted
@@ -577,37 +577,30 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
     for ps, pe in pieces:
         t = ps
         while pe - t > eps:
-            for p in members:
-                if need[p.id] > need_tol and p.deadline < t - eps:
-                    raise InternalDeadlineMiss(
-                        f"packet {p.id} unfinished at its deadline {p.deadline}"
-                    )
             reach = max(reach, t + eps)
             active = [
                 p
                 for p in members
-                if need[p.id] > need_tol and p.arrival <= reach
+                if need[p.id] > eps and p.arrival <= reach
             ]
             if not active:
                 raise InternalIdle(f"no transmittable packet at time {t}")
             cur = min(active, key=lambda p: (p.deadline, p.id))
             dur = min(pe - t, need[cur.id])
             if cur.deadline - t < dur - eps:
-                dur = max(cur.deadline - t, 0.0)
-                if dur <= eps:
-                    raise InternalDeadlineMiss(
-                        f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
-                    )
+                raise InternalDeadlineMiss(
+                    f"packet {cur.id} cannot finish by its deadline {cur.deadline}"
+                )
             i = np.searchsorted(arrivals, reach, side="right")
             if i < len(arrivals) and arrivals[i] < t + dur - eps:
                 dur = arrivals[i] - t
             emit(cur.id, t, t + dur)
             need[cur.id] -= dur
-            if need[cur.id] <= need_tol:
+            if need[cur.id] <= eps:
                 need[cur.id] = 0.0
             t += dur
 
-    leftovers = {pid: v for pid, v in need.items() if v > need_tol}
+    leftovers = {pid: v for pid, v in need.items() if v > eps}
     if leftovers:
         raise InternalDeadlineMiss(
             f"packets left unfinished after all pieces: {sorted(leftovers)}"

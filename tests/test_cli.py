@@ -118,10 +118,18 @@ class TestSolveValidate:
             ([(1, 1.0, 0.0, 2.0)], True, "noise_power must be positive and finite"),
             # valid, but its optimal rate needs 2^6000 W of Shannon power
             ([(1, 3000.0, 0.0, 1.0)], 1.0, "packet 1: energy is not finite"),
+            # bits, arrival and deadline are JSON numbers, and no bools
+            ([(1, True, 0.0, 2.0)], 1.0, "packet 1: bits must be a number, got True"),
+            ([(1, 1.0, "0.25", 2.0)], 1.0, "packet 1: arrival must be a number, got '0.25'"),
+            ([(1, 1.0, 0.0, None)], 1.0, "packet 1: deadline must be a number, got None"),
+            # the first packet that breaks a rule is named
+            ([(1, 1.0, 0.0, 2.0), (2, False, 0.5, 1.0)], 1.0, "packet 2: bits must be a number"),
+            ([(1, "1", 0.0, 2.0), (2, 1.0, 0.0, math.inf)], 1.0, "packet 1: bits must be a number"),
         ],
         ids=[
             "deadline-inf", "bits-inf", "arrival-minus-inf", "str-id", "noise-inf",
-            "noise-bool", "energy-inf",
+            "noise-bool", "energy-inf", "bits-true", "arrival-str", "deadline-null",
+            "second-bits-false", "str-bits-before-inf",
         ],
     )
     def test_non_finite_or_non_integer_input_exit_2(
@@ -176,6 +184,44 @@ class TestSolveValidate:
         assert main(["validate", str(instance_file), str(sched)]) == 2
         err = capsys.readouterr().err
         assert reason in err
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: doc["iterations"][0].update(rate=None), "iteration rate None is not a"),
+            (lambda doc: doc["iterations"][0].update(rate=math.inf), "iteration rate inf is not a"),
+            (lambda doc: doc["segments"][0].update(rate=math.nan), "segment rate nan is not a"),
+            (lambda doc: doc["segments"][0].update(start=None), "segment start None is not a"),
+            (lambda doc: doc["segments"][0].update(end=True), "segment end True is not a"),
+            (lambda doc: doc["rates"][0].update(rate=-math.inf), "rate -inf is not a finite"),
+            (lambda doc: doc["iterations"][0].update(pieces=[[0.0]]), "is not a (start, end) pair"),
+            (lambda doc: doc["iterations"][0].update(packets=[None]), "packet None is not an int"),
+            (lambda doc: doc.update(energy=None), "energy None is not a finite number"),
+            (lambda doc: doc.update(energy=math.nan), "energy nan is not a finite number"),
+            (lambda doc: doc.update(rates=[1, 2]), "schedule document is malformed"),
+            (lambda doc: doc.update(segments=None), "schedule document is malformed"),
+            (lambda doc: doc.__delitem__("energy"), "schedule document is malformed"),
+            (lambda doc: [1, 2], "schedule document is malformed"),
+        ],
+        ids=[
+            "iteration-rate-null", "iteration-rate-inf", "segment-rate-nan", "start-null",
+            "end-true", "rate-minus-inf", "short-piece", "packet-null", "energy-null",
+            "energy-nan", "rates-not-entries", "segments-null", "no-energy", "top-level-list",
+        ],
+    )
+    def test_unreadable_schedule_exit_2(
+        self, instance_file, tmp_path, capsys, edit, reason
+    ):
+        # a schedule of another shape, or with a number that is not
+        # finite, is malformed input, not a schedule that fails
+        # validation (exit 1) or one that passes
+        sched = tmp_path / "sched.json"
+        main(["solve", str(instance_file), "-o", str(sched)])
+        doc = json.loads(sched.read_text())
+        replaced = edit(doc)  # None where the edit changed doc in place
+        sched.write_text(json.dumps(doc if replaced is None else replaced))
+        assert main(["validate", str(instance_file), str(sched)]) == 2
+        assert reason in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2

@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_impl as ref
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from reference_impl import Segment, dense, segment_list, segment_table
 from test_chain_family import certified, chain_instance
 from test_scheduler import one_period_grid
@@ -28,6 +30,8 @@ from txsched import (
     EpochDecomposition,
     GeneratorConfig,
     Instance,
+    InternalDeadlineMiss,
+    InternalIdle,
     InternalInvariantViolation,
     Monomial,
     Packet,
@@ -53,7 +57,7 @@ from txsched import (
     solve,
     solve_projected_gradient,
 )
-from txsched.model import TIME_REL_TOL
+from txsched.model import DUST_REL_TOL, TIME_REL_TOL
 
 MODEL = Shannon(1.0)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -525,8 +529,9 @@ def test_batched_blocks_match_single_period_grids():
         bits = np.concatenate([p[2] for p in periods])
         lo = int(rng.integers(0, len(periods)))
         run = range(lo, int(rng.integers(lo + 1, len(periods) + 1)))
-        rates, valid = scheduler._candidate_grid(windows, bits, run)
-        si, ei = scheduler._argmax_lex(rates, valid)
+        rates = scheduler._candidate_grid(windows, bits, run)
+        valid = rates > -np.inf
+        rmax, si, ei = scheduler._argmax_lex(rates)
         for k, g in enumerate(run):
             starts, ends, start_rank, end_rank, alone, alone_valid = one_period_grid(*periods[g])
             rows = period == g
@@ -539,7 +544,7 @@ def test_batched_blocks_match_single_period_grids():
             assert np.all(rates[k, S:] == -np.inf) and np.all(rates[k, :, E:] == -np.inf)
             if alone_valid.any():
                 checked += 1
-                assert (si[k], ei[k]) == scheduler._argmax_lex(alone, alone_valid)
+                assert (rmax[k], si[k], ei[k]) == scheduler._argmax_lex(alone)
     assert checked > 100
 
 
@@ -610,7 +615,7 @@ def test_histogram_grid_matches_matmul_grid():
         np.testing.assert_allclose(rates[valid], old[4][valid], rtol=1e-13, atol=0)
         if valid.any():
             checked += 1
-            cell = scheduler._argmax_lex(rates, valid)
+            cell = scheduler._argmax_lex(rates)[1:]
             assert cell == ref.argmax_lex(old[4], old[5], starts, ends)
     assert checked > 100
 
@@ -774,11 +779,17 @@ def test_edf_fill_direct_cases_match_loop():
         ([(0.0, 2.0)], [P(4, 1.0, 0.0, 2.0), P(2, 1.0, 0.0, 2.0)], 1.0),
         ([(0.0, 1.0), (2.0, 3.0)],
          [P(1, 1.0, 0.0, 3.0), P(2, 0.5, 0.2, 0.9)], 1.5 / 2.0),
-        # the second piece starts a hair before the first one ends; the
-        # second member arrives half, one and two time tolerances
-        # (TIME_REL_TOL times the latest deadline) after it, off the
-        # piece's start, so neither fill admits it early: both idle
+        # the second piece starts a hair before the first one ends, so
+        # the pieces overlap and both fills refuse them; the second
+        # member arrives half, one and two time tolerances (TIME_REL_TOL
+        # times the latest deadline) after it
         *(([(0.0, 1.0), (1.0 - 5e-13, 2.0)],
+           [P(1, 1.0, 0.0, 2.0), P(2, 1.0, 1.0 + k * TIME_REL_TOL * 2.0, 2.0)], 1.0)
+          for k in (0.5, 1.0, 2.0)),
+        # the same with the second piece starting where the first ends:
+        # the second member arrives off the piece's start, so neither
+        # fill admits it early: both idle
+        *(([(0.0, 1.0), (1.0, 2.0)],
            [P(1, 1.0, 0.0, 2.0), P(2, 1.0, 1.0 + k * TIME_REL_TOL * 2.0, 2.0)], 1.0)
           for k in (0.5, 1.0, 2.0)),
         # idle: nothing has arrived
@@ -789,6 +800,7 @@ def test_edf_fill_direct_cases_match_loop():
         ([(0.0, 2.0)], [P(1, 1.0, 0.0, 1.0), P(2, 1.0, 0.0, 0.5)], 1.0),
         # leftovers after all pieces
         ([(0.0, 1.0)], [P(1, 1.0, 0.0, 3.0), P(2, 1.0, 0.0, 3.0)], 1.0),
+        # a reversed piece is refused, not dropped
         ([(1.0, 0.5), (0.0, 1.0)], [P(1, 1.0, 0.0, 1.0)], 1.0),
         ([(0.0, 1.0)], [], 1.0),
     ]
@@ -813,6 +825,74 @@ def test_edf_fill_direct_cases_match_loop():
         assert new == old, (pieces, members, rate)
         kinds.add(new[0] if new[0] == "value" else new[1].__name__)
     assert kinds >= {"value", "InternalIdle", "InternalDeadlineMiss", "ValueError"}
+
+
+@st.composite
+def grid_fills(draw):
+    """An `edf_fill` call as `solve` and the baseline make one: the
+    pieces are the runs of some epochs of a random grid, the members
+    arrive and are due on its instants, and the rate is the members'
+    bits over the pieces' length.  With a fault, one piece is split in
+    two that overlap by one ulp, reversed, or followed by an empty one."""
+    lengths = draw(st.lists(st.floats(0.05, 4.0), min_size=1, max_size=10))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    grid = draw(st.sampled_from([0.0, 3.0, 1e4])) + scale * np.cumsum([0.0, *lengths])
+    free = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    flips = np.flatnonzero(np.diff([False, *free, False]))
+    assume(len(flips))
+    pieces = list(zip(grid[flips[0::2]].tolist(), grid[flips[1::2]].tolist()))
+    # each member's window spans the pieces, as the window's own packets
+    # do, or a random part of that span
+    span = st.lists(st.integers(flips[0], flips[-1]), min_size=2, max_size=2, unique=True)
+    k = draw(st.integers(1, 6))
+    ranges = [sorted(draw(st.one_of(st.just([flips[0], flips[-1]]), span))) for _ in range(k)]
+    bits = draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+    ids = draw(st.permutations(range(1, k + 1)))
+    members = (list(ids), bits, [float(grid[lo]) for lo, _ in ranges],
+               [float(grid[hi]) for _, hi in ranges])
+    rate = sum(bits) / sum(e - s for s, e in pieces)
+    fault = draw(st.sampled_from([None, None, "overlap", "reversed", "empty"]))
+    g = draw(st.integers(0, len(pieces) - 1))
+    s, e = pieces[g]
+    if fault == "overlap":
+        mid = (s + e) / 2
+        pieces[g:g + 1] = [(s, mid), (float(np.nextafter(mid, -np.inf)), e)]
+    elif fault == "reversed":
+        pieces[g] = (e, s)
+    elif fault == "empty":
+        pieces.insert(g + 1, (e, e))
+    return pieces, members, rate, fault
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(grid_fills())
+def test_edf_fill_grid_contract(call):
+    """Faulty pieces are refused; otherwise the fill idles or misses a
+    deadline, or its segments lie inside the pieces, disjoint and in
+    time order, each within its member's window and each member given
+    bits/rate of time, to eps; either way as the loop fill does."""
+    pieces, members, rate, fault = call
+    new = outcome(edf_fill, pieces, members, rate)
+    assert new == outcome(ref.edf_fill, pieces, members, rate)
+    if fault:
+        assert new[:2] == ("raised", ValueError), new
+        return
+    if new[0] == "raised":
+        assert new[1] in (InternalIdle, InternalDeadlineMiss), new
+        return
+    rows = new[1]
+    eps = DUST_REL_TOL * max(abs(pieces[0][0]), abs(pieces[-1][1]))
+    window = {pid: (a, d) for pid, _, a, d in zip(*members)}
+    time = dict.fromkeys(window, 0.0)
+    for k, (pid, start, end, r) in enumerate(rows):
+        assert r == rate and start < end
+        assert k == 0 or rows[k - 1][2] <= start
+        assert any(s - eps <= start and end <= e + eps for s, e in pieces)
+        a, d = window[pid]
+        assert a - eps <= start and end <= d + eps
+        time[pid] += end - start
+    for pid, b in zip(members[0], members[1]):
+        assert abs(time[pid] - b / rate) <= 2 * eps, (pid, time[pid], b / rate)
 
 
 def _clustered_instances(rng, count):

@@ -45,13 +45,14 @@ def nested_instance():
 def one_period_grid(arrivals, deadlines, bits):
     """The candidate grid of packets in one busy period, from their
     arrival and deadline grid positions, as (starts, ends, start_rank,
-    end_rank, rates, valid) with 2-d rates and valid."""
+    end_rank, rates, valid) with 2-d rates and valid, the finite rates."""
     windows = _window_ranks(
         np.stack((arrivals, deadlines)), np.zeros(len(arrivals), dtype=np.intp),
         np.array([-np.inf, np.inf]),
     )
-    rates, valid = _candidate_grid(windows, bits, range(1))
-    return windows.starts, windows.ends, windows.start_rank, windows.end_rank, rates[0], valid[0]
+    rates = _candidate_grid(windows, bits, range(1))[0]
+    valid = rates > -np.inf
+    return windows.starts, windows.ends, windows.start_rank, windows.end_rank, rates, valid
 
 
 def candidates(packets):
@@ -126,8 +127,7 @@ class TestEnumerate:
 
 
 def select(starts, ends, rates):
-    rates = np.array(rates, dtype=float)
-    si, ei = _argmax_lex(rates, np.isfinite(rates))
+    _, si, ei = _argmax_lex(np.array(rates, dtype=float))
     return starts[si], ends[ei]
 
 
@@ -139,13 +139,13 @@ class TestSelect:
         _, (starts, ends, _, _, rates, valid) = candidates(
             [P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)]
         )
-        si, ei = _argmax_lex(rates, valid)
+        rmax, si, ei = _argmax_lex(rates)
         assert (starts[si], ends[ei]) == (0.5, 1.0)
-        assert rates[si, ei] == pytest.approx(2.0)
+        assert rates[si, ei] == rmax == pytest.approx(2.0)
 
     def test_single_candidate(self):
         _, (starts, ends, _, _, rates, valid) = candidates([P(1, 1.0, 0.0, 1.0)])
-        assert _argmax_lex(rates, valid) == (0, 0)
+        assert _argmax_lex(rates)[1:] == (0, 0)
 
     def test_tie_breaks_to_smallest_start(self):
         no = -np.inf  # an invalid cell
@@ -157,8 +157,7 @@ class TestSelect:
     def test_empty_rejected(self, monkeypatch):
         # a grid without a valid window stops the solver
         def no_windows(windows, bits, periods):
-            rates, valid = _candidate_grid(windows, bits, periods)
-            return rates, np.zeros_like(valid)
+            return np.full_like(_candidate_grid(windows, bits, periods), -np.inf)
 
         monkeypatch.setattr(scheduler, "_candidate_grid", no_windows)
         with pytest.raises(NoCandidates):

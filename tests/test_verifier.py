@@ -131,6 +131,24 @@ class TestCheckFeasible:
             v for v in rep.violations if v.startswith("packet 6 tau total")
         ] != []
 
+    @pytest.mark.parametrize("where", ["segment", "assigned"])
+    def test_nan_rate_refused(self, where):
+        # every comparison with NaN is false, so a test written as
+        # `error > tol` would let a NaN rate through
+        for label, inst in corpus_instances():
+            s = solve(inst, MODEL)
+            if where == "segment":
+                rate = s.segments.rate.copy()
+                rate[0] = np.nan
+                bad = tampered(s, segments=dataclasses.replace(s.segments, rate=rate))
+            else:
+                rates = s.rates.copy()
+                rates[0] = np.nan
+                bad = tampered(s, rates=rates)
+            assert not check_feasible(inst, bad).ok, label
+            with pytest.raises(InfeasibleInput):
+                extract_certificate(inst, bad, MODEL)
+
     def test_dimension_mismatch(self):
         inst = nested_instance()
         s = solve(inst, MODEL)

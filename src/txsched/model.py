@@ -58,6 +58,18 @@ class Packet:
         check_packets([self.id], [self.bits], [self.arrival], [self.deadline])
 
 
+def as_float(x) -> float | None:
+    """`x` as a float if it is a number: an int or a float, numpy's
+    included, and no bool (a bool is an int, but true is no number).
+    None otherwise.  An int beyond a float's range reads as infinite."""
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    return None
+
+
 def check_packets(ids, bits, arrivals, deadlines, tolerance: bool = True) -> np.ndarray:
     """Bits, arrivals and deadlines as the rows of one float array, once
     every packet rule holds; the one place the rules live.
@@ -69,16 +81,8 @@ def check_packets(ids, bits, arrivals, deadlines, tolerance: bool = True) -> np.
     span at least the time tolerance of the packets' own horizon.
     Raises MalformedPacket naming the first offender.
     """
-    columns = (bits, arrivals, deadlines)
-    kinds = (int, float, np.integer, np.floating)  # and no bool, though a bool is an int
-    number = [  # one pass over each column's types, and over its entries only if one fails
-        [True] * len(c) if all(issubclass(t, kinds) and t is not bool for t in set(map(type, c)))
-        else [isinstance(x, kinds) and not isinstance(x, bool) for x in c]
-        for c in columns
-    ]
-    if not all(map(all, number)):  # a non-number counts as NaN until its rule is named
-        columns = [[x if ok else np.nan for x, ok in zip(c, f)] for c, f in zip(columns, number)]
-    table = np.array(columns, dtype=float).reshape(3, -1)
+    values = [[as_float(x) for x in c] for c in (bits, arrivals, deadlines)]
+    table = np.array(values, dtype=float).reshape(3, -1)  # a non-number (None) reads as NaN
     b, a, d = table
     integer = [isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids]
     finite = np.isfinite(table)
@@ -88,7 +92,7 @@ def check_packets(ids, bits, arrivals, deadlines, tolerance: bool = True) -> np.
         k = int(np.argmax(bad))
         fields = list(zip(("bits", "arrival", "deadline"), (bits[k], arrivals[k], deadlines[k])))
         reasons = [] if integer[k] else ["id must be an integer"]
-        reasons += [f"{n} must be a number, got {v!r}" for (n, v), ok in zip(fields, number) if not ok[k]]
+        reasons += [f"{n} must be a number, got {v!r}" for (n, v), row in zip(fields, values) if row[k] is None]
         reasons += [f"{n} must be finite, got {v}" for (n, v), ok in zip(fields, finite[:, k]) if not ok]
         reasons += [] if b[k] > 0 else [f"bits must be positive, got {bits[k]}"]
         reasons.append(f"deadline {deadlines[k]} must exceed arrival {arrivals[k]}")
@@ -343,9 +347,8 @@ def is_non_fifo(instance: Instance) -> set[int]:
 def _check_noise_power(value):
     """An instance document's noise power must be a positive, finite
     number."""
-    # a bool is an int, but true is no noise power
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and value > 0):
+    number = as_float(value)
+    if number is None or not 0 < number < math.inf:
         raise InstanceFormatError(f"noise_power must be positive and finite, got {value}")
 
 

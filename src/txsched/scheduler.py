@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DUST_REL_TOL, Instance, PairTable
+from .model import DUST_REL_TOL, Instance, PairTable, as_float
 from .power import PowerModel, schedule_energy
 
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
@@ -360,11 +360,9 @@ def _check_solution_invariants(
     instance: Instance, trace: IterationTrace, segments: SegmentTable, rates: np.ndarray
 ):
     steps = trace.steps
-    for g in range(len(steps) - 1):
-        if steps[g + 1].rate > steps[g].rate * (1.0 + 1e-9):
-            raise InternalInvariantViolation(
-                f"iteration rates increased: {steps[g].rate} -> {steps[g + 1].rate}"
-            )
+    for a, b in zip(steps, steps[1:]):
+        if b.rate > a.rate * (1.0 + 1e-9):
+            raise InternalInvariantViolation(f"iteration rates increased: {a.rate} -> {b.rate}")
     # Every piece runs from one grid instant to another, and the pieces
     # reserve each live epoch exactly once and no dead one.
     decomp = instance.decomposition
@@ -670,10 +668,7 @@ def _integers(values, what: str) -> list[int]:
 def _numbers(values: list, what: str) -> np.ndarray:
     """The values as floats; each must be a finite JSON number, so no
     bool, null, NaN or Infinity."""
-    if not set(map(type, values)) <= {int, float}:  # read each non-number as NaN
-        array = np.array([v if type(v) in (int, float) else np.nan for v in values], dtype=float)
-    else:
-        array = np.array(values, dtype=float)
+    array = np.array([as_float(v) for v in values], dtype=float)  # a non-number reads as NaN
     finite = np.isfinite(array)
     if not finite.all():
         raise ScheduleFormatError(f"{what} {values[int(finite.argmin())]!r} is not a finite number")
@@ -703,10 +698,7 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
         ids = _integers([e["id"] for e in entries], "segment id")
         columns = [_numbers([e[k] for e in entries], f"segment {k}")
                    for k in ("start", "end", "rate")]
-        try:
-            segments = SegmentTable(ids, *columns)
-        except OverflowError as exc:
-            raise ScheduleFormatError(f"a segment id is out of range: {exc}") from exc
+        segments = SegmentTable(ids, *columns)
         iterations = doc.get("iterations", [])
         step_rates = _numbers([it["rate"] for it in iterations], "iteration rate").tolist()
         pieces = [piece for it in iterations for piece in it["pieces"]]
@@ -720,6 +712,8 @@ def schedule_from_json(text: str, instance: Instance) -> Schedule:
             for it, rate in zip(iterations, step_rates)
         )
         energy = float(_numbers([doc["energy"]], "energy")[0])
-    except (KeyError, TypeError, OverflowError) as exc:
+    except OverflowError as exc:  # numbers read as floats, so only a segment id overflows
+        raise ScheduleFormatError(f"a segment id is out of range: {exc}") from exc
+    except (KeyError, TypeError) as exc:
         raise ScheduleFormatError(f"schedule document is malformed: {exc!r}") from exc
     return Schedule(rates, segments, energy, IterationTrace(steps) if steps else None)

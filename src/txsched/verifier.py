@@ -280,19 +280,16 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
         span = np.where(rates > 0, bits / rates, np.inf)
     # A total may also miss the sub-dust overlaps the table leaves out.
     mismatch = ~(np.abs(totals - span) <= np.maximum(BIT_REL_TOL * span, instance.dust))
-    outside_by_row: dict[int, list[int]] = {}
-    for i, j in zip(tau.rows[outside].tolist(), tau.cols[outside].tolist()):
-        outside_by_row.setdefault(i, []).append(j)
-    for i in sorted(outside_by_row.keys() | set(_flagged(mismatch))):
-        for j in outside_by_row.get(i, ()):
-            violations.append(
-                f"packet {i + 1} allocated time in epoch {j + 1} outside its window"
-            )
-        if mismatch[i]:
-            violations.append(
-                f"packet {i + 1} tau total {totals[i]} does not match "
-                f"bits/rate {span[i]}"
-            )
+    # Packet by packet: its epochs outside the window, then its total,
+    # filed under epoch column m, past every epoch.
+    notes = [
+        (i, j, f"packet {i + 1} allocated time in epoch {j + 1} outside its window")
+        for i, j in zip(tau.rows[outside].tolist(), tau.cols[outside].tolist())
+    ] + [
+        (i, decomp.m, f"packet {i + 1} tau total {totals[i]} does not match bits/rate {span[i]}")
+        for i in _flagged(mismatch)
+    ]
+    violations += [note for _, _, note in sorted(notes)]
 
     lengths = decomp.epoch_lengths()
     used = tau.col_sums()
@@ -321,8 +318,7 @@ def check_optimality(
     n, m = instance.n, decomp.m
     warnings: list[str] = []
 
-    arrivals = instance.arrivals()
-    if len(np.unique(arrivals)) < n:
+    if len(np.unique(instance.arrivals())) < n:
         warnings.append(
             "instance has packets with equal arrival instants; the theory "
             "assumes strictly increasing arrivals but never uses strictness"
@@ -378,13 +374,8 @@ def check_optimality(
         cells, decomp,
     )
 
-    monotone: bool | None = None
-    if schedule.trace is not None and schedule.trace.steps:
-        monotone = True
-        rs = schedule.trace.rates()
-        for a, b in zip(rs, rs[1:]):
-            if b > a * (1.0 + RATE_REL_TOL):
-                monotone = False
+    rs = schedule.trace.rates() if schedule.trace is not None else []
+    monotone = not any(b > a * (1.0 + RATE_REL_TOL) for a, b in zip(rs, rs[1:])) if rs else None
 
     # The terms add up in packet order, as a running sum.
     on = rates > 0

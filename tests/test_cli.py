@@ -125,11 +125,16 @@ class TestSolveValidate:
             # the first packet that breaks a rule is named
             ([(1, 1.0, 0.0, 2.0), (2, False, 0.5, 1.0)], 1.0, "packet 2: bits must be a number"),
             ([(1, "1", 0.0, 2.0), (2, 1.0, 0.0, math.inf)], 1.0, "packet 1: bits must be a number"),
+            # a JSON integer beyond a float's range reads as infinite
+            ([(1, 10**400, 0.0, 2.0)], 1.0, "packet 1: bits must be finite, got 1000"),
+            ([(1, 1.0, -(10**400), 2.0)], 1.0, "packet 1: arrival must be finite, got -1000"),
+            ([(1, 1.0, 0.0, 2.0)], 10**400, "noise_power must be positive and finite"),
         ],
         ids=[
             "deadline-inf", "bits-inf", "arrival-minus-inf", "str-id", "noise-inf",
             "noise-bool", "energy-inf", "bits-true", "arrival-str", "deadline-null",
-            "second-bits-false", "str-bits-before-inf",
+            "second-bits-false", "str-bits-before-inf", "bits-too-large",
+            "arrival-too-small", "noise-too-large",
         ],
     )
     def test_non_finite_or_non_integer_input_exit_2(
@@ -198,6 +203,7 @@ class TestSolveValidate:
             (lambda doc: doc["iterations"][0].update(packets=[None]), "packet None is not an int"),
             (lambda doc: doc.update(energy=None), "energy None is not a finite number"),
             (lambda doc: doc.update(energy=math.nan), "energy nan is not a finite number"),
+            (lambda doc: doc.update(energy=10**400), "energy 1" + "0" * 400 + " is not a finite"),
             (lambda doc: doc.update(rates=[1, 2]), "schedule document is malformed"),
             (lambda doc: doc.update(segments=None), "schedule document is malformed"),
             (lambda doc: doc.__delitem__("energy"), "schedule document is malformed"),
@@ -206,7 +212,7 @@ class TestSolveValidate:
         ids=[
             "iteration-rate-null", "iteration-rate-inf", "segment-rate-nan", "start-null",
             "end-true", "rate-minus-inf", "short-piece", "packet-null", "energy-null",
-            "energy-nan", "rates-not-entries", "segments-null", "no-energy", "top-level-list",
+            "energy-nan", "energy-too-large", "rates-not-entries", "segments-null", "no-energy", "top-level-list",
         ],
     )
     def test_unreadable_schedule_exit_2(

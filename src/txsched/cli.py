@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from .harness import GeneratorConfig, bench_complexity, generate
-from .model import instance_from_json, instance_to_json
+from .model import _floats, instance_from_json, instance_to_json
 from .oracle import solve_projected_gradient
 from .power import Monomial, PowerModel, Shannon
-from .scheduler import _floats, schedule_from_json, schedule_to_json, solve
+from .scheduler import schedule_from_json, schedule_to_json, solve
 from .verifier import check_feasible, check_optimality, epoch_times, extract_certificate
 
 EXIT_OK = 0

@@ -57,15 +57,15 @@ def generate(config: GeneratorConfig) -> Instance:
     """Draw a random instance; identical configs give identical bytes."""
     if config.n < 1:
         raise ConfigInvalid(f"n must be at least 1, got {config.n}")
-    if not config.horizon > 0:
-        raise ConfigInvalid(f"horizon must be positive, got {config.horizon}")
+    if not 0 < config.horizon < math.inf:
+        raise ConfigInvalid(f"horizon must be positive and finite, got {config.horizon}")
     if not 0.0 <= config.non_fifo_prob <= 1.0:
         raise ConfigInvalid(
             f"non_fifo_prob must lie in [0, 1], got {config.non_fifo_prob}"
         )
     lo, hi = config.bits_range
-    if not (0 < lo <= hi):
-        raise ConfigInvalid(f"bits_range must satisfy 0 < min <= max, got {config.bits_range}")
+    if not 0 < lo <= hi < math.inf:
+        raise ConfigInvalid(f"bits_range must satisfy 0 < min <= max < inf, got {config.bits_range}")
     if not 0 < config.min_window_frac <= 0.1:
         raise ConfigInvalid(
             f"min_window_frac must lie in (0, 0.1], got {config.min_window_frac}"
@@ -74,40 +74,43 @@ def generate(config: GeneratorConfig) -> Instance:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     # Arrivals stay clear of the horizon so plain windows can always
     # reach the floor width.
-    arrivals = np.sort(rng.uniform(0.0, 0.9 * config.horizon, config.n))
-    bits = rng.uniform(lo, hi, config.n)
+    arrivals = np.sort(rng.uniform(0.0, 0.9 * config.horizon, config.n)).tolist()
+    bits = rng.uniform(lo, hi, config.n).tolist()
     min_len = config.min_window_frac * config.horizon
+    # `x + (y - x) * random()` is what numpy's scalar `uniform(x, y)`
+    # computes from its one draw, so the stream and the values are the
+    # same without the call's overhead.  `integers` stays a call: its
+    # 32-bit draws use the half word the bit generator buffers.
+    random = rng.random
 
-    windows: list[tuple[float, float]] = []
-    for i in range(config.n):
-        a = float(arrivals[i])
-        nest = i > 0 and rng.random() < config.non_fifo_prob
-        if nest:
+    starts: list[float] = []
+    ends: list[float] = []
+    for i, a in enumerate(arrivals):
+        if i and random() < config.non_fifo_prob:
             k = int(rng.integers(0, i))
-            ka, kd = windows[k]
+            ka, kd = starts[k], ends[k]
             if kd - ka >= 2.5 * min_len:
-                na = nd = ka
                 for _ in range(64):
-                    na = rng.uniform(ka, kd)
-                    nd = rng.uniform(na, kd)
+                    na = ka + (kd - ka) * random()
+                    nd = na + (kd - na) * random()
                     if nd - na >= min_len:
                         break
                 else:
                     na = ka + 0.25 * (kd - ka)
                     nd = kd - 0.25 * (kd - ka)
-                windows.append((na, nd))
+                starts.append(na)
+                ends.append(nd)
                 continue
             # parent too narrow to nest; fall through to a plain window
-        d = a
         for _ in range(64):
-            d = rng.uniform(a, config.horizon)
+            d = a + (config.horizon - a) * random()
             if d - a >= min_len:
                 break
         else:
             d = min(a + min_len, config.horizon)
-        windows.append((a, d))
+        starts.append(a)
+        ends.append(d)
 
-    starts, ends = zip(*windows)
     return normalize_columns(list(range(1, config.n + 1)), bits, starts, ends)
 
 

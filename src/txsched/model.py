@@ -58,11 +58,15 @@ class Packet:
         check_packets([self.id], [self.bits], [self.arrival], [self.deadline])
 
 
+# floats first: the common case matches on the first type tried
+_NUMBER_TYPES = (float, np.floating, int, np.integer)
+
+
 def as_float(x) -> float | None:
     """`x` as a float if it is a number: an int or a float, numpy's
     included, and no bool (a bool is an int, but true is no number).
     None otherwise.  An int beyond a float's range reads as infinite."""
-    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+    if isinstance(x, _NUMBER_TYPES) and not isinstance(x, bool):
         try:
             return float(x)
         except OverflowError:
@@ -339,9 +343,12 @@ def decompose(instance: Instance) -> EpochDecomposition:
 def is_non_fifo(instance: Instance) -> set[int]:
     """Ids of packets whose window is strictly nested inside an
     earlier-arriving packet's window (deadline order inversion)."""
-    a = instance.arrivals()
-    d = instance.deadlines()
-    return {i + 1 for i in range(instance.n) if np.any((a < a[i]) & (d > d[i]))}
+    # rows ascend with arrivals, so the packets that arrive strictly
+    # earlier than row i are the rows before its arrival's first row
+    a, d = instance.arrivals(), instance.deadlines()
+    first = np.searchsorted(a, a, side="left")
+    latest = np.concatenate(([-np.inf], np.maximum.accumulate(d)))[first]
+    return set((np.flatnonzero(latest > d) + 1).tolist())
 
 
 def _check_noise_power(value):
@@ -352,19 +359,30 @@ def _check_noise_power(value):
         raise InstanceFormatError(f"noise_power must be positive and finite, got {value}")
 
 
+def _floats(values: np.ndarray) -> list[str]:
+    """The text `json.dumps` writes for each float of an array.  Each
+    distinct bit pattern is formatted once: a schedule's rates repeat."""
+    if not len(values):
+        return []
+    bits, which = np.unique(np.asarray(values, dtype=float).view(np.uint64), return_inverse=True)
+    texts = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
+    return [texts[k] for k in which.tolist()]
+
+
 def instance_to_json(instance: Instance, noise_power: float = 1.0) -> str:
-    """Serialize to the on-disk instance format; the noise power must be
-    one `instance_from_json` reads back."""
+    """Serialize to the on-disk instance format: the text of
+    `json.dumps(doc, indent=2)`, written from the columns.  The noise
+    power must be one `instance_from_json` reads back; a numpy number
+    is written as the Python number it holds."""
     _check_noise_power(noise_power)
-    rows = zip(*(c.tolist() for c in instance.columns))
-    doc = {
-        "noise_power": noise_power,
-        "packets": [
-            {"id": i + 1, "bits": b, "arrival": a, "deadline": d}
-            for i, (b, a, d) in enumerate(rows)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    noise = json.dumps(noise_power.item() if isinstance(noise_power, np.generic) else noise_power)
+    n = instance.n
+    texts = _floats(np.concatenate(instance.columns))  # bits, then arrivals, then deadlines
+    packets = ",\n    ".join(
+        f'{{\n      "id": {i},\n      "bits": {b},\n      "arrival": {a},\n      "deadline": {d}\n    }}'
+        for i, b, a, d in zip(range(1, n + 1), texts, texts[n:], texts[2 * n :])
+    )
+    return f'{{\n  "noise_power": {noise},\n  "packets": [\n    {packets}\n  ]\n}}\n'
 
 
 def instance_from_json(text: str) -> tuple[Instance, float]:

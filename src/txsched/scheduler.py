@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DUST_REL_TOL, Instance, PairTable, as_float
+from .model import DUST_REL_TOL, Instance, PairTable, _floats, as_float
 from .power import PowerModel, schedule_energy
 
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
@@ -626,16 +626,6 @@ def _segments_from_table(instance: Instance, tau: PairTable):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _floats(values: np.ndarray) -> list[str]:
-    """The text `json.dumps` writes for each float of an array.  Each
-    distinct bit pattern is formatted once: a schedule's rates repeat."""
-    if not len(values):
-        return []
-    bits, which = np.unique(np.asarray(values, dtype=float).view(np.uint64), return_inverse=True)
-    texts = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
-    return [texts[k] for k in which.tolist()]
 
 
 def schedule_to_json(schedule: Schedule) -> str:

@@ -21,22 +21,33 @@ solver reserves time as sorted interval lists (`merge`, `subtract` and
 `measure`), where `scheduler.solve` keeps one epoch mask.  The loops
 add a table's rows and columns cell by cell in index order, the order
 the sparse table's sums take.
+
+`generate` and `instance_to_json` are the generator loop that draws
+with scalar `rng.uniform` calls and keeps windows as tuples, and the
+writer that builds one dict per packet for `json.dumps(indent=2)`,
+which `txsched.harness.generate` and `txsched.model.instance_to_json`
+replaced: the fast pair must write the same text byte for byte.  The
+set comprehension `non_fifo_ids` is what `txsched.model.is_non_fifo`
+replaced.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from txsched import scheduler
+from txsched.harness import GeneratorConfig
 from txsched.model import (
     DUST_REL_TOL,
     EpochDecomposition,
     Instance,
     PairTable,
     decompose,
+    normalize_columns,
 )
 from txsched.oracle import ARMIJO_C, TIME_FLOOR, OracleSolution
 from txsched.power import NegativeRate, NonFiniteEnergy, PowerModel, ZeroRate
@@ -939,3 +950,65 @@ def solve_projected_gradient(
         converged=converged,
         energy_history=np.array(history) if history is not None else None,
     )
+
+
+def generate(config: GeneratorConfig) -> Instance:
+    """Draw a random instance, one scalar `rng.uniform` per window end."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    lo, hi = config.bits_range
+    arrivals = np.sort(rng.uniform(0.0, 0.9 * config.horizon, config.n))
+    bits = rng.uniform(lo, hi, config.n)
+    min_len = config.min_window_frac * config.horizon
+
+    windows: list[tuple[float, float]] = []
+    for i in range(config.n):
+        a = float(arrivals[i])
+        nest = i > 0 and rng.random() < config.non_fifo_prob
+        if nest:
+            k = int(rng.integers(0, i))
+            ka, kd = windows[k]
+            if kd - ka >= 2.5 * min_len:
+                na = nd = ka
+                for _ in range(64):
+                    na = rng.uniform(ka, kd)
+                    nd = rng.uniform(na, kd)
+                    if nd - na >= min_len:
+                        break
+                else:
+                    na = ka + 0.25 * (kd - ka)
+                    nd = kd - 0.25 * (kd - ka)
+                windows.append((na, nd))
+                continue
+            # parent too narrow to nest; fall through to a plain window
+        d = a
+        for _ in range(64):
+            d = rng.uniform(a, config.horizon)
+            if d - a >= min_len:
+                break
+        else:
+            d = min(a + min_len, config.horizon)
+        windows.append((a, d))
+
+    starts, ends = zip(*windows)
+    return normalize_columns(list(range(1, config.n + 1)), bits, starts, ends)
+
+
+def instance_to_json(instance: Instance, noise_power=1.0) -> str:
+    """The instance document as `json.dumps(doc, indent=2)` writes it."""
+    rows = zip(*(c.tolist() for c in instance.columns))
+    doc = {
+        "noise_power": noise_power,
+        "packets": [
+            {"id": i + 1, "bits": b, "arrival": a, "deadline": d}
+            for i, (b, a, d) in enumerate(rows)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def non_fifo_ids(instance: Instance) -> set[int]:
+    """Ids of packets whose window an earlier-arriving packet's window
+    strictly contains, one comparison over all packets per packet."""
+    a = instance.arrivals()
+    d = instance.deadlines()
+    return {i + 1 for i in range(instance.n) if np.any((a < a[i]) & (d > d[i]))}

@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from txsched.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 @pytest.fixture
@@ -33,6 +36,11 @@ class TestGen:
         rc = main(["gen", "--n", "0", "-o", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--horizon=inf", "--bits-max=inf"])
+    def test_infinite_config_exit_2(self, tmp_path, flag):
+        # numpy would refuse the infinite range with an OverflowError
+        assert main(["gen", "--n", "3", flag, "-o", str(tmp_path / "x.json")]) == 2
+
     @pytest.mark.parametrize("noise", ["0", "-1", "nan", "inf"])
     def test_bad_noise_exit_2(self, tmp_path, capsys, noise):
         # the instance file would not read back: no file, exit 2
@@ -45,6 +53,20 @@ class TestGen:
         path = tmp_path / "x.json"
         assert main(["gen", "--n", "3", "--noise", "0.25", "-o", str(path)]) == 0
         assert json.loads(path.read_text())["noise_power"] == 0.25
+
+    @pytest.mark.parametrize("entry", json.loads((CORPUS / "MANIFEST.json").read_text()),
+                             ids=lambda e: e["file"])
+    def test_regenerates_corpus(self, tmp_path, entry):
+        # the command line pins the generator and the writer as the
+        # library path does: each manifest entry's flags give its file
+        path = tmp_path / entry["file"]
+        bits_min, bits_max = entry["bits_range"]
+        args = ["gen", "--n", str(entry["n"]), "--seed", str(entry["seed"]),
+                "--non-fifo-prob", str(entry["non_fifo_prob"]),
+                "--min-window-frac", str(entry["min_window_frac"]),
+                "--bits-min", str(bits_min), "--bits-max", str(bits_max), "-o", str(path)]
+        assert main(args) == 0
+        assert path.read_bytes() == (CORPUS / entry["file"]).read_bytes()
 
 
 class TestSolveValidate:

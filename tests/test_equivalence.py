@@ -1,8 +1,9 @@
 """The lockstep solver, the batched rank-histogram candidate grid, the
 range-based decomposition, the vectorized verifier, the heap EDF fill,
-the sparse allocation table and the packed-column projected-gradient
-oracle against the loop and matmul implementations in
-reference_impl.py.
+the sparse allocation table, the packed-column projected-gradient
+oracle, the column-wise instance generator and writer and the prefix
+maximum of `is_non_fifo` against the loop and matmul implementations
+in reference_impl.py.
 
 Every comparison is exact: identical schedule JSON, the same violation
 strings in the same order, equal reports, epoch conditions and member
@@ -48,6 +49,9 @@ from txsched import (
     generate,
     harness,
     instance_from_json,
+    instance_to_json,
+    is_non_fifo,
+    normalize_columns,
     normalize_instance,
     schedule_from_allocation,
     schedule_energy,
@@ -1077,3 +1081,56 @@ def test_pgd_matches_reference_loop():
             a, b = np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
             assert a.dtype == b.dtype and a.shape == b.shape, (label, name)
             assert a.tobytes() == b.tobytes(), (label, name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 500])
+def test_generated_text_matches_reference(n):
+    """`instance_to_json(generate(config))` is the old loop's and old
+    writer's text, byte for byte, across densities, window floors,
+    time scales, bit ranges and seeds; the instances agree in
+    `is_non_fifo` with the set comprehension too."""
+    grid = itertools.product(
+        [0.0, 0.3, 1.0],
+        [0.01, 0.05, 0.1],
+        [1e-3, 1.0, n / 2, 1e6],
+        [(0.5, 4.0), (0.4, 1.5), (1e-3, 1e3), (2.0, 2.0)],
+        [0] if n == 500 else [0, 7, 2**40],
+    )
+    for prob, frac, horizon, bits_range, seed in grid:
+        config = GeneratorConfig(
+            n=n, horizon=horizon, seed=seed, non_fifo_prob=prob,
+            bits_range=bits_range, min_window_frac=frac,
+        )
+        inst = generate(config)
+        assert instance_to_json(inst) == ref.instance_to_json(ref.generate(config)), config
+        assert is_non_fifo(inst) == ref.non_fifo_ids(inst), config
+
+
+@pytest.mark.parametrize("noise", [1.0, 2, 1e-7, 1e16, 5e-324, 0.1])
+def test_exponent_floats_written_as_json_dumps(noise):
+    """Floats that print in exponent form, negative zero and a Python
+    int noise power come out as `json.dumps(indent=2)` writes them."""
+    insts = [
+        normalize_columns([3, 1, 2], [5e-324, 1e16, 1e-7], [0.0, 1e-7, 2e-7], [3e-7, 1e-6, 5e-7]),
+        normalize_columns([1, 2], [1e-7, 1e-7], [1e16, 1e16 + 4.0], [3e16, 2e16]),
+        Instance((np.array([1e300, 2.5]), np.array([-0.0, 0.0]), np.array([1e-300, 1e22])), 1e22),
+    ]
+    for inst in insts:
+        assert instance_to_json(inst, noise) == ref.instance_to_json(inst, noise)
+
+
+def test_is_non_fifo_matches_set_comprehension():
+    """The prefix maximum flags what the per-packet comparison flags,
+    tied arrivals and shared endpoints included."""
+    instances = [inst for _, inst in corpus_instances()] + [
+        generate(GeneratorConfig(n=n, seed=seed, non_fifo_prob=prob))
+        for n, seed, prob in itertools.product([1, 5, 40], [0, 3], [0.0, 0.5, 1.0])
+    ] + [
+        # ties: the same arrival never nests, however the deadlines lie
+        normalize_columns([1, 2, 3, 4], [1.0] * 4, [0.0, 0.0, 1.0, 1.0], [3.0, 2.0, 2.5, 2.0]),
+        normalize_columns([1, 2], [1.0, 1.0], [0.0, 0.5], [2.0, 2.0]),
+        chain_instance(60, 7),
+    ]
+    for inst in instances:
+        assert is_non_fifo(inst) == ref.non_fifo_ids(inst)
+    assert is_non_fifo(instances[-3]) == {3, 4}

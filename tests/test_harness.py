@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,8 @@ class TestGenerate:
             {"n": 3, "bits_range": (0.0, 1.0)},
             {"n": 3, "bits_range": (2.0, 1.0)},
             {"n": 3, "min_window_frac": 0.5},
+            {"n": 3, "horizon": math.inf},
+            {"n": 3, "bits_range": (1.0, math.inf)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -335,6 +335,17 @@ class TestJson:
         assert back == inst
         assert noise == 2.5
 
+    @pytest.mark.parametrize(
+        "noise, text",
+        [(np.float32(2.0), "2.0"), (np.int64(2), "2"), (np.float64(0.1), "0.1"), (2, "2")],
+    )
+    def test_numpy_noise_power_written_as_python_number(self, noise, text):
+        inst = normalize_instance([P(1, 1.0, 0.0, 1.0)])
+        written = instance_to_json(inst, noise_power=noise)
+        assert f'"noise_power": {text},' in written
+        back, read = instance_from_json(written)
+        assert back == inst and read == noise
+
     def test_field_names_exact(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0)])
         doc = json.loads(instance_to_json(inst))

@@ -32,10 +32,10 @@ for i, (b, a, d) in enumerate(zip(instance.bits(), instance.arrivals(),
 
 # The timeline splits at every arrival and deadline.
 decomp = decompose(instance)
-print("\nepoch grid:", decomp.instants)
+print("\nepoch grid:", decomp.instants.tolist())
 # Packet i can transmit in the epoch columns lo[i-1] <= c < hi[i-1].
 # Epoch j runs from grid instant j-1 to grid instant j.
-grid = decomp.instants
+grid = decomp.instants.tolist()
 for j, (s, e) in enumerate(zip(grid, grid[1:]), start=1):
     feas = [i for i, (a, d) in enumerate(zip(decomp.lo, decomp.hi), start=1) if a < j <= d]
     print(f"  epoch {j} = [{s}, {e}]  transmittable: {feas}")

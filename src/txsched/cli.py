@@ -116,7 +116,7 @@ def _write_certificate(out, instance, cert):
     straight from the arrays.  The pairs go out in chunks of
     _GAMMA_CHUNK, generated from the packets' epoch ranges, so neither
     the pair list nor the text is ever held whole."""
-    lo, hi = instance.decomposition.ranges
+    lo, hi = instance.decomposition.lo, instance.decomposition.hi
     first = np.concatenate(([0], np.cumsum(hi - lo)))  # each packet's first pair
     out.write('{\n  "beta": [\n    ' + ",\n    ".join(_floats(cert.beta)))
     out.write('\n  ],\n  "gamma": [\n    ')
@@ -189,7 +189,7 @@ def _cmd_trace(args) -> int:
     model = _model_from_args(args, noise)
     schedule = solve(instance, model)
     decomp = instance.decomposition
-    grid = decomp.instants
+    grid = decomp.instants.tolist()
     rows, cols = decomp.pairs()
     lines = ["packet,epoch,start,end,tau"]
     times = epoch_times(instance, schedule).on_pairs(decomp).tolist()

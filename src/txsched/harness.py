@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, PairTable, normalize_columns
+from .model import Instance, PairTable, normalize_columns, runs
 from .power import NonFiniteEnergy, PowerModel, Shannon
 from .scheduler import (
     InternalDeadlineMiss,
@@ -129,8 +129,8 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     `check_feasible` reports (an open item; see FOUND in CHANGES.md).
     """
     decomp = instance.decomposition
-    grid = np.array(decomp.instants)
-    lo, hi = decomp.ranges
+    grid = decomp.instants
+    lo, hi = decomp.lo, decomp.hi
     bits, _, deadlines = instance.columns
     free = np.ones(decomp.m, dtype=bool)  # the epochs no tie group claimed
     segment_rows: list[tuple[int, float, float, float]] = []
@@ -140,8 +140,8 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
             members = np.flatnonzero(deadlines == d)
             # one deadline, so the members' windows are one run of epochs
             a, b = int(lo[members].min()), int(hi[members[0]])
-            flips = np.flatnonzero(np.diff(free[a:b], prepend=False, append=False)) + a
-            pieces = list(zip(grid[flips[0::2]].tolist(), grid[flips[1::2]].tolist()))
+            opens, shuts = runs(free[a:b])
+            pieces = list(zip(grid[a + opens].tolist(), grid[a + shuts].tolist()))
             if not pieces:
                 raise InternalIdle("tie group found no free time")
             member_bits = bits[members].tolist()
@@ -155,7 +155,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
         segments = SegmentTable.in_time_order(*rows.T)
     except (InternalIdle, InternalDeadlineMiss):
         rows, cols = decomp.pairs()
-        share = decomp.epoch_lengths()[cols] / decomp.coverage()[cols]
+        share = decomp.lengths[cols] / decomp.coverage[cols]
         tau = PairTable(rows, cols, share, (instance.n, decomp.m))
         rates, segments = _segments_from_table(instance, tau)
     try:

@@ -17,9 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-# Two instants of an instance are the same instant when they lie within
-# this fraction of its horizon (`Instance.time_tol`).  The grid, window
-# containment and segment checks all use that one tolerance, so the
+# Two instants of an instance are the same instant when they lie less
+# than this fraction of its horizon apart (`Instance.time_tol`), and a
+# window spans at least that much.  The grid, window containment and
+# segment checks all use that one tolerance, so the
 # schedules built on the grid stay consistent with it, and rescaling
 # time moves the tolerance with it.
 TIME_REL_TOL = 1e-10
@@ -79,31 +80,38 @@ def check_packets(ids, bits, arrivals, deadlines, tolerance: bool = True) -> np.
     every packet rule holds; the one place the rules live.
 
     The rules are checked packet by packet, in input order: an integer id
-    that is no bool, bits, arrival and deadline that are numbers (ints or
-    floats, and no bools) and finite, positive bits, and a deadline after
-    the arrival.  Then, unless `tolerance` is False, every window must
-    span at least the time tolerance of the packets' own horizon.
-    Raises MalformedPacket naming the first offender.
+    that is no bool and no earlier packet's, bits, arrival and deadline
+    that are numbers (ints or floats, and no bools) and finite, positive
+    bits, and a deadline after the arrival.  Then, unless `tolerance` is
+    False, every window must span at least the time tolerance of the
+    packets' own horizon, measured on the times `normalize_columns`
+    stores: shifted so the earliest arrival is 0.  Raises MalformedPacket
+    naming the first offender.
     """
     values = [[as_float(x) for x in c] for c in (bits, arrivals, deadlines)]
     table = np.array(values, dtype=float).reshape(3, -1)  # a non-number (None) reads as NaN
     b, a, d = table
     integer = [isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids]
+    first: dict = {}  # each integer id's first position
+    fresh = [ok and first.setdefault(i, k) == k for k, (i, ok) in enumerate(zip(ids, integer))]
     finite = np.isfinite(table)
     with np.errstate(invalid="ignore"):
-        bad = ~np.array(integer, dtype=bool) | ~finite.all(axis=0) | ~(b > 0) | ~(d > a)
+        bad = ~np.array(fresh, dtype=bool) | ~finite.all(axis=0) | ~(b > 0) | ~(d > a)
     if bad.any():
         k = int(np.argmax(bad))
         fields = list(zip(("bits", "arrival", "deadline"), (bits[k], arrivals[k], deadlines[k])))
         reasons = [] if integer[k] else ["id must be an integer"]
+        repeated = integer[k] and not fresh[k]
+        reasons += [f"id is repeated (first at entry {first[ids[k]]})"] if repeated else []
         reasons += [f"{n} must be a number, got {v!r}" for (n, v), row in zip(fields, values) if row[k] is None]
         reasons += [f"{n} must be finite, got {v}" for (n, v), ok in zip(fields, finite[:, k]) if not ok]
         reasons += [] if b[k] > 0 else [f"bits must be positive, got {bits[k]}"]
         reasons.append(f"deadline {deadlines[k]} must exceed arrival {arrivals[k]}")
         raise MalformedPacket(ids[k], reasons[0])
     if tolerance and len(ids):
-        tol = TIME_REL_TOL * float(d.max() - a.min())
-        short = np.flatnonzero(d - a < tol)
+        t0 = a.min()
+        tol = TIME_REL_TOL * float(d.max() - t0)
+        short = np.flatnonzero((d - t0) - (a - t0) < tol)
         if short.size:
             k = int(short[0])
             raise MalformedPacket(
@@ -177,37 +185,42 @@ class Instance:
         return decompose(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochDecomposition:
-    """The instant grid and each packet's epoch range.
+    """The instant grid and each packet's epoch range, as read-only arrays.
 
     Epoch j (1-based, matching packet ids) covers
     [instants[j-1], instants[j]] and is column j-1 of every per-epoch
     array.  A packet's feasible epochs always form one contiguous run,
     so packet i is stored as the half-open column range
     [lo[i-1], hi[i-1]): lo is the grid index of its arrival and hi the
-    grid index of its deadline.  The ranges are tuples of ints, so two
-    decompositions compare equal exactly when their grids and ranges do;
-    `ranges` holds them as read-only arrays.
+    grid index of its deadline.  Two decompositions are equal when their
+    grids and ranges are.
     """
 
-    instants: tuple[float, ...]
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
+    instants: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, EpochDecomposition):
+            return NotImplemented
+        mine, theirs = (self.instants, self.lo, self.hi), (other.instants, other.lo, other.hi)
+        return all(map(np.array_equal, mine, theirs))
 
     @property
     def m(self) -> int:
         return len(self.instants) - 1
 
-    def epoch_lengths(self) -> np.ndarray:
-        return np.diff(np.array(self.instants))
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Each epoch's length, read-only."""
+        return _read_only(np.diff(self.instants))
 
     @cached_property
-    def ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """`lo` and `hi` as read-only index arrays."""
-        table = np.array([self.lo, self.hi], dtype=np.intp).reshape(2, -1)
-        table.flags.writeable = False
-        return tuple(table)
+    def coverage(self) -> np.ndarray:
+        """The number of packets that can transmit in each epoch, read-only."""
+        return _read_only(covered(self.lo, self.hi, self.m))
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every feasible (packet row, epoch column) pair, 0-based, in
@@ -220,24 +233,32 @@ class EpochDecomposition:
         # rank[c] counts the set columns left of c, so packet i meets the
         # set columns rank[lo[i]] to rank[hi[i]] of the flattened mask
         rank = np.concatenate(([0], np.cumsum(columns)))
-        lo, hi = self.ranges
-        start = rank[lo]
-        counts = rank[hi] - start
-        rows = np.repeat(np.arange(len(lo)), counts)
+        start = rank[self.lo]
+        counts = rank[self.hi] - start
+        rows = np.repeat(np.arange(len(self.lo)), counts)
         first = np.cumsum(counts) - counts  # position of each packet's first pair
         picked = np.arange(counts.sum()) + np.repeat(start - first, counts)
         return rows, np.flatnonzero(columns)[picked]
 
-    def coverage(self) -> np.ndarray:
-        """Number of packets that can transmit in each epoch column."""
-        steps = np.bincount(self.lo, minlength=self.m + 1) - np.bincount(
-            self.hi, minlength=self.m + 1
-        )
-        return np.cumsum(steps)[: self.m]
 
-    def live_epochs(self) -> list[int]:
-        """1-based indices of epochs some packet can transmit in."""
-        return (np.flatnonzero(self.coverage()) + 1).tolist()
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only in place."""
+    array.flags.writeable = False
+    return array
+
+
+def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs of set epochs in the boolean per-epoch `mask`:
+    the grid indices where each run opens and where it closes."""
+    edges = np.concatenate(([False], mask, [False]))
+    flips = np.flatnonzero(edges[1:] != edges[:-1])
+    return flips[0::2], flips[1::2]
+
+
+def covered(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """How many of the epoch ranges [lo[k], hi[k]) hold each of m epochs."""
+    steps = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
+    return np.cumsum(steps)[:m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,8 +331,7 @@ def normalize_columns(ids, bits, arrivals, deadlines) -> Instance:
     b, a, d = check_packets(ids, bits, arrivals, deadlines)
     order = np.lexsort((np.asarray(ids), d, a))
     t0 = a.min()
-    table = np.stack([b[order], a[order] - t0, d[order] - t0])
-    table.flags.writeable = False
+    table = _read_only(np.stack([b[order], a[order] - t0, d[order] - t0]))
     id_map = {k + 1: ids[i] for k, i in enumerate(order.tolist())}
     return Instance(tuple(table), float(d.max() - t0), id_map)
 
@@ -319,25 +339,21 @@ def normalize_columns(ids, bits, arrivals, deadlines) -> Instance:
 def decompose(instance: Instance) -> EpochDecomposition:
     """Build the instant grid and each packet's epoch range."""
     # Greedy clustering anchored on each cluster's first instant: an
-    # instant joins the current cluster while it lies within the time
-    # tolerance of that representative, so a run of instants spaced
-    # just under the tolerance still splits once it drifts past it.
+    # instant opens a new cluster once it lies the time tolerance or more
+    # past that representative, so a run of instants spaced just under
+    # the tolerance still splits once it drifts past it, and the two ends
+    # of a window, at least the tolerance apart, never share a cluster.
     tol = instance.time_tol
     raw = np.unique(np.concatenate([instance.arrivals(), instance.deadlines()]))
     reps: list[float] = []
     for v in raw.tolist():
-        if not reps or v - reps[-1] > tol:
+        if not reps or v - reps[-1] >= tol:
             reps.append(v)
     # A raw instant's grid index is the representative at or just below
-    # it (its cluster start), which is within the time tolerance.
+    # it (its cluster start), which is less than the time tolerance away.
     grid = np.array(reps)
-    lo = np.searchsorted(grid, instance.arrivals(), side="right") - 1
-    hi = np.searchsorted(grid, instance.deadlines(), side="right") - 1
-    return EpochDecomposition(
-        instants=tuple(reps),
-        lo=tuple(lo.tolist()),
-        hi=tuple(hi.tolist()),
-    )
+    lo, hi = np.searchsorted(grid, instance.columns[1:], side="right") - 1
+    return EpochDecomposition(*map(_read_only, (grid, lo, hi)))
 
 
 def is_non_fifo(instance: Instance) -> set[int]:

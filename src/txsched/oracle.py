@@ -106,8 +106,8 @@ def solve_projected_gradient(
     On the generator default at N=50 (Shannon) it stops after 6
     iterations at about 1e44 times the optimal energy: an upper bound only.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not (tol >= 0 and max_iters >= 0):  # NaN fails, too
+        raise ValueError(f"tol and max_iters must be non-negative, got {tol} and {max_iters}")
     decomp = instance.decomposition
     n, m = instance.n, decomp.m
     bits = instance.bits()
@@ -116,9 +116,9 @@ def solve_projected_gradient(
 
     # Epoch columns packed as rows of a C x nmax table: column c's
     # feasible packets in slots [0, lens[c]), `flat` their cells in tau.
-    live_cols = np.flatnonzero(mask.any(axis=0))
-    lens = mask[:, live_cols].sum(axis=0)
-    caps = decomp.epoch_lengths()[live_cols]
+    live_cols = np.flatnonzero(decomp.coverage)
+    lens = decomp.coverage[live_cols]
+    caps = decomp.lengths[live_cols]
     slot = np.arange(lens.max(initial=1)) < lens[:, None]
     col, row = np.nonzero(mask[:, live_cols].T)  # column-major, as `slot`
     flat = row * m + live_cols[col]
@@ -240,25 +240,25 @@ def solve_grid(instance: Instance, model: PowerModel, resolution: int) -> Oracle
     if n > 3 or m > 5:
         raise TooLarge(f"grid oracle handles N <= 3, M <= 5; got N={n}, M={m}")
     bits = instance.bits()
-    lengths = decomp.epoch_lengths()
+    lengths = decomp.lengths
 
-    live = decomp.live_epochs()
+    live = np.flatnonzero(decomp.coverage).tolist()  # the live epoch columns
     pair_rows, pair_cols = decomp.pairs()
     per_epoch: list[tuple[int, np.ndarray, np.ndarray]] = []
     total_combos = 1
-    for j in live:
-        rows = pair_rows[pair_cols == j - 1]
+    for c in live:
+        rows = pair_rows[pair_cols == c]
         combos = _compositions(resolution, len(rows))
         total_combos *= len(combos)
         if total_combos > GRID_COMBO_CAP:
             raise TooLarge(
                 f"grid enumeration needs more than {GRID_COMBO_CAP} combinations"
             )
-        per_epoch.append((j, rows, combos * (lengths[j - 1] / resolution)))
+        per_epoch.append((c, rows, combos * (lengths[c] / resolution)))
 
     totals = np.zeros((1, n))
     combo_counts = [len(c) for _, _, c in per_epoch]
-    for j, rows, alloc in per_epoch:
+    for _, rows, alloc in per_epoch:
         contrib = np.zeros((len(alloc), n))
         contrib[:, rows] = alloc
         totals = (totals[:, None, :] + contrib[None, :, :]).reshape(-1, n)
@@ -277,11 +277,11 @@ def solve_grid(instance: Instance, model: PowerModel, resolution: int) -> Oracle
     # Decode the flat index back into one combo per epoch.
     tau = np.zeros((n, m))
     rem = best
-    for (j, rows, alloc), count in zip(reversed(per_epoch), reversed(combo_counts)):
+    for (c, rows, alloc), count in zip(reversed(per_epoch), reversed(combo_counts)):
         rem, k = divmod(rem, count)
-        tau[rows, j - 1] = alloc[k]
+        tau[rows, c] = alloc[k]
     T_best = tau.sum(axis=1)
-    spacing = max(lengths[j - 1] / resolution for j in live) if live else 0.0
+    spacing = max(lengths[c] / resolution for c in live) if live else 0.0
     return OracleSolution(
         tau=tau,
         total_times=T_best,

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DUST_REL_TOL, Instance, PairTable, _floats, as_float
+from .model import DUST_REL_TOL, Instance, PairTable, _floats, _read_only, as_float, covered, runs
 from .power import PowerModel, schedule_energy
 
 RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
@@ -80,9 +80,7 @@ class SegmentTable:
 
     def __post_init__(self):
         for name, dtype in zip(("packet", "start", "end", "rate"), (np.intp, float, float, float)):
-            column = np.asarray(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=dtype)))
 
     @classmethod
     def from_rows(cls, rows) -> "SegmentTable":
@@ -366,15 +364,13 @@ def _check_solution_invariants(
     # Every piece runs from one grid instant to another, and the pieces
     # reserve each live epoch exactly once and no dead one.
     decomp = instance.decomposition
-    grid = np.array(decomp.instants)
     pieces = np.array([p for step in steps for p in step.pieces]).reshape(-1, 2)
-    index = grid.searchsorted(pieces)
-    off = pieces[grid[np.minimum(index, decomp.m)] != pieces]
+    index = decomp.instants.searchsorted(pieces)
+    off = pieces[decomp.instants[np.minimum(index, decomp.m)] != pieces]
     if len(off):
         raise InternalInvariantViolation(f"reserved piece endpoint {off[0]} is not a grid instant")
-    opens, shuts = (np.bincount(index[:, k], minlength=len(grid)) for k in (0, 1))
-    count = np.cumsum(opens - shuts)[:-1]  # the pieces reserving each epoch
-    live = decomp.coverage() > 0
+    count = covered(index[:, 0], index[:, 1], decomp.m)  # the pieces reserving each epoch
+    live = decomp.coverage > 0
     over, wrong = count > 1, count != live
     if over.any():
         raise InternalInvariantViolation(
@@ -476,17 +472,15 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     and the periods' rounds are interleaved afterwards.
     """
     decomp = instance.decomposition
-    grid = np.array(decomp.instants)
-    lengths = np.diff(grid)
-    ranges = np.stack(decomp.ranges)  # each packet's arrival and deadline grid index
+    grid = decomp.instants
+    ranges = np.stack((decomp.lo, decomp.hi))  # each packet's arrival and deadline grid index
     # The busy periods are the runs of live epochs, and heads[q] is
     # period q's first epoch; a packet's period is the run holding its
     # first epoch.  Packets come sorted by arrival, so by period too.
     # The last head, past every grid instant, closes the last period.
-    live = decomp.coverage() > 0
-    heads = np.append(np.flatnonzero(live & ~np.concatenate(([False], live[:-1]))), len(grid))
+    heads = np.append(runs(decomp.coverage > 0)[0], len(grid))
     bits = instance.bits()
-    free = np.ones(len(lengths), dtype=bool)  # the epochs no round reserved
+    free = np.ones(decomp.m, dtype=bool)  # the epochs no round reserved
     # position[j] is grid instant j's position, the free time before it
     position = np.zeros(len(grid) + 1)
     position[-1] = np.inf
@@ -501,7 +495,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     segments: list[tuple[int, float, float, float]] = []
 
     while len(idx):
-        np.cumsum(np.where(free, lengths, 0.0), out=position[1:-1])
+        np.cumsum(np.where(free, decomp.lengths, 0.0), out=position[1:-1])
         windows = _window_ranks(position[ranges[:, idx]], period, position[heads[busy + [-1]]])
         head, si, ei, candidates = _best_windows(windows, bits[idx])
         candidates = candidates.tolist()
@@ -512,22 +506,17 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
         # Each busy period settles a run of packets, in the order of `busy`.
         count = np.add.reduceat(settled, windows.first[:-1], dtype=np.intp).tolist()
         cut = [0, *itertools.accumulate(count)]
-        runs = np.array(cut[:-1])
+        firsts = np.array(cut[:-1])
         # A period's pieces are the runs of free epochs in its members'
         # span; the spans are disjoint, so one mask holds them all.
-        # taken[j + 1] marks epoch j, so every run starts and ends where
-        # taken flips.  Members ascend with their arrivals, so a span
-        # starts at its first member's.
+        # Members ascend with their arrivals, so a span starts at its
+        # first member's.
         member_lo, member_hi = ranges[:, member]
-        span_lo = member_lo[runs]
-        span_hi = np.maximum.reduceat(member_hi, runs)
-        depth = np.zeros(len(grid) + 1, dtype=np.intp)
-        depth[span_lo + 1], depth[span_hi + 1] = 1, -1
-        taken = np.cumsum(depth) > 0
-        taken[1:-1] &= free
-        free &= ~taken[1:-1]
-        flips = np.flatnonzero(taken[1:] != taken[:-1])
-        opens, shuts = flips[0::2], flips[1::2]
+        span_lo = member_lo[firsts]
+        taken = covered(span_lo, np.maximum.reduceat(member_hi, firsts), decomp.m) > 0
+        taken &= free
+        free &= ~taken
+        opens, shuts = runs(taken)
         pieces = list(zip(grid[opens].tolist(), grid[shuts].tolist()))
         first_piece = [*opens.searchsorted(span_lo).tolist(), len(pieces)]
         member_bits = bits[member]
@@ -615,7 +604,7 @@ def _segments_from_table(instance: Instance, tau: PairTable):
     group = np.cumsum(opens) - 1
     slot = np.arange(len(cols)) - first[group]
     times = np.zeros((len(first), slot.max(initial=0) + 2))
-    times[:, 0] = np.array(instance.decomposition.instants)[cols[first]]
+    times[:, 0] = instance.decomposition.instants[cols[first]]
     times[group, slot + 1] = values
     np.add.accumulate(times, axis=1, out=times)
     segments = SegmentTable.in_time_order(

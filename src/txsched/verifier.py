@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import EpochDecomposition, Instance, PairTable
+from .model import EpochDecomposition, Instance, PairTable, _read_only
 from .power import PowerModel, per_distinct_rate
 from .scheduler import Schedule
 
@@ -91,7 +91,7 @@ class EpochConditions:
         """Ids of the packets feasible in epoch number `epoch` with
         positive time there, and with zero time."""
         col = epoch - 1
-        lo, hi = self.decomp.ranges
+        lo, hi = self.decomp.lo, self.decomp.hi
         feasible = frozenset((np.flatnonzero((lo <= col) & (col < hi)) + 1).tolist())
         positive = frozenset((self.cells.rows[self.cells.cols == col] + 1).tolist())
         return positive, feasible - positive
@@ -101,17 +101,15 @@ class EpochConditions:
         """Per epoch column, whether some packet has positive time there."""
         out = np.zeros(self.decomp.m, dtype=bool)
         out[self.cells.cols] = True
-        out.flags.writeable = False
-        return out
+        return _read_only(out)
 
     def waiting(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Whether each (packet row, epoch column) pair waits: the epoch
         is in the packet's range and others transmit there, but it does
         not."""
-        lo, hi = self.decomp.ranges
         return (
-            (cols >= lo[rows])
-            & (cols < hi[rows])
+            (cols >= self.decomp.lo[rows])
+            & (cols < self.decomp.hi[rows])
             & self.transmitting[cols]
             & (self.cells.at(rows, cols) == 0)
         )
@@ -181,7 +179,7 @@ def epoch_times(instance: Instance, schedule: Schedule) -> PairTable:
     in segment order.  Segments of unknown packets book nothing;
     `check_feasible` names them."""
     decomp = instance.decomposition
-    grid = np.array(decomp.instants)
+    grid = decomp.instants
     segments = schedule.segments
     known = (segments.packet >= 1) & (segments.packet <= instance.n)
     rows = segments.packet[known] - 1
@@ -272,8 +270,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     # A segment outside its window books time outside it, and
     # overlapping ones overfill an epoch.
     tau = epoch_times(instance, schedule)
-    lo, hi = decomp.ranges
-    outside = (tau.cols < lo[tau.rows]) | (tau.cols >= hi[tau.rows])
+    outside = (tau.cols < decomp.lo[tau.rows]) | (tau.cols >= decomp.hi[tau.rows])
     totals = tau.row_sums()
     rates = schedule.rates
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -291,7 +288,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     ]
     violations += [note for _, _, note in sorted(notes)]
 
-    lengths = decomp.epoch_lengths()
+    lengths = decomp.lengths
     used = tau.col_sums()
     for j in _flagged(used > lengths + tol):
         violations.append(
@@ -333,9 +330,8 @@ def check_optimality(
     # a packet without segments reads -inf - inf > -inf, which is False
     constant_rate_ok = not np.any(fastest - slowest > RATE_REL_TOL * fastest)
 
-    lengths = decomp.epoch_lengths()
-    coverage = decomp.coverage()
-    live = coverage > 0
+    lengths = decomp.lengths
+    live = decomp.coverage > 0
     used = feas.tau.col_sums()
     idle_ok = ~live | (np.abs(used - lengths) <= instance.time_tol)
     non_idling = dict(enumerate(idle_ok.tolist(), start=1))
@@ -349,7 +345,7 @@ def check_optimality(
     cells = PairTable(tau.rows[pos], tau.cols[pos], tau.values[pos], tau.shape)
     pos_rate = rates[cells.rows]
     n_pos = np.bincount(cells.cols, minlength=m)
-    n_zero = coverage - n_pos
+    n_zero = decomp.coverage - n_pos
     pos_max = _per_epoch(np.maximum, -np.inf, cells.cols, pos_rate, m)
     pos_min = _per_epoch(np.minimum, np.inf, cells.cols, pos_rate, m)
     equal_ok = (n_pos == 0) | (pos_max - pos_min <= RATE_REL_TOL * pos_max)
@@ -357,9 +353,8 @@ def check_optimality(
     # feasible packet does.  Elsewhere the fastest feasible packet may be
     # a transmitting one, so those epochs take their waiting maximum from
     # their own pairs.
-    lo, hi = decomp.ranges
     dominance_ok = (n_pos == 0) | (n_zero == 0) | (
-        pos_min >= _range_max(lo, hi, rates, m) - RATE_REL_TOL * rmax
+        pos_min >= _range_max(decomp.lo, decomp.hi, rates, m) - RATE_REL_TOL * rmax
     )
     recheck = ~dominance_ok
     if recheck.any():
@@ -508,13 +503,12 @@ def extract_certificate(
     # slackness gamma * time, with time at most POSITIVE_TIME_REL of the
     # epoch, stays under CERT_TOL.  Those epochs are settled.  The pairs
     # of every other live epoch are checked one by one.
-    lengths = decomp.epoch_lengths()
-    lo, hi = decomp.ranges
+    lengths = decomp.lengths
     g_key = np.where(lam >= 0, lam, np.inf)  # NaN, too, rules an epoch out
     settled = (
         conditions.transmitting
         & np.isfinite(beta)
-        & (_range_max(lo, hi, g_key, m) <= beta)
+        & (_range_max(decomp.lo, decomp.hi, g_key, m) <= beta)
     )
     cells = conditions.cells
     keep = settled[cells.cols]

@@ -216,7 +216,7 @@ def decompose_sets(instance: Instance) -> SetDecomposition:
     )
     reps: list[float] = []
     for v in raw:
-        if not reps or v - reps[-1] > instance.time_tol:
+        if not reps or v - reps[-1] >= instance.time_tol:
             reps.append(float(v))
     grid = np.array(reps)
     epochs = tuple((reps[j], reps[j + 1]) for j in range(len(reps) - 1))
@@ -224,7 +224,7 @@ def decompose_sets(instance: Instance) -> SetDecomposition:
     n = instance.n
 
     # Map a raw instant to its grid index: the grid point at or just
-    # below it (the cluster start), which is within the time tolerance.
+    # below it (the cluster start), less than the time tolerance away.
     def gidx(v: float) -> int:
         return int(np.searchsorted(grid, v, side="right")) - 1
 
@@ -737,7 +737,7 @@ def solve(instance: Instance, model: PowerModel) -> Schedule:
     time left free by cutting the reserved intervals out."""
     n = instance.n
     grid = np.array(instance.decomposition.instants)
-    lo, hi = instance.decomposition.ranges
+    lo, hi = instance.decomposition.lo, instance.decomposition.hi
     arrivals, deadlines = grid[lo], grid[hi]
     bits = instance.bits()
     dust = instance.dust
@@ -846,7 +846,7 @@ def solve_projected_gradient(
     decomp = decompose(instance)
     n, m = instance.n, decomp.m
     bits = instance.bits()
-    lengths = decomp.epoch_lengths()
+    lengths = decomp.lengths
     mask = np.zeros((n, m), dtype=bool)
     mask[decomp.pairs()] = True
 

@@ -166,7 +166,7 @@ def test_criterion_3_necessary_conditions(big_corpus):
 
 def _perturbable_epoch(inst, sched, move_frac=0.01):
     d = decompose(inst)
-    lengths = d.epoch_lengths()
+    lengths = d.lengths
     tau = epoch_times(inst, sched)
     feasible = packet_sets_per_epoch(d)
     for j in range(1, d.m + 1):

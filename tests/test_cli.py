@@ -124,6 +124,22 @@ class TestSolveValidate:
         cert = json.loads(payload)
         assert set(cert.keys()) == {"beta", "gamma", "lambda"}
 
+    def test_window_of_exactly_time_tol_certifies(self, tmp_path, capsys):
+        # a 1e-9 s window next to a 10 s packet: its arrival and deadline
+        # once fell on one grid instant, and solve exited 3
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"packets": [
+            {"id": 1, "bits": 1.0, "arrival": 0.0, "deadline": 10.0},
+            {"id": 2, "bits": 1.0, "arrival": 0.0, "deadline": 1e-9},
+        ]}))
+        sched = tmp_path / "sched.json"
+        law = ["--power", "monomial"]
+        assert main(["solve", str(inst), *law, "-o", str(sched)]) == 0
+        assert main(["validate", str(inst), str(sched), *law, "--certificate"]) == 0
+        out = capsys.readouterr().out
+        assert "OPTIMAL: yes" in out
+        assert set(json.loads(out[out.index("{"):])) == {"beta", "gamma", "lambda"}
+
     def test_malformed_instance_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -151,12 +167,14 @@ class TestSolveValidate:
             ([(1, 10**400, 0.0, 2.0)], 1.0, "packet 1: bits must be finite, got 1000"),
             ([(1, 1.0, -(10**400), 2.0)], 1.0, "packet 1: arrival must be finite, got -1000"),
             ([(1, 1.0, 0.0, 2.0)], 10**400, "noise_power must be positive and finite"),
+            ([(7, 1.0, 0.0, 2.0), (7, 1.0, 0.5, 1.0)], 1.0,
+             "packet 7: id is repeated (first at entry 0)"),
         ],
         ids=[
             "deadline-inf", "bits-inf", "arrival-minus-inf", "str-id", "noise-inf",
             "noise-bool", "energy-inf", "bits-true", "arrival-str", "deadline-null",
             "second-bits-false", "str-bits-before-inf", "bits-too-large",
-            "arrival-too-small", "noise-too-large",
+            "arrival-too-small", "noise-too-large", "repeated-id",
         ],
     )
     def test_non_finite_or_non_integer_input_exit_2(
@@ -298,6 +316,12 @@ class TestOracleCompare:
         assert any(ln.startswith("oracle residual:") for ln in lines)
         notes = [ln for ln in lines if ln.startswith("note:")]
         assert len(notes) == 1 and "unconverged upper bound" in notes[0]
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol=-1"], ["--max-iters=-1"]])
+    def test_bad_tol_or_max_iters_exit_2(self, instance_file, capsys, command, flags):
+        assert main([command, str(instance_file), *flags]) == 2
+        assert "tol and max_iters must be non-negative" in capsys.readouterr().err
 
     def test_monomial_model_flag(self, instance_file, tmp_path):
         sched = tmp_path / "sched.json"

@@ -34,6 +34,7 @@ from txsched import (
     InternalDeadlineMiss,
     InternalIdle,
     InternalInvariantViolation,
+    MalformedPacket,
     Monomial,
     Packet,
     Schedule,
@@ -240,7 +241,7 @@ def mutations(inst, s, seed=0):
     a dominance inversion; plus a mismatched rate and stored energy."""
     rng = np.random.default_rng(seed)
     d = decompose(inst)
-    lengths = d.epoch_lengths()
+    lengths = d.lengths
     segs = segment_list(s.segments)
     table = dense(epoch_times(inst, s))
     out = {}
@@ -409,7 +410,7 @@ def mixed_instance(shift=0.0):
 def busy_periods(inst):
     """The number of busy periods `solve` splits the instance into: the
     runs of live epochs."""
-    live = inst.decomposition.coverage() > 0
+    live = inst.decomposition.coverage > 0
     return int(live[0]) + int(np.count_nonzero(live[1:] & ~live[:-1]))
 
 
@@ -558,12 +559,11 @@ def grid_positions(arrivals, deadlines, tol, rng=None):
     them.  With `rng`, about half the epochs are reserved, so instants
     collapse and windows can shrink to nothing."""
     inst = Instance((np.ones(len(arrivals)), arrivals, deadlines), tol / TIME_REL_TOL)
-    lengths = inst.decomposition.epoch_lengths()
+    lengths = inst.decomposition.lengths.copy()
     if rng is not None:
         lengths[rng.random(len(lengths)) < 0.5] = 0.0
     position = np.concatenate(([0.0], np.cumsum(lengths)))
-    lo, hi = inst.decomposition.ranges
-    return position[lo], position[hi]
+    return position[inst.decomposition.lo], position[inst.decomposition.hi]
 
 
 def grid_inputs():
@@ -686,6 +686,65 @@ def staircase_instance(n, scale=1.0):
     )
 
 
+def window_rates(decomp, free, active, bits):
+    """Every grid window [s, e)'s rate at [s, e]: the bits of the active
+    packets inside it over its free time, each a sum over the window's
+    own packets and epochs only; NaN where it holds no active packet or
+    no free time."""
+    m = decomp.m
+    time = np.zeros((m + 1, m + 1))
+    free_lengths = np.where(free, decomp.lengths, 0.0)
+    for s in range(m):
+        time[s, s + 1:] = np.cumsum(free_lengths[s:])
+    grid = np.arange(m + 1)
+    inside = active & (decomp.lo >= grid[:, None, None]) & (decomp.hi <= grid[None, :, None])
+    held = np.where(inside, bits, 0.0).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inside.any(axis=-1) & (time > 0), held / time, np.nan)
+
+
+def round_fact_instances():
+    return [
+        *(generate(GeneratorConfig(n=n, horizon=n / 2, seed=seed, non_fifo_prob=1.0))
+          for n, seed in ((12, 1), (30, 2), (60, 3), (60, 4))),
+        *(chain_instance(n=n, seed=seed, horizon=float(n)) for n, seed in ((30, 0), (60, 1))),
+        staircase_instance(30), staircase_instance(60),
+    ]
+
+
+def test_rounds_keep_disjoint_rates_and_lower_containing_ones():
+    """The two facts an incremental window heap would rest on, replayed
+    over the solver's rounds in trace order, each window keyed by its grid
+    endpoints.  A round takes the maximum rate, settles its members and
+    reserves the free epochs of their span.  Then a window disjoint from
+    the span keeps its rate, and one containing it gains none."""
+    disjoint = containing = 0
+    for inst in round_fact_instances():
+        d, bits = inst.decomposition, inst.bits()
+        free, active = np.ones(d.m, dtype=bool), np.ones(inst.n, dtype=bool)
+        before = window_rates(d, free, active, bits)
+        s, e = np.indices(before.shape)
+        for step in solve(inst, MODEL).trace.steps:
+            assert np.nanmax(before) <= step.rate * (1 + 1e-12)
+            rows = np.array(sorted(step.members)) - 1
+            span_lo, span_hi = d.lo[rows].min(), d.hi[rows].max()
+            for start, end in d.instants.searchsorted(step.pieces):
+                assert span_lo <= start < end <= span_hi and free[start:end].all()
+                free[start:end] = False
+            active[rows] = False
+            after = window_rates(d, free, active, bits)
+            both = ~np.isnan(before) & ~np.isnan(after)
+            apart = both & ((e <= span_lo) | (s >= span_hi))
+            around = both & (s <= span_lo) & (e >= span_hi)
+            assert np.all(np.abs(after - before)[apart] <= 1e-12 * before[apart])
+            assert np.all(after[around] <= before[around] * (1 + 1e-12))
+            disjoint += np.count_nonzero(apart)
+            containing += np.count_nonzero(around)
+            before = after
+        assert not active.any() and not (free & (d.coverage > 0)).any()
+    assert disjoint > 50_000 and containing > 30_000, (disjoint, containing)
+
+
 @pytest.fixture
 def pair_scans(monkeypatch):
     """The number of pairs each `pairs_in` call returns: the epochs the
@@ -706,7 +765,7 @@ def unequal_rates(inst, sched):
     """A tenth of the smaller share moved between two packets that
     transmit in one epoch, so their rates part there."""
     table = dense(epoch_times(inst, sched))
-    busy = table > 1e-3 * decompose(inst).epoch_lengths()
+    busy = table > 1e-3 * decompose(inst).lengths
     shared = np.flatnonzero(busy.sum(axis=0) >= 2)
     c = shared[len(shared) // 2]
     a, b = np.flatnonzero(busy[:, c])[:2]
@@ -930,7 +989,7 @@ def on_grid(inst):
     """The instance with every arrival and deadline moved onto its grid
     instant, its rows kept."""
     grid = np.array(inst.decomposition.instants)
-    lo, hi = inst.decomposition.ranges
+    lo, hi = inst.decomposition.lo, inst.decomposition.hi
     table = np.stack([inst.bits(), grid[lo], grid[hi]])
     table.flags.writeable = False
     return Instance(tuple(table), float(grid[-1]))
@@ -971,7 +1030,7 @@ def test_grid_copies_solve_alike():
     for inst in _clustered_instances(np.random.default_rng(12), 150):
         outcomes = []
         for copy in (inst, on_grid(inst)):
-            assert copy.decomposition.instants == inst.decomposition.instants
+            assert np.array_equal(copy.decomposition.instants, inst.decomposition.instants)
             try:
                 sched = solve(copy, model)
             except InternalInvariantViolation as exc:
@@ -985,6 +1044,69 @@ def test_grid_copies_solve_alike():
             refused.append(outcomes[0])
     assert set(refused) <= {"delivered bits do not match packet sizes"}
     assert len(refused) <= 6
+
+
+@st.composite
+def tol_windows(draw):
+    """(arrivals, deadlines): a packet across the whole horizon, and up to
+    7 windows at a random origin and time scale, each one time tolerance
+    long with its deadline moved by up to 4 ulps either way.  A window
+    starts at a random instant, at the previous window's deadline or at
+    its arrival."""
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    origin = draw(st.floats(-1e3, 1e3)) * scale
+    horizon = draw(st.floats(1.0, 10.0)) * scale
+    tol = TIME_REL_TOL * ((origin + horizon) - origin)
+    arrivals, deadlines = [origin], [origin + horizon]
+    for _ in range(draw(st.integers(1, 7))):
+        where = draw(st.sampled_from(["random", "after", "with"]))
+        if where == "random" or len(arrivals) == 1:
+            a = origin + draw(st.floats(0.0, 0.99)) * horizon
+        else:
+            a = deadlines[-1] if where == "after" else arrivals[-1]
+        d = a + tol
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            d = float(np.nextafter(d, ulps * np.inf))
+        arrivals.append(a)
+        deadlines.append(d)
+    return arrivals, deadlines
+
+
+def test_windows_near_time_tol_keep_two_instants_and_solve():
+    """Whatever `normalize_columns` accepts keeps each window's arrival
+    and deadline on two grid instants, and `solve` neither idles, misses a
+    deadline nor runs out of candidates on it.  A window a time tolerance
+    long at an instant far from 0 holds only a few float steps, so its
+    bits may miss the delivered-bits invariant, as in the clustered
+    instances above; that failure stays allowed."""
+    model = Monomial(2.0, 1.0)
+    refused, solved = [], []
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(tol_windows())
+    def check(windows):
+        arrivals, deadlines = windows
+        ids = list(range(1, len(arrivals) + 1))
+        while True:  # drop each packet the rules refuse
+            try:
+                inst = normalize_columns(ids, [1.0] * len(ids), arrivals, deadlines)
+                break
+            except MalformedPacket as exc:
+                k = ids.index(exc.packet_id)
+                del ids[k], arrivals[k], deadlines[k]
+        assert np.all(inst.decomposition.lo < inst.decomposition.hi)
+        try:
+            sched = solve(inst, model)
+        except InternalInvariantViolation as exc:
+            refused.append(str(exc))
+            return
+        extract_certificate(inst, schedule_from_json(schedule_to_json(sched), inst), model)
+        solved.append(inst.n)
+
+    check()
+    assert set(refused) <= {"delivered bits do not match packet sizes"}
+    assert len(refused) <= 20 and len(solved) >= 250, (len(refused), len(solved))
 
 
 def test_baseline_books_no_time_outside_a_window():
@@ -1011,14 +1133,14 @@ def test_ranges_match_set_families():
     merged_runs = 0
     for inst in instances:
         d, sets = decompose(inst), ref.decompose_sets(inst)
-        assert d.instants == sets.instants
+        assert d.instants.tolist() == list(sets.instants)
         assert d.m == sets.m
         for i in range(inst.n):
             epochs = frozenset(range(d.lo[i] + 1, d.hi[i] + 1))
             assert sets.epoch_sets_per_packet[i] == epochs
         assert ref.epoch_sets_per_packet(d) == sets.epoch_sets_per_packet
         assert ref.packet_sets_per_epoch(d) == sets.packet_sets_per_epoch
-        assert d.live_epochs() == [
+        assert (np.flatnonzero(d.coverage) + 1).tolist() == [
             j for j in range(1, d.m + 1) if sets.packet_sets_per_epoch[j - 1]
         ]
         raw = np.unique(np.concatenate([inst.arrivals(), inst.deadlines()]))
@@ -1036,8 +1158,8 @@ def test_greedy_clustering_anchors_on_the_representative():
     ])
     assert inst.time_tol == tol
     d = decompose(inst)
-    assert d.instants == (0.0, 1.2 * tol, 1.0)
-    assert (d.lo, d.hi) == ((0, 0), (1, 2))
+    assert d.instants.tolist() == [0.0, 1.2 * tol, 1.0]
+    assert (d.lo.tolist(), d.hi.tolist()) == ([0, 0], [1, 2])
 
 
 def idle_gap_instance():
@@ -1071,7 +1193,7 @@ def test_pgd_matches_reference_loop():
     """Every iterate of the packed gather/scatter projection is the
     per-column loop's, bit for bit: the same table, totals, rates,
     energy, iteration count, residual, flag and energy history."""
-    assert (decompose(idle_gap_instance()).coverage() == 0).any()
+    assert (decompose(idle_gap_instance()).coverage == 0).any()
     fields = ("tau", "total_times", "rates", "energy", "iterations", "residual",
               "converged", "energy_history")
     for label, inst, model, kwargs in pgd_cases():

@@ -11,6 +11,7 @@ from txsched import (
     GeneratorConfig,
     InstanceFormatError,
     MalformedPacket,
+    Monomial,
     Packet,
     Shannon,
     decompose,
@@ -19,6 +20,7 @@ from txsched import (
     instance_from_json,
     instance_to_json,
     is_non_fifo,
+    normalize_columns,
     normalize_instance,
     schedule_from_json,
     schedule_to_json,
@@ -26,7 +28,7 @@ from txsched import (
     solve_projected_gradient,
 )
 from txsched import model as model_module
-from txsched.model import TIME_REL_TOL
+from txsched.model import TIME_REL_TOL, covered, runs
 
 
 def P(pid, bits, arrival, deadline):
@@ -111,6 +113,25 @@ class TestPacket:
                 build(given)
             assert err.value.packet_id == 4
 
+    def test_repeated_id_names_its_second_occurrence(self):
+        # numpy's 7 is the same id as Python's; a repeat is one more rule
+        # in input order, so an earlier packet's breach is named first
+        for ids in ([7, 7], [7, np.int64(7)]):
+            with pytest.raises(MalformedPacket) as err:
+                normalize_columns(ids, [1.0, 1.0], [0.0, 0.0], [2.0, 1.0])
+            assert err.value.packet_id == 7
+            assert err.value.reason == "id is repeated (first at entry 0)"
+        rows = [(7, 1.0, 0.0, 2.0), (7, 1.0, 0.5, 1.0), (8, -1.0, 0.0, 1.0)]
+        for build in (normalize_instance, instance_from_json):
+            given = records(rows) if build is normalize_instance else packets_json(rows)
+            with pytest.raises(MalformedPacket, match=r"id is repeated \(first at entry 0\)"):
+                build(given)
+            swapped = [rows[0], rows[2], rows[1]]
+            given = records(swapped) if build is normalize_instance else packets_json(swapped)
+            with pytest.raises(MalformedPacket, match="bits must be positive") as err:
+                build(given)
+            assert err.value.packet_id == 8
+
     def test_packet_rules_come_before_a_later_malformed_entry(self):
         # entries are read in order: a bad packet before a malformed
         # entry is named, and a malformed entry before it wins
@@ -179,6 +200,29 @@ class TestNormalize:
                 )
                 assert (inst.arrivals()[0], inst.deadlines()[0]) == (0.0, frac * tol)
 
+    def test_window_of_exactly_time_tol_keeps_its_two_instants(self):
+        # the window is the tolerance long, 1e-9 s in a 10 s horizon: its
+        # arrival and deadline are two grid instants, and it certifies
+        inst = normalize_columns([1, 2], [1.0, 1.0], [0.0, 0.0], [10.0, 1e-9])
+        assert inst.deadlines()[0] - inst.arrivals()[0] == inst.time_tol
+        d = inst.decomposition
+        assert d.instants.tolist() == [0.0, 1e-9, 10.0]
+        assert np.all(d.lo < d.hi)
+        model = Monomial(2.0)
+        back = schedule_from_json(schedule_to_json(solve(inst, model)), inst)
+        extract_certificate(inst, back, model)
+
+    def test_windows_are_measured_on_shifted_times(self):
+        # packet 2's window is exactly the 1e-9 tolerance as given, but
+        # shifted by the earliest arrival, -0.7, as the instance stores
+        # it, the window rounds to under it: refused, not collapsed
+        rows = [(1, 1.0, -0.7, 9.3), (2, 1.0, 0.0, 1e-9)]
+        tol = TIME_REL_TOL * (9.3 - -0.7)
+        assert 1e-9 - 0.0 >= tol and (1e-9 + 0.7) - (0.0 + 0.7) < tol
+        with pytest.raises(MalformedPacket, match="time tolerance") as err:
+            normalize_instance(records(rows))
+        assert err.value.packet_id == 2
+
     def test_horizon_is_max_deadline(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 5.0), P(2, 1.0, 1.0, 2.0)])
         assert inst.horizon == 5.0
@@ -188,7 +232,7 @@ class TestDecompose:
     def test_single_packet(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0)])
         d = decompose(inst)
-        assert d.instants == (0.0, 1.0)
+        assert d.instants.tolist() == [0.0, 1.0]
         assert d.m == 1
         assert epoch_sets_per_packet(d) == (frozenset({1}),)
         assert packet_sets_per_epoch(d) == (frozenset({1}),)
@@ -198,7 +242,7 @@ class TestDecompose:
         # middle epoch only, the outer one everywhere
         inst = normalize_instance([P(1, 2.0, 0.0, 2.0), P(2, 1.0, 0.5, 1.0)])
         d = decompose(inst)
-        assert d.instants == (0.0, 0.5, 1.0, 2.0)
+        assert d.instants.tolist() == [0.0, 0.5, 1.0, 2.0]
         assert d.m == 3
         assert epoch_sets_per_packet(d)[0] == frozenset({1, 2, 3})
         assert epoch_sets_per_packet(d)[1] == frozenset({2})
@@ -209,7 +253,7 @@ class TestDecompose:
     def test_duplicate_windows_dedup(self):
         inst = normalize_instance([P(1, 1.0, 0.0, 1.0), P(2, 1.0, 0.0, 1.0)])
         d = decompose(inst)
-        assert d.instants == (0.0, 1.0)
+        assert d.instants.tolist() == [0.0, 1.0]
         assert packet_sets_per_epoch(d) == (frozenset({1, 2}),)
 
     def test_epoch_lengths_sum_to_horizon(self):
@@ -223,7 +267,7 @@ class TestDecompose:
             ]
             inst = normalize_instance(packets)
             d = decompose(inst)
-            assert d.epoch_lengths().sum() == pytest.approx(inst.horizon, rel=1e-12)
+            assert d.lengths.sum() == pytest.approx(inst.horizon, rel=1e-12)
 
     def test_contiguous_epoch_runs(self):
         rng = np.random.default_rng(6)
@@ -252,6 +296,15 @@ class TestDecompose:
             for i in range(1, inst.n + 1):
                 for j in range(1, d.m + 1):
                     assert (j in per_packet[i - 1]) == (i in per_epoch[j - 1])
+
+    def test_runs_and_covered(self):
+        opens, shuts = runs(np.array([True, True, False, True, False, False, True]))
+        assert (opens.tolist(), shuts.tolist()) == ([0, 3, 6], [2, 4, 7])
+        for mask in (np.zeros(3, dtype=bool), np.zeros(0, dtype=bool)):
+            assert [r.tolist() for r in runs(mask)] == [[], []]
+        lo, hi = np.array([0, 1, 3, 2]), np.array([2, 3, 3, 4])
+        assert covered(lo, hi, 5).tolist() == [1, 2, 2, 1, 0]
+        assert covered(lo[:0], hi[:0], 2).tolist() == [0, 0]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -298,6 +351,15 @@ class TestInstanceCache:
         assert inst.bits().tolist() == [1.0, 4.0]
         assert inst.arrivals().tolist() == [0.0, 1.0]
         assert inst.deadlines().tolist() == [3.0, 2.0]
+
+    def test_decomposition_arrays_are_read_only_and_built_once(self):
+        d = normalize_instance([P(1, 1.0, 0.0, 3.0), P(2, 4.0, 1.0, 2.0)]).decomposition
+        assert d.lengths is d.lengths and d.coverage is d.coverage
+        for arr in (d.instants, d.lo, d.hi, d.lengths, d.coverage):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert d.lengths.tolist() == [1.0, 1.0, 1.0]
+        assert d.coverage.tolist() == [1, 2, 1]
 
     def test_cache_is_outside_equality(self):
         a = normalize_instance([P(1, 1.0, 0.0, 3.0)])

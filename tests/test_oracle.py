@@ -151,6 +151,19 @@ class TestProjectedGradient:
         assert sol.iterations == 40
         assert np.isfinite(sol.energy)
 
+    @pytest.mark.parametrize("tol, max_iters", [
+        (float("nan"), 100), (-1e-10, 100), (1e-10, -1), (float("nan"), -1),
+    ])
+    def test_refuses_nan_tol_and_negative_max_iters(self, tol, max_iters):
+        # a NaN tolerance never ends a stall, so the run took every iteration
+        with pytest.raises(ValueError, match="tol and max_iters must be non-negative"):
+            solve_projected_gradient(nested_instance(), MODEL, tol=tol, max_iters=max_iters)
+
+    def test_no_iterations_keeps_the_proportional_start(self):
+        sol = solve_projected_gradient(nested_instance(), MODEL, max_iters=0)
+        assert sol.iterations == 0 and not sol.converged
+        assert sol.tau.tolist() == [[0.5, 0.25, 1.0], [0.0, 0.25, 0.0]]
+
     def test_energy_monotone_across_iterates(self):
         sol = solve_projected_gradient(
             nested_instance(), MODEL, track_history=True
@@ -164,7 +177,7 @@ class TestProjectedGradient:
         sol = solve_projected_gradient(inst, MODEL)
         d = decompose(inst)
         assert np.all(sol.tau >= -1e-12)
-        assert np.all(sol.tau.sum(axis=0) <= d.epoch_lengths() + 1e-9)
+        assert np.all(sol.tau.sum(axis=0) <= d.lengths + 1e-9)
         epochs = epoch_sets_per_packet(d)
         for i in range(inst.n):
             outside = [
@@ -179,8 +192,8 @@ class TestProjectedGradient:
         inst = nested_instance()
         sol = solve_projected_gradient(inst, MODEL)
         d = decompose(inst)
-        lengths = d.epoch_lengths()
-        for j in d.live_epochs():
+        lengths = d.lengths
+        for j in np.flatnonzero(d.coverage) + 1:
             used = sol.tau[:, j - 1].sum()
             assert used >= lengths[j - 1] * (1 - 1e-6)
 
@@ -307,7 +320,7 @@ class TestGrid:
         grid = solve_grid(inst, MODEL, 120)
         d = decompose(inst)
         assert np.all(grid.tau >= 0)
-        assert np.all(grid.tau.sum(axis=0) <= d.epoch_lengths() + 1e-9)
+        assert np.all(grid.tau.sum(axis=0) <= d.lengths + 1e-9)
         T = grid.tau.sum(axis=1)
         recomputed = float(np.sum(T * MODEL.power(inst.bits() / T)))
         assert recomputed == pytest.approx(grid.energy, rel=1e-12)

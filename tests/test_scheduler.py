@@ -62,7 +62,7 @@ def candidates(packets):
     inst = normalize_instance(packets)
     ids = np.array([inst.id_map[k] for k in range(1, inst.n + 1)])
     instants = np.array(inst.decomposition.instants)
-    lo, hi = inst.decomposition.ranges
+    lo, hi = inst.decomposition.lo, inst.decomposition.hi
     grid = one_period_grid(instants[lo], instants[hi], inst.bits())
     starts, ends, start_rank, end_rank, rates, valid = grid
     table = {
@@ -401,7 +401,7 @@ class TestSolve:
             assert tau.row_sums()[i] == pytest.approx(bits[i] / s.rates[i], rel=1e-9)
         for j in range(1, d.m + 1):
             assert tau.col_sums()[j - 1] == pytest.approx(
-                d.epoch_lengths()[j - 1], rel=1e-9
+                d.lengths[j - 1], rel=1e-9
             )
 
     def test_model_only_prices_the_schedule(self):

@@ -313,8 +313,7 @@ class TestPairFree:
             hi = np.minimum(lo + rng.integers(0, m + 1, n), m)  # some ranges empty
             values = rng.choice([*rng.normal(size=6), np.inf, -np.inf, np.nan], n)
             # the pair scan, through the decomposition's own enumeration
-            grid = tuple(range(m + 1))
-            d = EpochDecomposition(grid, tuple(lo.tolist()), tuple(hi.tolist()))
+            d = EpochDecomposition(np.arange(m + 1.0), lo, hi)
             rows, cols = d.pairs()
             expected = np.full(m, -np.inf)
             with np.errstate(invalid="ignore"):

@@ -124,9 +124,7 @@ def baseline_constant_edf(instance: Instance, model: PowerModel) -> Schedule:
     that defeat the EDF layout fall back to per-epoch proportional
     sharing, which inflates rates just enough to stay feasible.  Rates
     whose energy overflows float64 give an energy of inf, where `solve`
-    would refuse them.  A window only a few time tolerances long can
-    leave a member short of its bits at float resolution, which
-    `check_feasible` reports (an open item; see FOUND in CHANGES.md).
+    would refuse them.
     """
     decomp = instance.decomposition
     grid = decomp.instants

@@ -17,16 +17,29 @@ from functools import cached_property
 
 import numpy as np
 
-# Two instants of an instance are the same instant when they lie less
-# than this fraction of its horizon apart (`Instance.time_tol`), and a
-# window spans at least that much.  The grid, window containment and
-# segment checks all use that one tolerance, so the
-# schedules built on the grid stay consistent with it, and rescaling
-# time moves the tolerance with it.
+# The tolerance table: every float tolerance of the solver, the verifier
+# and the power law, relative to what it compares or to the horizon.
+# Instants: instants less than this fraction of the horizon apart are
+# one instant (`Instance.time_tol`), and a window spans at least that.
 TIME_REL_TOL = 1e-10
-# Allocated time below this fraction of the horizon (`Instance.dust`) is
-# float dust: what adding and subtracting instants leaves behind.
+# Amounts of time: allocated time below this fraction of the horizon is
+# float dust (`Instance.dust`).
 DUST_REL_TOL = 1e-12
+# Bits, rates and energy agree within this fraction of their size, and
+# time below this fraction of its epoch counts as none there.
+REL_TOL = 1e-9
+# The certificate identity holds within this fraction of g(rate), and
+# its slackness gamma * time within this fraction of gamma * epoch.
+CERT_TOL = 1e-8
+# Rates closer than this fraction tie in window selection.
+RATE_TIE_REL = 1e-12
+
+
+def bits_mismatch(delivered, bits, rates, dust: float) -> np.ndarray:
+    """Where delivered bits miss the packets' bits by more than REL_TOL
+    of them and more than each rate sends in `dust` of time: `edf_fill`
+    may leave a member that much time short."""
+    return ~(np.abs(delivered - bits) <= np.fmax(REL_TOL * bits, rates * dust))
 
 
 class EmptyInstance(ValueError):
@@ -43,7 +56,8 @@ class MalformedPacket(ValueError):
     def __init__(self, packet_id, reason: str):
         self.packet_id = packet_id
         self.reason = reason
-        super().__init__(f"packet {packet_id!r}: {reason}")
+        shown = packet_id.item() if isinstance(packet_id, np.generic) else packet_id
+        super().__init__(f"packet {shown!r}: {reason}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import REL_TOL
+
 LN2 = math.log(2.0)
 
 _G_INV_MAX_DOUBLINGS = 1000
@@ -79,7 +81,7 @@ class PowerModel:
     def g_inverse(self, y: float) -> float:
         """Invert g by bisection on a geometrically grown bracket.
 
-        The result r satisfies |g(r) - y| <= 1e-9 * max(1, y).
+        The result r satisfies |g(r) - y| <= REL_TOL * y.
         """
         y = float(y)
         if y < 0:
@@ -96,7 +98,7 @@ class PowerModel:
                     f"g never reached {y}; model {self!r} is not strictly convex"
                 )
         lo = 0.0
-        tol = 1e-9 * max(1.0, y)
+        tol = REL_TOL * y
         mid = hi
         for _ in range(_G_INV_MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)

@@ -39,10 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DUST_REL_TOL, Instance, PairTable, _floats, _read_only, as_float, covered, runs
+from .model import DUST_REL_TOL, RATE_TIE_REL, REL_TOL, Instance, PairTable, _floats, _read_only
+from .model import as_float, bits_mismatch, covered, runs
 from .power import PowerModel, schedule_energy
-
-RATE_TIE_REL = 1e-12  # rates closer than this (relatively) count as tied
 
 
 class ScheduleFormatError(ValueError):
@@ -235,7 +234,7 @@ def _candidate_grid(windows: _Windows, bits: np.ndarray, periods: range) -> np.n
 
 def _argmax_lex(rates: np.ndarray):
     """The maximum rate of each (S, E) table in the last two axes, and
-    the index (si, ei) of the cell that holds it: (rmax, si, ei).  Ties
+    the index (si, ei) of the cell that holds it: (top, si, ei).  Ties
     go to smallest start, then end.
 
     Starts and ends ascend along their axes, so the first tied cell in
@@ -243,9 +242,9 @@ def _argmax_lex(rates: np.ndarray):
     with a finite maximum.
     """
     flat = rates.reshape(*rates.shape[:-2], -1)
-    rmax = np.maximum.reduce(flat, axis=-1, keepdims=True)
-    tied = flat >= rmax - RATE_TIE_REL * np.abs(rmax)
-    return (rmax[..., 0], *divmod(tied.argmax(axis=-1), rates.shape[-1]))
+    top = np.maximum.reduce(flat, axis=-1, keepdims=True)
+    tied = flat >= top - RATE_TIE_REL * np.abs(top)
+    return (top[..., 0], *divmod(tied.argmax(axis=-1), rates.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +312,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
             k = by_arrival[admitted]
             if arrivals[k] > until:
                 break
-            if need[k] > eps:
-                heapq.heappush(heap, (deadlines[k], ids[k], k))
+            heapq.heappush(heap, (deadlines[k], ids[k], k))
             admitted += 1
 
     for ps, pe in pieces:
@@ -359,7 +357,7 @@ def _check_solution_invariants(
 ):
     steps = trace.steps
     for a, b in zip(steps, steps[1:]):
-        if b.rate > a.rate * (1.0 + 1e-9):
+        if b.rate > a.rate * (1.0 + REL_TOL):
             raise InternalInvariantViolation(f"iteration rates increased: {a.rate} -> {b.rate}")
     # Every piece runs from one grid instant to another, and the pieces
     # reserve each live epoch exactly once and no dead one.
@@ -387,8 +385,7 @@ def _check_solution_invariants(
         weights=(segments.end - segments.start) * segments.rate,
         minlength=instance.n,
     )
-    bits = instance.bits()
-    if np.any(np.abs(delivered - bits) > 1e-9 * bits):
+    if bits_mismatch(delivered, instance.bits(), rates, instance.dust).any():
         raise InternalInvariantViolation("delivered bits do not match packet sizes")
     if np.any(rates <= 0):
         raise InternalInvariantViolation("some packet ended up with no rate")

@@ -16,16 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import EpochDecomposition, Instance, PairTable, _read_only
+from .model import CERT_TOL, REL_TOL, EpochDecomposition, Instance, PairTable, _read_only, bits_mismatch
 from .power import PowerModel, per_distinct_rate
 from .scheduler import Schedule
-
-# Instants, idle time and epoch capacity are compared within the
-# instance's `time_tol`; allocated time below its `dust` is float dust.
-BIT_REL_TOL = 1e-9
-RATE_REL_TOL = 1e-9
-POSITIVE_TIME_REL = 1e-9  # tau below this fraction of the epoch counts as zero
-CERT_TOL = 1e-8
 
 
 class DimensionMismatch(ValueError):
@@ -63,10 +56,10 @@ class EpochConditions:
     common rate where the epoch passes (-inf where nothing transmits).
 
     `cells` holds the transmitting pairs: the booked (packet, epoch)
-    cells whose time exceeds POSITIVE_TIME_REL of the epoch.  Every
-    other pair in the decomposition's epoch ranges has zero time, so
-    the members of an epoch and the waiting pairs follow from `cells`
-    and `decomp` without a list of all feasible pairs.
+    cells whose time exceeds REL_TOL of the epoch.  Every other pair in
+    the decomposition's epoch ranges has zero time, so the members of an
+    epoch and the waiting pairs follow from `cells` and `decomp` without
+    a list of all feasible pairs.
     """
 
     epoch: np.ndarray
@@ -223,7 +216,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     early = seg.start < arrival - tol
     late = seg.end > deadline + tol
     empty = ~(seg.end > seg.start)
-    off_rate = ~(np.abs(seg.rate - assigned) <= RATE_REL_TOL * np.abs(assigned))
+    off_rate = ~(np.abs(seg.rate - assigned) <= REL_TOL * np.abs(assigned))
     for k in _flagged(~known | early | late | empty | off_rate):
         pid, start, end = int(seg.packet[k]), float(seg.start[k]), float(seg.end[k])
         if not known[k]:
@@ -261,7 +254,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
         weights=(seg.end[known] - seg.start[known]) * seg.rate[known],
         minlength=n,
     )
-    for i in _flagged(~(np.abs(delivered - bits) <= BIT_REL_TOL * bits)):
+    for i in _flagged(bits_mismatch(delivered, bits, schedule.rates, instance.dust)):
         violations.append(
             f"bit conservation: packet {i + 1} delivers {delivered[i]} "
             f"of {bits[i]} bits"
@@ -276,7 +269,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         span = np.where(rates > 0, bits / rates, np.inf)
     # A total may also miss the sub-dust overlaps the table leaves out.
-    mismatch = ~(np.abs(totals - span) <= np.maximum(BIT_REL_TOL * span, instance.dust))
+    mismatch = ~(np.abs(totals - span) <= np.maximum(REL_TOL * span, instance.dust))
     # Packet by packet: its epochs outside the window, then its total,
     # filed under epoch column m, past every epoch.
     notes = [
@@ -328,7 +321,7 @@ def check_optimality(
     np.maximum.at(fastest, seg.packet - 1, seg.rate)
     np.minimum.at(slowest, seg.packet - 1, seg.rate)
     # a packet without segments reads -inf - inf > -inf, which is False
-    constant_rate_ok = not np.any(fastest - slowest > RATE_REL_TOL * fastest)
+    constant_rate_ok = not np.any(fastest - slowest > REL_TOL * fastest)
 
     lengths = decomp.lengths
     live = decomp.coverage > 0
@@ -337,31 +330,30 @@ def check_optimality(
     non_idling = dict(enumerate(idle_ok.tolist(), start=1))
 
     rates = schedule.rates
-    rmax = float(rates.max()) if len(rates) else 0.0
     # The transmitting pairs are the booked cells above the threshold;
     # every other feasible pair has zero time.
     tau = feas.tau
-    pos = tau.values > POSITIVE_TIME_REL * lengths[tau.cols]
+    pos = tau.values > REL_TOL * lengths[tau.cols]
     cells = PairTable(tau.rows[pos], tau.cols[pos], tau.values[pos], tau.shape)
     pos_rate = rates[cells.rows]
     n_pos = np.bincount(cells.cols, minlength=m)
     n_zero = decomp.coverage - n_pos
     pos_max = _per_epoch(np.maximum, -np.inf, cells.cols, pos_rate, m)
     pos_min = _per_epoch(np.minimum, np.inf, cells.cols, pos_rate, m)
-    equal_ok = (n_pos == 0) | (pos_max - pos_min <= RATE_REL_TOL * pos_max)
+    equal_ok = (n_pos == 0) | (pos_max - pos_min <= REL_TOL * pos_max)
     # No waiting packet outruns the slowest transmitting one where no
     # feasible packet does.  Elsewhere the fastest feasible packet may be
     # a transmitting one, so those epochs take their waiting maximum from
     # their own pairs.
     dominance_ok = (n_pos == 0) | (n_zero == 0) | (
-        pos_min >= _range_max(decomp.lo, decomp.hi, rates, m) - RATE_REL_TOL * rmax
+        pos_min >= _range_max(decomp.lo, decomp.hi, rates, m) * (1.0 - REL_TOL)
     )
     recheck = ~dominance_ok
     if recheck.any():
         rows, cols = decomp.pairs_in(recheck)
-        zero = ~(tau.at(rows, cols) > POSITIVE_TIME_REL * lengths[cols])
+        zero = ~(tau.at(rows, cols) > REL_TOL * lengths[cols])
         zero_max = _per_epoch(np.maximum, -np.inf, cols[zero], rates[rows[zero]], m)
-        dominance_ok[recheck] = (pos_min >= zero_max - RATE_REL_TOL * rmax)[recheck]
+        dominance_ok[recheck] = (pos_min >= zero_max * (1.0 - REL_TOL))[recheck]
 
     conditions = EpochConditions(
         np.flatnonzero(live) + 1,
@@ -370,7 +362,7 @@ def check_optimality(
     )
 
     rs = schedule.trace.rates() if schedule.trace is not None else []
-    monotone = not any(b > a * (1.0 + RATE_REL_TOL) for a, b in zip(rs, rs[1:])) if rs else None
+    monotone = not any(b > a * (1.0 + REL_TOL) for a, b in zip(rs, rs[1:])) if rs else None
 
     # The terms add up in packet order, as a running sum.
     on = rates > 0
@@ -382,7 +374,7 @@ def check_optimality(
         warnings.append(
             f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
         )
-    elif not abs(recomputed - schedule.energy) <= 1e-9 * abs(recomputed):
+    elif not abs(recomputed - schedule.energy) <= REL_TOL * abs(recomputed):
         warnings.append(
             f"stored energy {schedule.energy} differs from recomputed {recomputed}"
         )
@@ -500,9 +492,9 @@ def extract_certificate(
     # packet has 0 <= g(rate) <= beta, a waiting pair's gamma, beta -
     # g(rate) rounded, lies in [0, beta]; beta - gamma then comes back to
     # g(rate) within one quantum of beta, under the tolerance, and its
-    # slackness gamma * time, with time at most POSITIVE_TIME_REL of the
-    # epoch, stays under CERT_TOL.  Those epochs are settled.  The pairs
-    # of every other live epoch are checked one by one.
+    # slackness gamma * time, with time at most REL_TOL of the epoch,
+    # stays under CERT_TOL of gamma times the epoch.  Those epochs are
+    # settled.  The pairs of every other live epoch are checked one by one.
     lengths = decomp.lengths
     g_key = np.where(lam >= 0, lam, np.inf)  # NaN, too, rules an epoch out
     settled = (
@@ -521,14 +513,11 @@ def extract_certificate(
     pair_beta = beta[cols]
     pair_gamma = gamma.at(rows, cols)
     residual = np.abs(pair_beta - pair_gamma - target)
-    identity_bad = residual > CERT_TOL * np.maximum(1.0, target)
+    identity_bad = residual > CERT_TOL * target
     suspect = np.flatnonzero(identity_bad)
-    identity_bad[suspect] = residual[suspect] > 2.0 * np.spacing(
-        np.maximum(pair_beta[suspect], 1.0)
-    )
+    identity_bad[suspect] = residual[suspect] > 2.0 * np.spacing(pair_beta[suspect])
     slack = pair_gamma * times
-    scale = np.maximum(pair_gamma, 1.0) * lengths[cols]
-    slack_bad = np.abs(slack) > CERT_TOL * scale
+    slack_bad = np.abs(slack) > CERT_TOL * (pair_gamma * lengths[cols])
     bad = np.flatnonzero(identity_bad | slack_bad)
     if bad.size:
         k = bad[np.argmin(rows[bad] * m + cols[bad])]
@@ -541,7 +530,7 @@ def extract_certificate(
             )
         raise RuntimeError(f"complementary slackness failed for packet {i}, epoch {j}")
     cap_slack = beta * (tau.col_sums() - lengths)
-    bad = _flagged(np.abs(cap_slack) > np.maximum(beta, 1.0) * instance.time_tol)
+    bad = _flagged(np.abs(cap_slack) > beta * instance.time_tol)
     if bad:
         raise RuntimeError(f"epoch {bad[0] + 1} capacity slackness failed")
     # The settled epochs' gammas are finite and non-negative.

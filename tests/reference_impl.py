@@ -42,7 +42,10 @@ import numpy as np
 from txsched import scheduler
 from txsched.harness import GeneratorConfig
 from txsched.model import (
+    CERT_TOL,
     DUST_REL_TOL,
+    RATE_TIE_REL,
+    REL_TOL,
     EpochDecomposition,
     Instance,
     PairTable,
@@ -62,10 +65,6 @@ from txsched.scheduler import (
     SegmentTable,
 )
 from txsched.verifier import (
-    BIT_REL_TOL,
-    CERT_TOL,
-    POSITIVE_TIME_REL,
-    RATE_REL_TOL,
     DimensionMismatch,
     FeasibilityReport,
     InfeasibleInput,
@@ -102,7 +101,7 @@ def argmax_lex(rates: np.ndarray, valid: np.ndarray, starts, ends):
     """Index (si, ei) of the max-rate cell; ties go to smallest start,
     then end, sorted out among the tied cells by value."""
     rmax = rates.max()
-    tied = rates >= rmax - scheduler.RATE_TIE_REL * abs(rmax)
+    tied = rates >= rmax - RATE_TIE_REL * abs(rmax)
     tied &= valid
     si, ei = np.nonzero(tied)
     order = np.lexsort((ends[ei], starts[si]))
@@ -259,7 +258,7 @@ def _positive_sets(
 ):
     feas = decomp.packet_sets_per_epoch[j - 1]
     length = decomp.instants[j] - decomp.instants[j - 1]
-    thresh = POSITIVE_TIME_REL * length
+    thresh = REL_TOL * length
     pos = frozenset(i for i in feas if tau[i - 1, j - 1] > thresh)
     return pos, frozenset(feas - pos)
 
@@ -293,7 +292,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
         if not seg.t_end > seg.t_start:
             violations.append(f"segment of packet {p.id} has non-positive length")
         rate = schedule.rates[seg.packet - 1]
-        if abs(seg.rate - rate) > RATE_REL_TOL * abs(rate):
+        if abs(seg.rate - rate) > REL_TOL * abs(rate):
             violations.append(
                 f"segment of packet {p.id} runs at {seg.rate}, "
                 f"assigned rate is {rate}"
@@ -312,14 +311,15 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
         if 1 <= seg.packet <= n:
             delivered[seg.packet - 1] += seg.duration * seg.rate
     bits = instance.bits()
+    dust = instance.dust
     for i in range(n):
-        if abs(delivered[i] - bits[i]) > BIT_REL_TOL * bits[i]:
+        # a packet sends rate * dust bits in the dust of time a fill may leave
+        if not abs(delivered[i] - bits[i]) <= max(REL_TOL * bits[i], schedule.rates[i] * dust):
             violations.append(
                 f"bit conservation: packet {i + 1} delivers {delivered[i]} "
                 f"of {bits[i]} bits"
             )
 
-    dust = instance.dust
     tau = tau_from_segments(instance, decomp, schedule.segments)
     if np.any(tau < -dust):
         violations.append("negative epoch allocation in tau")
@@ -332,7 +332,7 @@ def check_feasible(instance: Instance, schedule: Schedule) -> FeasibilityReport:
                 )
         total = row_sum(tau, i)
         span = bits[i] / schedule.rates[i] if schedule.rates[i] > 0 else np.inf
-        if abs(total - span) > max(BIT_REL_TOL * span, dust):
+        if abs(total - span) > max(REL_TOL * span, dust):
             violations.append(
                 f"packet {i + 1} tau total {total} does not match bits/rate {span}"
             )
@@ -378,7 +378,7 @@ def check_optimality(
         per_packet.setdefault(seg.packet, []).append(seg.rate)
     constant_rate_ok = True
     for pid, rs in per_packet.items():
-        if max(rs) - min(rs) > RATE_REL_TOL * max(rs):
+        if max(rs) - min(rs) > REL_TOL * max(rs):
             constant_rate_ok = False
 
     lengths = decomp.epoch_lengths()
@@ -392,7 +392,6 @@ def check_optimality(
         non_idling[j] = abs(used - lengths[j - 1]) <= instance.time_tol
 
     rates = schedule.rates
-    rmax = float(rates.max()) if len(rates) else 0.0
     conditions = []
     for j in range(1, decomp.m + 1):
         feas_set = decomp.packet_sets_per_epoch[j - 1]
@@ -404,12 +403,12 @@ def check_optimality(
         common = None
         if pos_rates:
             common = float(max(pos_rates))
-            equal_ok = max(pos_rates) - min(pos_rates) <= RATE_REL_TOL * max(pos_rates)
+            equal_ok = max(pos_rates) - min(pos_rates) <= REL_TOL * max(pos_rates)
         dominance_ok = True
         if pos_rates and zero:
             lo = min(pos_rates)
             hi = max(rates[k - 1] for k in zero)
-            dominance_ok = lo >= hi - RATE_REL_TOL * rmax
+            dominance_ok = lo >= hi * (1.0 - REL_TOL)
         conditions.append(
             LoopCondition(
                 epoch=j,
@@ -426,7 +425,7 @@ def check_optimality(
         monotone = True
         rs = schedule.trace.rates()
         for a, b in zip(rs, rs[1:]):
-            if b > a * (1.0 + RATE_REL_TOL):
+            if b > a * (1.0 + REL_TOL):
                 monotone = False
 
     recomputed = 0.0
@@ -438,7 +437,7 @@ def check_optimality(
         warnings.append(
             f"recomputed energy {recomputed} is not finite (stored {schedule.energy})"
         )
-    elif not abs(recomputed - schedule.energy) <= 1e-9 * abs(recomputed):
+    elif not abs(recomputed - schedule.energy) <= REL_TOL * abs(recomputed):
         warnings.append(
             f"stored energy {schedule.energy} differs from recomputed {recomputed}"
         )
@@ -517,8 +516,8 @@ def extract_certificate(
             target = g_rates[i - 1]
             residual = abs(beta[j - 1] - gamma[i - 1, j - 1] - target)
             tol = max(
-                CERT_TOL * max(1.0, target),
-                2.0 * np.spacing(max(beta[j - 1], 1.0)),
+                CERT_TOL * target,
+                2.0 * np.spacing(beta[j - 1]),
             )
             if residual > tol:
                 raise RuntimeError(
@@ -527,7 +526,7 @@ def extract_certificate(
                     f"g(rate) = {target}"
                 )
             slack = gamma[i - 1, j - 1] * tau[i - 1, j - 1]
-            scale = max(gamma[i - 1, j - 1], 1.0) * lengths[j - 1]
+            scale = gamma[i - 1, j - 1] * lengths[j - 1]
             if abs(slack) > CERT_TOL * scale:
                 raise RuntimeError(
                     f"complementary slackness failed for packet {i}, epoch {j}"
@@ -535,7 +534,7 @@ def extract_certificate(
     for j in range(1, m + 1):
         used = column_sum(tau, j - 1)
         slack = beta[j - 1] * (used - lengths[j - 1])
-        if abs(slack) > max(beta[j - 1], 1.0) * instance.time_tol:
+        if abs(slack) > beta[j - 1] * instance.time_tol:
             raise RuntimeError(f"epoch {j} capacity slackness failed")
     if np.any(beta < 0) or np.any(gamma < 0):
         raise RuntimeError("multiplier sign constraints failed")
@@ -592,7 +591,7 @@ def edf_fill(pieces, members, rate: float) -> list[tuple[int, float, float, floa
             active = [
                 p
                 for p in members
-                if need[p.id] > eps and p.arrival <= reach
+                if need[p.id] > 0 and p.arrival <= reach
             ]
             if not active:
                 raise InternalIdle(f"no transmittable packet at time {t}")

@@ -1,5 +1,9 @@
+import io
 import json
 import math
+import re
+import tokenize
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,13 +118,14 @@ class TestPacket:
             assert err.value.packet_id == 4
 
     def test_repeated_id_names_its_second_occurrence(self):
-        # numpy's 7 is the same id as Python's; a repeat is one more rule
-        # in input order, so an earlier packet's breach is named first
+        # numpy's 7 is the same id as Python's, and reads the same in the
+        # message; a repeat is one more rule in input order, so an
+        # earlier packet's breach is named first
         for ids in ([7, 7], [7, np.int64(7)]):
             with pytest.raises(MalformedPacket) as err:
                 normalize_columns(ids, [1.0, 1.0], [0.0, 0.0], [2.0, 1.0])
             assert err.value.packet_id == 7
-            assert err.value.reason == "id is repeated (first at entry 0)"
+            assert str(err.value) == "packet 7: id is repeated (first at entry 0)"
         rows = [(7, 1.0, 0.0, 2.0), (7, 1.0, 0.5, 1.0), (8, -1.0, 0.0, 1.0)]
         for build in (normalize_instance, instance_from_json):
             given = records(rows) if build is normalize_instance else packets_json(rows)
@@ -462,3 +467,37 @@ class TestJson:
         assert [p.id for p in inst.packets] == [1, 2]
         assert inst.packets[0].arrival == 0.0
         assert inst.id_map == {1: 3, 2: 9}
+
+
+TOLERANCE_TABLE = ("TIME_REL_TOL", "DUST_REL_TOL", "REL_TOL", "CERT_TOL", "RATE_TIE_REL")
+
+
+def stray_tolerances(source: str, table=()) -> list[tuple[int, str]]:
+    """(line, text) of each float literal with a negative exponent in the
+    Python `source`, except the value of a top-level assignment to a name
+    in `table`.  Comments and strings, docstrings among them, are other
+    tokens, so their numbers are not counted."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    found = []
+    for k, tok in enumerate(tokens):
+        if tok.type != tokenize.NUMBER or not re.search(r"[eE]-", tok.string):
+            continue
+        name, eq = tokens[k - 2], tokens[k - 1]
+        if not (eq.string == "=" and name.string in table and name.start[1] == 0):
+            found.append((tok.start[0], tok.string))
+    return found
+
+
+def test_stray_tolerances_skip_comments_and_docstrings():
+    source = '"""1e-9 in a docstring"""\nREL_TOL = 1e-9  # 1e-9\nx = 2.5e-8 * y\nz = 1e9 + 0.001\n'
+    assert stray_tolerances(source, TOLERANCE_TABLE) == [(3, "2.5e-8")]
+    assert stray_tolerances(source) == [(2, "1e-9"), (3, "2.5e-8")]
+
+
+@pytest.mark.parametrize("module", ["model", "scheduler", "verifier", "power"])
+def test_float_tolerances_live_in_the_model_table(module):
+    """The solver, verifier and power law take every float tolerance
+    from `model`'s table; only `model` may assign one."""
+    path = Path(model_module.__file__).with_name(f"{module}.py")
+    table = TOLERANCE_TABLE if module == "model" else ()
+    assert stray_tolerances(path.read_text(), table) == []

@@ -16,6 +16,7 @@ from txsched import (
     ZeroRate,
     schedule_energy,
 )
+from txsched.model import REL_TOL
 from txsched.power import _G_SERIES_X, per_distinct_rate
 
 LN2 = math.log(2.0)
@@ -115,12 +116,19 @@ class TestGInverse:
             Shannon(1.0).g_inverse(-1.0)
 
     def test_residual_contract_sampled(self):
-        # the bisection promises |g(result) - y| <= 1e-9 * max(1, y)
+        # the bisection promises |g(result) - y| <= REL_TOL * y
         for model in (Shannon(1.0), Shannon(3.0), Monomial(3.0, 0.5)):
             for r in np.linspace(0.01, 12.0, 40):
                 y = model.g(r)
                 back = model.g_inverse(y)
-                assert abs(model.g(back) - y) <= 1e-9 * max(1.0, y)
+                assert abs(model.g(back) - y) <= REL_TOL * y
+
+    def test_relative_residual_far_below_one(self):
+        # the tolerance has no floor on 1, so a small y keeps its digits
+        for model in (Shannon(1.0), Monomial(2.0)):
+            for y in np.logspace(-30, 6, 73):
+                assert abs(model.g(model.g_inverse(y)) - y) <= 1e-9 * y, (model, y)
+        assert Monomial(2.0).g_inverse(1e-12) == pytest.approx(1e-6, rel=1e-9)
 
     def test_roundtrip_identity_sampled(self):
         # where g has healthy slope the residual contract pins r itself

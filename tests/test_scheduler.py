@@ -14,10 +14,12 @@ from txsched import (
     NoCandidates,
     Packet,
     Shannon,
+    check_feasible,
     decompose,
     edf_fill,
     epoch_times,
     generate,
+    normalize_columns,
     normalize_instance,
     schedule_from_allocation,
     schedule_from_json,
@@ -351,6 +353,13 @@ class TestSolve:
         assert [g.packet for g in before] == [69]
         assert 0 < before[0].duration < inst.time_tol
 
+    def test_member_under_dust_of_time_is_filled(self):
+        # packet 2 needs 1e-12 s, under the fill's dust of 1e-12 s; the
+        # fill once dropped it, and idled in packet 1's last float step
+        inst = normalize_columns([1, 2], [1.0, 1e-12], [0.0, 0.5], [1.0, 1.0])
+        back = certified(inst)
+        assert back.segments.packet.tolist() == [1, 2]
+
     @pytest.mark.parametrize("scale", [1.0, 1e-12])
     def test_short_delivery_violates_invariant_at_any_scale(self, scale):
         inst = chain_instance(n=60, seed=0, horizon=60.0, scale=scale)
@@ -362,6 +371,25 @@ class TestSolve:
             scheduler._check_solution_invariants(
                 inst, s.trace, segment_table(segs), s.rates
             )
+
+    @pytest.mark.parametrize("bit_scale", [1.0, 1e-12])
+    def test_delivery_short_by_ten_dust_is_refused(self, bit_scale):
+        # packet 2 transmits about 1 s of a 1000 s horizon, so 10 dust,
+        # 1e-8 s, of its time is ten times both REL_TOL of its bits and
+        # what its rate sends in the dust a fill may leave
+        inst = normalize_instance([P(1, 1e3 * bit_scale, 0.0, 1e3), P(2, bit_scale, 10.0, 11.0)])
+        s = solve(inst, Shannon(1.0))
+        segs = segment_list(s.segments)
+        k = next(k for k, g in enumerate(segs) if g.packet == 2)
+        g = segs[k]
+        segs[k] = Segment(g.packet, g.t_start, g.t_end - 10 * inst.dust, g.rate)
+        short = replace(s, segments=segment_table(segs))
+        with pytest.raises(InternalInvariantViolation, match="delivered bits"):
+            scheduler._check_solution_invariants(inst, s.trace, short.segments, s.rates)
+        report = check_feasible(inst, short)
+        conservation = [v for v in report.violations if v.startswith("bit conservation")]
+        assert len(conservation) == 1, report.violations
+        assert conservation[0].startswith("bit conservation: packet 2 delivers ")
 
     @pytest.mark.parametrize("tamper, message", [
         ("ulp", "reserved piece endpoint 1.0000000000000002 is not a grid instant"),

@@ -24,6 +24,9 @@ from .power import PowerModel
 ARMIJO_C = 1e-4
 TIME_FLOOR = 1e-12  # gradient evaluation floor; reported values are unfloored
 GRID_COMBO_CAP = 5_000_000
+_ARMIJO_TRIALS = 200  # Armijo trials of one step before descent counts as stalled
+_ARMIJO_BATCH = 3  # trials scored per batch; about 2 are needed per step
+_PAD = -1e300  # packed-column padding, finite to keep the sort nan-free
 
 
 class TooLarge(ValueError):
@@ -99,6 +102,13 @@ def solve_projected_gradient(
     when an accepted step decreases energy by less than `tol`
     relatively, or at `max_iters` (then flagged unconverged).
 
+    Backtracking is scored speculatively: the steps alpha, alpha/2 and
+    alpha/4 are projected in one batched call and priced in one
+    `model.power` call, and the first to pass the Armijo test is taken.
+    Each trial is scored from its own cells, summed as the sequential loop
+    sums its dense n x m table, so the iterates, the step carried forward,
+    the 200-trial cap and the stopping rule are that loop's, bit for bit.
+
     Supported range: small instances with mild power laws.  On N=12
     Monomial(1.5) instances (the benchmark's `crosscheck`) its energy is
     within 2e-8 relative of the optimum, yet the stall test stops it at
@@ -114,66 +124,82 @@ def solve_projected_gradient(
     mask = np.zeros((n, m), dtype=bool)
     mask[decomp.pairs()] = True
 
-    # Epoch columns packed as rows of a C x nmax table: column c's
-    # feasible packets in slots [0, lens[c]), `flat` their cells in tau.
+    # An allocation is its k feasible cells, column by column, then the
+    # sentinels 0 (cells off the mask) and _PAD (padding of the packed
+    # C x nmax columns); `pack` and `dense` gather those from row b of a batch.
     live_cols = np.flatnonzero(decomp.coverage)
     lens = decomp.coverage[live_cols]
     caps = decomp.lengths[live_cols]
     slot = np.arange(lens.max(initial=1)) < lens[:, None]
     col, row = np.nonzero(mask[:, live_cols].T)  # column-major, as `slot`
-    flat = row * m + live_cols[col]
-    fill = np.full(slot.shape, -1e300)  # finite: keeps the sort nan-free
+    k, c = len(row), len(live_cols)
+    pack = np.full(slot.shape, k + 1)
+    pack[slot] = np.arange(k)
+    dense = np.full((n, m), k)
+    dense[row, live_cols[col]] = np.arange(k)
+    offsets = np.arange(_ARMIJO_BATCH)[:, None, None] * (k + 2)
+    pack, dense = (pack + offsets).reshape(-1, slot.shape[1]), dense + offsets
+    unpack = np.flatnonzero(slot)
+    batch_caps = np.tile(caps, _ARMIJO_BATCH)
+    sentinels = np.tile([0.0, _PAD], (_ARMIJO_BATCH, 1))
+    grad_rows = np.append(row, [0, 0])
 
-    def energy_of(tau: np.ndarray) -> float:
-        """The energy of `tau`; an overflow gives inf, which the caller's
-        np.errstate lets pass silently and the Armijo test rejects."""
-        T = tau.sum(axis=1)
-        if (T < TIME_FLOOR).any():
-            return math.inf
-        return float((T * model.power(bits / T)).sum())
+    def project(x: np.ndarray, grad: np.ndarray, steps: list[float]) -> np.ndarray:
+        """The projections of x - step * grad, one row per step."""
+        b = len(steps)
+        trial = x - np.multiply.outer(steps, grad)
+        packed = _project_columns(trial.take(pack[: b * c]), batch_caps[: b * c])
+        return np.concatenate((packed.reshape(b, -1).take(unpack, axis=1), sentinels[:b]), axis=1)
 
-    def project(tau: np.ndarray) -> np.ndarray:
-        packed = fill.copy()
-        packed[slot] = tau.ravel()[flat]
-        out = np.zeros(n * m)
-        out[flat] = _project_columns(packed, caps)[slot]
-        return out.reshape(n, m)
+    def score(rows: np.ndarray):
+        """Packet totals and energies; a total under TIME_FLOOR gives inf."""
+        T = rows.take(dense[: len(rows)]).sum(axis=2)
+        floored = np.maximum(T, TIME_FLOOR)
+        energies = (floored * model.power(bits / floored)).sum(axis=1)
+        if np.fmin.reduce(T, axis=None) < TIME_FLOOR:  # rare: skip the row test
+            energies[(T < TIME_FLOOR).any(axis=1)] = math.inf
+        return T, energies
 
-    tau = np.zeros((n, m))
-    tau.put(flat, np.repeat(caps / lens, lens))
+    def gradient(T: np.ndarray) -> np.ndarray:
+        grad = -model.g(bits / np.maximum(T, TIME_FLOOR)).take(grad_rows)
+        grad[k:] = 0.0
+        return grad
 
+    x = np.concatenate((np.repeat(caps / lens, lens), (0.0, _PAD)))
     alpha = 1.0
     iterations = 0
     small_streak = 0
-
-    def gradient(tau: np.ndarray) -> np.ndarray:
-        T = np.maximum(tau.sum(axis=1), TIME_FLOOR)
-        gvals = np.asarray(model.g(bits / T))
-        return np.where(mask, -gvals[:, None], 0.0)
-
     cap_scale = float(caps.max()) if len(caps) else 1.0
     stalled = False
     with np.errstate(over="ignore"):
-        energy = energy_of(tau)
+        T, energies = score(x[None])
+        T, energy = T[0], float(energies[0])
         history = [energy] if track_history else None
         while iterations < max_iters:
-            grad = gradient(tau)
+            grad = gradient(T)
             # First trial step: adaptive, but never so large that a single
             # step moves an entry further than the biggest epoch.
             gmax = float(np.abs(grad).max())
             alpha = min(1.0, alpha * 2.0, cap_scale / gmax if gmax > 0 else 1.0)
-            for _ in range(200):
-                cand = project(tau - alpha * grad)
-                cand_energy = energy_of(cand)
-                decrease_bound = ARMIJO_C * float((grad * (cand - tau)).sum())
-                if cand_energy <= energy + decrease_bound:
+            for tried in range(0, _ARMIJO_TRIALS, _ARMIJO_BATCH):
+                steps = [alpha]
+                while len(steps) < min(_ARMIJO_BATCH, _ARMIJO_TRIALS - tried):
+                    steps.append(steps[-1] * 0.5)
+                cands = project(x, grad, steps)
+                cand_T, cand_energies = score(cands)
+                descents = ((cands - x) * grad).take(dense[: len(steps)])
+                bounds = energy + ARMIJO_C * descents.reshape(len(steps), -1).sum(axis=1)
+                passed = cand_energies <= bounds
+                first = int(passed.argmax())
+                if passed[first]:
                     break
-                alpha *= 0.5
+                alpha = steps[-1] * 0.5
             else:
                 stalled = True  # no float-visible descent left
                 break
+            alpha, cand_energy = steps[first], float(cand_energies[first])
             rel_decrease = (energy - cand_energy) / max(abs(cand_energy), 1e-300)
-            tau, energy = cand, cand_energy
+            x, T, energy = cands[first], cand_T[first], cand_energy
             iterations += 1
             if history is not None:
                 history.append(energy)
@@ -187,13 +213,13 @@ def solve_projected_gradient(
     # a true optimum is a fixed point of the projected step for any
     # step size, while a float-starved stall (one packet's energy term
     # drowning the others) leaves a visible displacement.
-    grad = gradient(tau)
+    grad = gradient(T)
     gmax = float(np.abs(grad).max())
     probe = min(1.0, cap_scale / gmax) if gmax > 0 else 1.0
-    pg_map = tau - project(tau - probe * grad)
-    residual = float(np.abs(pg_map).max() / (1.0 + np.abs(tau).max()))
+    pg_map = x[: k + 1] - project(x, grad, [probe])[0, : k + 1]
+    residual = float(np.abs(pg_map).max() / (1.0 + np.abs(x[: k + 1]).max()))
     converged = stalled and residual <= 1e-6
-    T = tau.sum(axis=1)
+    tau = x.take(dense[0])
     rates = np.where(T > 0, bits / np.maximum(T, TIME_FLOOR), np.inf)
     return OracleSolution(
         tau=tau,

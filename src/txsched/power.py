@@ -49,17 +49,22 @@ class BracketOverflow(RuntimeError):
     """g never reached the requested value; the model is inconsistent."""
 
 
-def _check_rate(rate):
+# f, f' and g overflow to inf silently.  As a decorator the errstate
+# builds its state once per call and is safe to share.
+_silent_overflow = np.errstate(over="ignore")
+
+
+def _check_rate(rate) -> np.ndarray:
+    """`rate` as a float array; NaN passes, as `fmin` skips it."""
     arr = np.asarray(rate, dtype=float)
-    if (arr < 0).any():
+    if np.fmin.reduce(arr, axis=None, initial=0.0) < 0:
         raise NegativeRate(f"rate must be non-negative, got {rate}")
     return arr
 
 
-def _scalarize(value, like):
-    if np.ndim(like) == 0:
-        return float(value)
-    return value
+def _scalarize(value, arr: np.ndarray):
+    """A float for a 0-d `arr`, `value` itself otherwise."""
+    return float(value) if arr.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -76,32 +81,36 @@ class PowerModel:
         """r f'(r) - f(r); marginal energy of slowing down."""
         arr = _check_rate(rate)
         out = arr * self.power_deriv(arr) - self.power(arr)
-        return _scalarize(out, rate)
+        return _scalarize(out, arr)
 
     def g_inverse(self, y: float) -> float:
-        """Invert g by bisection on a geometrically grown bracket.
+        """Invert g by bisection on log r, in a bracket [lo, 2 lo] found
+        by doubling up from 1 or halving down from 1.
 
-        The result r satisfies |g(r) - y| <= REL_TOL * y.
+        The result r satisfies |g(r) - y| <= REL_TOL * y, from 1e-300 to
+        1e300 alike: each halving of the bracket gains the same relative
+        precision, whatever the size of r.
         """
         y = float(y)
         if y < 0:
             raise NegativeInput(f"g is non-negative, cannot invert {y}")
         if y == 0.0:
             return 0.0
-        hi = 1.0
+        lo = hi = 1.0
         doublings = 0
         while self.g(hi) < y:
-            hi *= 2.0
+            lo, hi = hi, hi * 2.0
             doublings += 1
             if doublings > _G_INV_MAX_DOUBLINGS:
                 raise BracketOverflow(
                     f"g never reached {y}; model {self!r} is not strictly convex"
                 )
-        lo = 0.0
+        while self.g(lo) > y and lo * 0.5 > 0.0:
+            lo, hi = lo * 0.5, lo
         tol = REL_TOL * y
         mid = hi
         for _ in range(_G_INV_MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
+            mid = lo * math.sqrt(hi / lo)  # the geometric mean, free of underflow
             gm = self.g(mid)
             if abs(gm - y) <= tol:
                 return mid
@@ -124,25 +133,28 @@ class Shannon(PowerModel):
                 f"noise_power must be positive and finite, got {self.noise_power}"
             )
 
+    @_silent_overflow
     def power(self, rate):
         arr = _check_rate(rate)
-        with np.errstate(over="ignore"):
-            out = self.noise_power * np.expm1(2.0 * LN2 * arr)
-        return _scalarize(out, rate)
+        return _scalarize(self.noise_power * np.expm1(2.0 * LN2 * arr), arr)
 
+    @_silent_overflow
     def power_deriv(self, rate):
         arr = _check_rate(rate)
-        with np.errstate(over="ignore"):
-            out = 2.0 * LN2 * self.noise_power * np.exp2(2.0 * arr)
-        return _scalarize(out, rate)
+        return _scalarize(2.0 * LN2 * self.noise_power * np.exp2(2.0 * arr), arr)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def g(self, rate):
         """noise_power * (x e^x - e^x + 1) with x = 2 ln2 r.  At small x
         the two terms of r f'(r) - f(r) cancel, leaving about 2 ulp / x
         of relative error, so below _G_SERIES_X g sums the series
-        noise_power * sum over k >= 2 of (k - 1) x^k / k!."""
+        noise_power * sum over k >= 2 of (k - 1) x^k / k!.  Where f
+        overflows, so does g: inf, where the difference is inf - inf."""
         arr = _check_rate(rate)
-        out = np.asarray(arr * self.power_deriv(arr) - self.power(arr))
+        power = self.noise_power * np.expm1(2.0 * LN2 * arr)
+        deriv = 2.0 * LN2 * self.noise_power * np.exp2(2.0 * arr)
+        out = np.asarray(arr * deriv - power)
+        out[power == math.inf] = math.inf
         small = arr < _G_SERIES_X / (2.0 * LN2)
         if small.any():
             x = 2.0 * LN2 * arr[small]
@@ -151,7 +163,7 @@ class Shannon(PowerModel):
                 series *= x
                 series += c
             out[small] = self.noise_power * series * x * x
-        return _scalarize(out, rate)
+        return _scalarize(out, arr)
 
 
 @dataclass(frozen=True)
@@ -170,23 +182,20 @@ class Monomial(PowerModel):
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
+    @_silent_overflow
     def power(self, rate):
         arr = _check_rate(rate)
-        with np.errstate(over="ignore"):
-            out = self.scale * arr**self.exponent
-        return _scalarize(out, rate)
+        return _scalarize(self.scale * arr**self.exponent, arr)
 
+    @_silent_overflow
     def power_deriv(self, rate):
         arr = _check_rate(rate)
-        with np.errstate(over="ignore"):
-            out = self.scale * self.exponent * arr ** (self.exponent - 1.0)
-        return _scalarize(out, rate)
+        return _scalarize(self.scale * self.exponent * arr ** (self.exponent - 1.0), arr)
 
+    @_silent_overflow
     def g(self, rate):
         arr = _check_rate(rate)
-        with np.errstate(over="ignore"):
-            out = self.scale * (self.exponent - 1.0) * arr**self.exponent
-        return _scalarize(out, rate)
+        return _scalarize(self.scale * (self.exponent - 1.0) * arr**self.exponent, arr)
 
     def g_inverse_closed_form(self, y: float) -> float:
         if y < 0:

@@ -54,6 +54,7 @@ from txsched import (
     is_non_fifo,
     normalize_columns,
     normalize_instance,
+    oracle,
     schedule_from_allocation,
     schedule_energy,
     schedule_from_json,
@@ -1199,18 +1200,34 @@ def idle_gap_instance():
     ])
 
 
+def backtrack_instance():
+    """Three packets whose Armijo search takes four or more trials on one
+    step under Monomial(3): past the oracle's batch of three."""
+    return normalize_instance([
+        Packet(1, 0.05, 0.0, 2.0), Packet(2, 3.0, 0.0, 2.0), Packet(3, 0.5, 1.0, 1.2),
+    ])
+
+
 def pgd_cases():
     """(label, instance, model, solver keywords) for the oracle
-    comparison; the long runs are cut short by `max_iters`."""
+    comparison; the long runs are cut short by `max_iters`.  The
+    `crosscheck` cases are the benchmark workload's shape."""
     cases = [(label, inst, MODEL, {}) for label, inst in corpus_instances()]
-    for n, model in ((8, MODEL), (16, MODEL), (12, Monomial(2.0)), (20, Monomial(1.5))):
-        for seed in (1, 2, 3):
+    for n, model, seeds, label in (
+        (8, MODEL, (1, 2, 3), "generator"),
+        (16, MODEL, (1, 2, 3), "generator"),
+        (12, Monomial(2.0), (1, 2, 3), "generator"),
+        (20, Monomial(1.5), (1, 2, 3), "generator"),
+        (12, Monomial(1.5), (1, 2, 3, 4), "crosscheck"),
+    ):
+        for seed in seeds:
             config = GeneratorConfig(
                 n=n, horizon=n + 2, seed=seed, non_fifo_prob=0.5,
                 bits_range=(0.4, 1.5), min_window_frac=0.1,
             )
-            cases.append((f"generator-{n}-{seed}", generate(config), model, {}))
+            cases.append((f"{label}-{n}-{seed}", generate(config), model, {}))
     return cases + [
+        ("backtrack", backtrack_instance(), Monomial(3.0), {}),
         ("nested-30", nested_instance(n=30), MODEL, {"max_iters": 300}),
         ("idle-gap", idle_gap_instance(), MODEL, {}),
         ("single", normalize_instance([Packet(1, 1.0, 0.0, 1.0)]), MODEL, {}),
@@ -1233,6 +1250,25 @@ def test_pgd_matches_reference_loop():
             a, b = np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
             assert a.dtype == b.dtype and a.shape == b.shape, (label, name)
             assert a.tobytes() == b.tobytes(), (label, name)
+
+
+def test_pgd_backtracks_past_the_batch_width(monkeypatch):
+    """The `backtrack` case needs more than one batch of Armijo trials on
+    some step: the solver calls g once per step and once for the final
+    probe, and projects once per batch and once for the probe."""
+    calls = {"g": 0, "project": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(Monomial, "g", counting("g", Monomial.g))
+    monkeypatch.setattr(oracle, "_project_columns", counting("project", oracle._project_columns))
+    sol = solve_projected_gradient(backtrack_instance(), Monomial(3.0))
+    steps, batches = calls["g"] - 1, calls["project"] - 1
+    assert sol.iterations <= steps < batches
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 500])

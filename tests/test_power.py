@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +102,64 @@ class TestG:
             assert all(v >= -1e-12 for v in vals)
 
 
+BOTH_LAWS = pytest.mark.parametrize(
+    "model", [Shannon(1.0), Monomial(2.0), Monomial(1.5)],
+    ids=["shannon", "monomial-2", "monomial-1.5"],
+)
+METHODS = ("power", "power_deriv", "g")
+
+
+class TestCallContract:
+    """f, f' and g take a scalar or an array of rates: a float out for
+    a scalar in, an array of the same shape for an array (empty too);
+    a negative entry raises NegativeRate, a NaN passes through, and an
+    overflow gives inf with no warning."""
+
+    @BOTH_LAWS
+    @pytest.mark.parametrize(
+        "rate", [-0.1, np.array([1.0, np.nan, -2.0]), np.array([[-0.0, -5e-324]])]
+    )
+    def test_negative_rate_raises_with_the_input_named(self, model, rate):
+        message = re.escape(f"rate must be non-negative, got {rate}")
+        for name in METHODS:
+            with pytest.raises(NegativeRate, match=message):
+                getattr(model, name)(rate)
+
+    @BOTH_LAWS
+    def test_nan_and_negative_zero_pass(self, model):
+        for name in METHODS:
+            fn = getattr(model, name)
+            assert math.isnan(fn(math.nan))
+            out = fn(np.array([np.nan, -0.0, 1.0]))
+            assert math.isnan(out[0]) and out[1] == fn(0.0) and out[2] == fn(1.0)
+
+    @BOTH_LAWS
+    @pytest.mark.parametrize("rate", [1.5, 2, np.float64(0.25), np.array(0.75)])
+    def test_scalar_in_gives_float_out(self, model, rate):
+        for name in METHODS:
+            out = getattr(model, name)(rate)
+            assert type(out) is float
+            assert out == getattr(model, name)(np.array([rate], dtype=float))[0]
+
+    @BOTH_LAWS
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 0), (2, 3)])
+    def test_array_in_gives_array_of_its_shape(self, model, shape):
+        rates = np.arange(math.prod(shape), dtype=float).reshape(shape) / 2
+        for name in METHODS:
+            out = getattr(model, name)(rates)
+            assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+
+    @pytest.mark.parametrize("model", [Shannon(1.0), Monomial(2.0)], ids=["shannon", "monomial-2"])
+    def test_overflow_gives_silent_inf(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in METHODS:
+                fn = getattr(model, name)
+                out = fn(np.array([0.5, 1e308, np.inf]))
+                assert np.isfinite(out[0]) and (out[1:] == np.inf).all(), name
+                assert fn(1e308) == math.inf and fn(math.inf) == math.inf, name
+
+
 class TestGInverse:
     def test_zero(self):
         assert Shannon(1.0).g_inverse(0.0) == 0.0
@@ -143,6 +203,16 @@ class TestGInverse:
             assert model.g_inverse(y) == pytest.approx(
                 model.g_inverse_closed_form(y), rel=1e-8
             )
+
+    @pytest.mark.parametrize("model", [Shannon(1.0), Monomial(2.0)], ids=["shannon", "monomial-2"])
+    @pytest.mark.parametrize("y", [1e-300, 1e-250, 1.0, 1e300])
+    def test_residual_contract_across_the_float_range(self, model, y):
+        # the bracket grows down as well as up and the bisection halves
+        # log r, so a y far from 1 is met like y = 1
+        r = model.g_inverse(y)
+        assert abs(model.g(r) - y) <= REL_TOL * y
+        if isinstance(model, Monomial):
+            assert r == pytest.approx(model.g_inverse_closed_form(y), rel=REL_TOL)
 
     def test_bracket_overflow_on_bounded_g(self):
         class Saturating(PowerModel):
